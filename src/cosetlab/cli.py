@@ -59,8 +59,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     if args.what == "table1":
         rows = thresholds.table1(kv_q=args.kv_q)
     else:
-        rows = thresholds.figure1_curves(args.rho, _parse_grid(args.grid),
-                                         kv_q=args.kv_q)
+        rows = thresholds.figure1_curves(args.rho, args.grid, kv_q=args.kv_q)
     if args.format == "json":
         _emit(thresholds.rows_json(rows), args.out)
     elif args.format == "csv":
@@ -167,13 +166,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---- opi ----------------------------------------------------------------------
 
 
-def _load_instance(path: str) -> opi.OPIInstance:
+def _load_json(path: str, what: str, build):
+    """build(parsed JSON); malformed content is an input error (exit 2)."""
     with open(path) as fh:
         text = fh.read()
     try:
-        return opi.OPIInstance.from_json(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed instance JSON in {path}: {exc}") from exc
+        return build(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"{what} JSON in {path} lacks key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"malformed {what} JSON in {path}: {exc}") from exc
+
+
+def _solution_from_dict(raw: dict) -> opi.OPISolution:
+    return opi.OPISolution(coeffs=tuple(int(c) for c in raw["coeffs"]),
+                           count=int(raw["count"]))
 
 
 def cmd_opi(args: argparse.Namespace) -> int:
@@ -182,16 +189,13 @@ def cmd_opi(args: argparse.Namespace) -> int:
                                          args.tau, seed=args.seed)
         _emit(instance.to_json(), args.out)
         return 0
-    instance = _load_instance(args.instance)
+    instance = _load_json(args.instance, "instance", opi.OPIInstance.from_dict)
     if args.what == "solve-bruteforce":
         solution = opi.brute_force_opi(instance, budget=_budget(args))
         _emit(json.dumps(solution.to_dict(), indent=2) + "\n", args.out)
         return 0
     if args.what == "verify":
-        with open(args.solution) as fh:
-            raw = json.load(fh)
-        solution = opi.OPISolution(coeffs=tuple(int(c) for c in raw["coeffs"]),
-                                   count=int(raw["count"]))
+        solution = _load_json(args.solution, "solution", _solution_from_dict)
         count, meets = opi.verify(instance, solution)
         _emit(f"count={count} needed={instance.min_count} meets={meets}\n",
               args.out)
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="snap the soft-decoder column to a concrete prime")
         if name == "curves":
             p.add_argument("--rho", type=float, required=True)
-            p.add_argument("--grid", required=True,
+            p.add_argument("--grid", type=_parse_grid, required=True,
                            help="rate grid start:stop:step")
         p.set_defaults(fn=cmd_thresholds)
 

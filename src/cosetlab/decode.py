@@ -15,7 +15,7 @@ import numpy as np
 
 from .codes import LinearCode, null_space, rs_code  # noqa: F401  (rs_code re-exported for callers)
 from .config import require_budget
-from .galois import all_vectors
+from .galois import all_vectors, radix_weights
 from .noise import ErrorProfile
 
 __all__ = [
@@ -175,7 +175,7 @@ class _BaseDecoder:
     def _build_table(self, budget: int | None) -> np.ndarray:
         code = self.code
         require_budget(code.q**code.n, budget)
-        radix = code.q ** np.arange(code.k - 1, -1, -1, dtype=np.int64)
+        radix = radix_weights(code.q, code.k)
         ys = all_vectors(code.q, code.n)
         out = np.empty(ys.shape[0], dtype=np.int64)
         for i, y in enumerate(ys):
@@ -297,8 +297,7 @@ def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,
         draws = np.empty((samples, profile.n), dtype=np.int64)
         for i in range(profile.n):
             draws[:, i] = rng.choice(profile.q, size=samples, p=channel[i])
-        radix = code.q ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-        hits = decoder.table(budget)[draws @ radix] == 0
+        hits = decoder.table(budget)[draws @ radix_weights(code.q, code.n)] == 0
         p = float(np.mean(hits))
         # variance floor keeps the interval honest when p sits at 0 or 1
         half = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
@@ -319,7 +318,7 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
         raise ValueError("profile and code must share q and n")
     probs = _channel_probabilities(profile, budget)
     table = decoder.table(budget)
-    radix = code.q ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    radix = radix_weights(code.q, code.n)
     errors = all_vectors(code.q, code.n)
     out = np.empty(code.q**code.k)
     for s_idx, codeword in enumerate(code.codewords()):

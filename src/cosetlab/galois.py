@@ -23,12 +23,12 @@ from .config import require_budget
 
 __all__ = [
     "PrimeField",
-    "field_arith",
     "character",
     "fourier_transform",
     "inverse_fourier_transform",
     "code_character_sum",
     "index_of_vector",
+    "radix_weights",
     "vector_of_index",
     "all_vectors",
 ]
@@ -142,19 +142,6 @@ class PrimeField:
         return self.roots_of_unity[powers] / math.sqrt(self.q)
 
 
-def field_arith(field: PrimeField, op: str, a, b=None):
-    """Dispatch basic F_q arithmetic by name: add, sub, mul, inv, neg."""
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise ValueError(f"{op} needs two operands")
-        return getattr(field, op)(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---- mixed-radix indexing ----------------------------------------------
 
 
@@ -164,6 +151,12 @@ def index_of_vector(vec: np.ndarray, q: int) -> int:
     for v in np.asarray(vec, dtype=np.int64):
         idx = idx * q + int(v) % q
     return idx
+
+
+def radix_weights(q: int, n: int) -> np.ndarray:
+    """Place values (q^(n-1), ..., q, 1): `vectors @ radix_weights(q, n)`
+    gives the index of every row of a (..., n) array of residues."""
+    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def vector_of_index(idx: int, q: int, n: int) -> np.ndarray:

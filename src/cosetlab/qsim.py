@@ -25,11 +25,18 @@ Two engines compute identical outcomes:
 
 - `run_reduction` materializes the registers densely and walks the five
   steps literally, checking norms at every step (the reference engine).
-- `run_reduction_sweep` exploits that the target syndrome enters only
-  through the step-1 phases: it evolves all message branches once without
-  phases (register values that remain classical functions of the branch are
-  tracked as labels instead of axes) and applies the per-u phase dressing at
-  the end. One evolution serves every u and every constraint set.
+- `run_reduction_sweep` evaluates the closed form of the accepted state.
+  Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
+  register A is left holding
+
+      F_u(y) = chi_{-u}(D(y)) f(y - D(y)G) / sqrt(q^k P_acc),
+      P_acc  = q^-k sum_y |f(y - D(y)G)|^2,
+
+  and p_u is the mass of its transform on {x in T : G x^T = u}: one q^n
+  transform per syndrome, O(q^n) memory. Symmetrization entangles the
+  shift register with A only through a unit-modulus phase, so it changes
+  the diagonal gammas but not P_acc or the A marginal; one formula serves
+  both cases (derivation in `run_reduction_sweep`).
 """
 
 from __future__ import annotations
@@ -40,20 +47,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, syndrome
 from .config import TOL, require_budget
 from .decode import _BaseDecoder, per_message_success
-from .galois import PrimeField, all_vectors
+from .galois import PrimeField, all_vectors, fourier_transform, radix_weights
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
 __all__ = [
-    "QuantumState",
     "ReductionOutcome",
     "BoundReport",
-    "prepare_error_state",
-    "decoder_unitary",
     "DecoderUnitary",
-    "symmetrize",
     "SymmetrizedUnitary",
     "success_lower_bound",
     "run_reduction",
@@ -62,37 +65,14 @@ __all__ = [
 ]
 
 
-# ---- states ----------------------------------------------------------------
-
-
-@dataclass
-class QuantumState:
-    """Dense state over named registers; axis i of `amplitudes` is register i."""
-
-    layout: tuple[tuple[str, int], ...]
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def prepare_error_state(profile: ErrorProfile,
-                        budget: int | None = None) -> QuantumState:
-    """|f> = sum_e f(e) |e> on register A alone (unit norm by construction)."""
-    amps = profile.amplitudes(budget)
-    return QuantumState(layout=(("A", amps.size),), amplitudes=amps)
-
-
-# ---- shared index machinery -------------------------------------------------
+# ---- index machinery of the reference engine ---------------------------------
 
 
 class _Registers:
-    """Index tables shared by both engines for one (code, profile) pair."""
+    """Index tables of the dense registers for one (code, profile) pair."""
 
     def __init__(self, code: LinearCode, profile: ErrorProfile,
                  budget: int | None = None):
-        if profile.q != code.q or profile.n != code.n:
-            raise ValueError("profile and code must share q and n")
         self.code = code
         self.profile = profile
         self.field = PrimeField(code.q)
@@ -100,8 +80,8 @@ class _Registers:
         self.dim_a = self.q**self.n
         self.dim_b = self.q**self.k
         require_budget(self.dim_a * self.dim_b, budget)
-        self._radix_n = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        self._radix_k = self.q ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
+        self._radix_n = radix_weights(self.q, self.n)
+        self._radix_k = radix_weights(self.q, self.k)
 
     @cached_property
     def messages(self) -> np.ndarray:
@@ -207,12 +187,6 @@ class DecoderUnitary:
         return out
 
 
-def decoder_unitary(decoder: _BaseDecoder,
-                    budget: int | None = None) -> DecoderUnitary:
-    """The additive-message-register permutation of a total decoder."""
-    return DecoderUnitary(decoder, budget)
-
-
 class SymmetrizedUnitary:
     """U' on (A, B, T): Fourier T, add TG to A, run U, subtract T from B.
 
@@ -273,11 +247,6 @@ class SymmetrizedUnitary:
             state = self.apply(regs, state)
             out[s_idx] = float(np.linalg.norm(state[:, s_idx, :]))
         return out
-
-
-def symmetrize(base: DecoderUnitary, budget: int | None = None) -> SymmetrizedUnitary:
-    """Shift-averaged version of a decoder map with uniform diagonal."""
-    return SymmetrizedUnitary(base, budget)
 
 
 # ---- outcomes ----------------------------------------------------------------
@@ -344,14 +313,25 @@ class BoundReport:
         }
 
 
+def _check_inputs(code: LinearCode, profile: ErrorProfile,
+                  constraints: list[ConstraintSet]) -> None:
+    """Reject a profile or constraint set built for another instance."""
+    if profile.q != code.q or profile.n != code.n:
+        raise ValueError("profile and code must share q and n")
+    key = (profile.q, profile.n, profile.sets, profile.tau)
+    for c in constraints:
+        if (c.profile.q, c.profile.n, c.profile.sets, c.profile.tau) != key:
+            raise ValueError("constraint was built for a different profile")
+
+
 def _decide_symmetrization(decoder: _BaseDecoder, profile: ErrorProfile,
                            force: bool | None,
-                           budget: int | None) -> tuple[bool, float, np.ndarray]:
-    """(symmetrize?, p_dec, per-message table). p_dec is always mean_s p_s."""
+                           budget: int | None) -> tuple[bool, float]:
+    """(symmetrize?, p_dec). p_dec is always mean_s p_s."""
     p_s = per_message_success(decoder, profile, budget)
     spread = float(p_s.max() - p_s.min())
     needed = spread > TOL.gamma_spread if force is None else force
-    return needed, float(p_s.mean()), p_s
+    return needed, float(p_s.mean())
 
 
 # ---- reference engine: one syndrome, dense registers -------------------------
@@ -366,11 +346,9 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     u = np.asarray(u, dtype=np.int64) % code.q
     if u.shape != (code.k,):
         raise ValueError(f"u must have length {code.k}")
-    if constraint.profile is not profile and (
-            constraint.profile.q != profile.q or constraint.profile.n != profile.n):
-        raise ValueError("constraint was built for a different profile")
+    _check_inputs(code, profile, [constraint])
     regs = _Registers(code, profile, budget)
-    symmetrized, p_dec, _ = _decide_symmetrization(
+    symmetrized, p_dec = _decide_symmetrization(
         decoder, profile, force_symmetrize, budget)
     base = DecoderUnitary(decoder, budget)
     u_map: DecoderUnitary | SymmetrizedUnitary
@@ -421,8 +399,7 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     marginal = marginal.reshape(regs.dim_a, -1).sum(axis=1)
 
     mask = constraint.membership_mask(budget)
-    radix_k = code.q ** np.arange(code.k - 1, -1, -1, dtype=np.int64)
-    u_idx = int(u @ radix_k)
+    u_idx = int(u @ radix_weights(code.q, code.k))
     p_u = float(marginal[mask & (regs.dual_syndrome_idx == u_idx)].sum())
 
     eta, _ = tail_mass(profile, constraint.tau_tilde)
@@ -435,72 +412,63 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
         a_marginal=marginal if keep_marginal else None)
 
 
-# ---- sweep engine: all syndromes from one evolution ---------------------------
+# ---- sweep engine: all syndromes from the closed form --------------------------
 
 
 def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
                         decoder: _BaseDecoder,
                         constraints: list[ConstraintSet], *,
-                        budget: int | None = None,
-                        force_symmetrize: bool | None = None
+                        budget: int | None = None
                         ) -> list[list[ReductionOutcome]]:
     """Outcomes for every dual syndrome and every constraint set.
 
-    Returns outcomes[c][j] for constraint c and syndrome index j. The
-    evolution is done once, phase-free, with the message branch as a batch
-    axis; registers whose value is a classical function of the branch are
-    tracked as labels (see module docstring).
+    Returns outcomes[c][j] for constraint c and syndrome index j. Each
+    syndrome costs one q^n transform of the closed-form accepted state;
+    the working set is a few arrays of q^n entries, whatever k is.
+
+    Derivation. With g_u(y) = chi_{-u}(D(y)) f(y - D(y)G): after step 2 the
+    state is q^(-k/2) sum_{s,y} chi_{-u}(s) f(y - sG) |y>|D(y)>|s - D(y)>.
+    Keeping C = 0 selects s = D(y) with probability
+    P_acc = q^-k sum_y |f(y - D(y)G)|^2, and the adjoint map clears B, so A
+    holds F_u = g_u / sqrt(q^k P_acc) and the step-5 marginal is |Fhat_u|^2.
+    With symmetrization, acceptance selects s = D(y) - t for each shift t,
+    which leaves P_acc unchanged; after the adjoint the (A, T) state is
+    q^-k sum_t chi_u(t) g_u(a + tG) |a>|t> / sqrt(P_acc) before T's inverse
+    transform, and transforming A gives
+    q^-k chi(<u - G x^T, t>) ghat_u(x) / sqrt(P_acc). The phase has unit
+    modulus, so summing over t returns the same A marginal |Fhat_u(x)|^2.
+    p_u is that marginal's mass on {x in T : G x^T = u}.
+
+    P_acc equals mean_s p_s algebraically; p_dec is still taken from
+    `per_message_success`, an independent enumeration, so acceptance
+    minus p_dec remains a check.
     """
-    regs = _Registers(code, profile, budget)
-    symmetrized, p_dec, _ = _decide_symmetrization(
-        decoder, profile, force_symmetrize, budget)
+    _check_inputs(code, profile, constraints)
+    q, n, k = code.q, code.n, code.k
+    require_budget(q**n, budget)
+    symmetrized, p_dec = _decide_symmetrization(decoder, profile, None, budget)
     table = decoder.table(budget)
-    f_dense = profile.amplitudes(budget)
-    dim_a, dim_b = regs.dim_a, regs.dim_b
-
-    if symmetrized:
-        require_budget(dim_a * dim_b * dim_b, budget)
-        # branches (s; a, t); registers B, C stay label-tracked
-        arr = np.zeros((dim_b, dim_a, dim_b), dtype=np.complex128)
-        arr[:, :, 0] = f_dense[regs.shift_sub_idx] / math.sqrt(dim_b)
-        # step 2: Fourier the shift register, then a += tG
-        arr = arr @ regs.fourier_k.T
-        for t in range(dim_b):
-            arr[:, :, t] = arr[:, regs.shift_sub_idx[t], t]
-        # accept iff D(a) = s + t (message copy reads 0)
-        accept_mask = table[None, :, None] == regs.add_k[:, None, :]
-        post_select_prob = float(np.sum(np.abs(arr) ** 2, where=accept_mask))
-        arr = np.where(accept_mask, arr, 0.0) / math.sqrt(post_select_prob)
-        # step 4: B is exactly |0> on the accepted branch after the adjoint
-        # uncompute; only the A shift and the shift-register Fourier remain
-        for t in range(dim_b):
-            arr[:, :, t] = arr[:, regs.shift_add_idx[t], t]
-        arr = arr @ regs.fourier_k.conj().T
-    else:
-        require_budget(dim_a * dim_b, budget)
-        arr = f_dense[regs.shift_sub_idx] / math.sqrt(dim_b)
-        accept_mask = table[None, :] == np.arange(dim_b)[:, None]
-        post_select_prob = float(np.sum(np.abs(arr) ** 2, where=accept_mask))
-        arr = np.where(accept_mask, arr, 0.0) / math.sqrt(post_select_prob)
-        arr = arr[:, :, None]  # unify shapes: trivial shift register
-
-    # step 5: Fourier transform A once per branch (linear, u-independent)
-    arr = np.moveaxis(regs.qft_a(np.moveaxis(arr, 1, 0)), 0, 1)
+    field_q = PrimeField(q)
+    ys = all_vectors(q, n)
+    decoded = all_vectors(q, k)[table]
+    residual = ((ys - code.codewords()[table]) % q) @ radix_weights(q, n)
+    accepted = profile.amplitudes(budget)[residual]
+    norm_sq = float(np.vdot(accepted, accepted).real)
+    post_select_prob = norm_sq / q**k
+    accepted /= math.sqrt(norm_sq)
+    dual_idx = syndrome(code, ys, "dual") @ radix_weights(q, k)
 
     masks = [c.membership_mask(budget) for c in constraints]
     etas = [tail_mass(profile, c.tau_tilde)[0] for c in constraints]
-    dual_idx = regs.dual_syndrome_idx
     out: list[list[ReductionOutcome]] = [[] for _ in constraints]
-    for u_idx in range(dim_b):
-        u_vec = regs.messages[u_idx]
-        phases = regs.phases_for(u_vec)
-        final = np.tensordot(phases, arr, axes=([0], [0]))
-        marginal = (np.abs(final) ** 2).sum(axis=1)
+    for u_idx, u_vec in enumerate(all_vectors(q, k)):
+        phases = np.conj(field_q.roots_of_unity[(decoded @ u_vec) % q])
+        marginal = np.abs(fourier_transform(field_q, phases * accepted, budget)) ** 2
+        on_coset = dual_idx == u_idx
         for c_i, (mask, eta) in enumerate(zip(masks, etas)):
-            p_u = float(marginal[mask & (dual_idx == u_idx)].sum())
+            p_u = float(marginal[mask & on_coset].sum())
             out[c_i].append(ReductionOutcome(
-                q=code.q, n=code.n, k=code.k,
-                u=tuple(int(x) for x in u_vec),
+                q=q, n=n, k=k, u=tuple(int(x) for x in u_vec),
                 tau_tilde=constraints[c_i].tau_tilde, p_u=p_u,
                 post_select_prob=post_select_prob, p_dec=p_dec, eta=eta,
                 bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized))

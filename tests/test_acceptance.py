@@ -24,8 +24,8 @@ from cosetlab.noise import (ConstraintSet, build_profile,
                             random_sets_profile, tail_mass)
 from cosetlab.opi import brute_force_icc, brute_force_opi, generate_instance, \
     icc_to_opi, opi_to_icc
-from cosetlab.qsim import (DecoderUnitary, _Registers, run_reduction_sweep,
-                           symmetrize, verify_bound)
+from cosetlab.qsim import (DecoderUnitary, SymmetrizedUnitary, _Registers,
+                           run_reduction_sweep, verify_bound)
 from cosetlab.thresholds import ThresholdQuery, binary_threshold, table1, \
     tau_max
 
@@ -145,7 +145,7 @@ def test_criterion_05_symmetrized_diagonal_uniform():
     decoder = TableDecoder(code, table)
     profile = build_profile(2, 3, [(0,)] * 3, 0.8)
     regs = _Registers(code, profile)
-    gammas = symmetrize(DecoderUnitary(decoder)).diagonal_gammas(regs)
+    gammas = SymmetrizedUnitary(DecoderUnitary(decoder)).diagonal_gammas(regs)
     assert gammas.max() - gammas.min() <= 1e-10
     target = math.sqrt(per_message_success(decoder, profile).mean())
     assert np.max(np.abs(gammas - target)) <= 1e-10

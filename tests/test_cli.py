@@ -11,6 +11,15 @@ def _run(capsys, *argv):
     return code, out
 
 
+def _exit_status(capsys, *argv):
+    """Exit code of a run that may end in argparse's SystemExit, plus stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 # ---- thresholds ----------------------------------------------------------------
 
 
@@ -36,6 +45,13 @@ def test_thresholds_curves_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "R,rho,tau_classical,tau_bw,tau_gs,tau_kv"
     assert len(lines) == 4  # grid endpoints inclusive: 0.1, 0.2, 0.3
+
+
+def test_thresholds_bad_grid_exits_2(capsys):
+    code, err = _exit_status(capsys, "thresholds", "curves", "--rho", "0.5",
+                             "--grid", "0.9:0.1:0.1")
+    assert code == 2
+    assert "grid" in err and "Traceback" not in err
 
 
 def test_thresholds_output_deterministic(capsys):
@@ -138,6 +154,26 @@ def test_opi_malformed_instance_exits_2(tmp_path, capsys):
     code, _ = _run(capsys, "opi", "solve-bruteforce",
                    "--instance", str(missing))
     assert code == 2
+
+
+def test_opi_instance_or_solution_lacking_a_key_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    _run(capsys, "opi", "gen", "--q", "5", "--k", "1", "--set-size", "2",
+         "--tau", "0.6", "--out", str(inst))
+    doc = json.loads(inst.read_text())
+    del doc["q"]
+    no_q = tmp_path / "no_q.json"
+    no_q.write_text(json.dumps(doc))
+    code, err = _exit_status(capsys, "opi", "solve-bruteforce",
+                             "--instance", str(no_q))
+    assert code == 2
+    assert "'q'" in err and "Traceback" not in err
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"count": 5}))
+    code, err = _exit_status(capsys, "opi", "verify", "--instance", str(inst),
+                             "--solution", str(sol))
+    assert code == 2
+    assert "'coeffs'" in err and "Traceback" not in err
 
 
 # ---- selfcheck -------------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from cosetlab import codes
 from cosetlab.galois import (PrimeField, all_vectors, character,
                              character_profile, code_character_sum,
-                             field_arith, fourier_transform, index_of_vector,
-                             inverse_fourier_transform, vector_of_index)
+                             fourier_transform, index_of_vector,
+                             inverse_fourier_transform, radix_weights,
+                             vector_of_index)
 
 PRIMES = [2, 3, 5, 7, 11]
 
@@ -40,14 +41,6 @@ def test_non_prime_rejected():
             PrimeField(bad)
 
 
-def test_field_arith_dispatch():
-    field = PrimeField(7)
-    assert field_arith(field, "add", 5, 4) == 2
-    assert field_arith(field, "mul", 3, 5) == 1
-    with pytest.raises(ValueError):
-        field_arith(field, "pow", 2, 3)
-
-
 def test_signed_representatives():
     field = PrimeField(7)
     assert [field.signed(a) for a in range(7)] == [0, 1, 2, 3, -3, -2, -1]
@@ -72,6 +65,7 @@ def test_index_order_coordinate_zero_most_significant():
     vecs = all_vectors(3, 2)
     assert vecs.shape == (9, 2)
     assert [index_of_vector(v, 3) for v in vecs] == list(range(9))
+    assert list(all_vectors(3, 3) @ radix_weights(3, 3)) == list(range(27))
 
 
 # ---- characters ---------------------------------------------------------------

@@ -27,6 +27,12 @@ def test_amplitude_values_match_formula():
     assert p.uhat[1, 2] == pytest.approx(on, abs=1e-15)
     assert np.max(np.abs(np.linalg.norm(p.uhat, axis=1) - 1)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(p.u, axis=1) - 1)) < 1e-12
+    # joint amplitudes: the product of the rows, in index order, unit norm
+    f = p.amplitudes()
+    assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+    for idx, e in enumerate(all_vectors(5, 3)):
+        assert f[idx] == pytest.approx(p.u[0, e[0]] * p.u[1, e[1]] * p.u[2, e[2]],
+                                       abs=1e-15)
 
 
 def test_binary_profile_example():

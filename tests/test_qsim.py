@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosetlab.codes import LinearCode, rs_code
+from cosetlab.codes import LinearCode, random_code, rs_code
 from cosetlab.config import BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              TableDecoder, per_message_success)
-from cosetlab.noise import ConstraintSet, build_profile, interval_profile
+from cosetlab.galois import vector_of_index
+from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
+                            random_sets_profile)
 from cosetlab.qsim import (DecoderUnitary, SymmetrizedUnitary, _Registers,
-                           prepare_error_state, run_reduction,
-                           run_reduction_sweep, symmetrize, success_lower_bound,
-                           verify_bound)
+                           run_reduction, run_reduction_sweep,
+                           success_lower_bound, verify_bound)
 
 REP3 = LinearCode(2, np.array([[1, 1, 1]]))
 
@@ -27,14 +30,6 @@ def _random_state(shape, seed):
 
 
 # ---- states and unitaries ----------------------------------------------------
-
-
-def test_prepare_error_state():
-    profile = interval_profile(3, 2, 0, 0.7)
-    state = prepare_error_state(profile)
-    assert state.layout == (("A", 9),)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(state.amplitudes, profile.amplitudes())
 
 
 def test_decoder_unitary_action_on_basis_states():
@@ -92,7 +87,7 @@ def test_symmetrized_gammas_uniform_sqrt_mean():
     base = DecoderUnitary(decoder)
     raw = base.diagonal_gammas(regs)
     assert raw.max() - raw.min() > 0.1  # base diagonal is genuinely uneven
-    sym = symmetrize(base).diagonal_gammas(regs)
+    sym = SymmetrizedUnitary(base).diagonal_gammas(regs)
     assert sym.max() - sym.min() < 1e-12
     p_s = per_message_success(decoder, profile)
     assert sym[0] == pytest.approx(math.sqrt(p_s.mean()), abs=1e-12)
@@ -104,7 +99,7 @@ def test_symmetrization_keeps_equivariant_gammas():
     profile = _rep3_profile()
     regs = _Registers(REP3, profile)
     base = DecoderUnitary(decoder)
-    assert np.max(np.abs(symmetrize(base).diagonal_gammas(regs)
+    assert np.max(np.abs(SymmetrizedUnitary(base).diagonal_gammas(regs)
                          - base.diagonal_gammas(regs))) < 1e-12
 
 
@@ -150,6 +145,33 @@ def test_sweep_matches_direct_engine_all_syndromes():
             assert ref.eta == pytest.approx(direct.eta, abs=1e-14)
             assert ref.bound == pytest.approx(direct.bound, abs=1e-12)
             assert ref.symmetrized == direct.symmetrized
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3, 1), (2, 5, 2), (3, 3, 1), (3, 4, 2),
+                        (3, 5, 2), (5, 3, 1), (5, 4, 1), (5, 5, 1)]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_matches_direct_engine_on_random_table_decoders(shape, seed):
+    # random tables are lopsided, so the reference engine is checked with
+    # and without the symmetrized map against the one closed form
+    q, n, k = shape
+    rng = np.random.default_rng(seed)
+    code = random_code(q, n, k, seed=seed)
+    decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
+    tau = float(rng.uniform(0.3, 0.95))
+    profile = random_sets_profile(q, n, int(rng.integers(1, q)), tau,
+                                  seed=seed)
+    constraint = ConstraintSet(profile, float(rng.uniform(0.0, tau)))
+    swept = run_reduction_sweep(code, profile, decoder, [constraint])[0]
+    u_idx = int(rng.integers(0, q**k))
+    u = vector_of_index(u_idx, q, k)
+    for force in (False, True):
+        direct = run_reduction(code, profile, decoder, u, constraint,
+                               force_symmetrize=force)
+        assert swept[u_idx].u == direct.u
+        assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
+        assert abs(swept[u_idx].post_select_prob
+                   - direct.post_select_prob) <= 1e-12
 
 
 def test_no_postselection_acceptance_equals_p_dec():
@@ -222,6 +244,21 @@ def test_run_reduction_rejects_bad_inputs():
     with pytest.raises(ValueError, match="profile"):
         run_reduction(code, other, decoder, np.array([0]),
                       ConstraintSet(other, 0.4))
+    with pytest.raises(ValueError, match="profile"):
+        run_reduction_sweep(code, other, decoder, [ConstraintSet(other, 0.4)])
+    # same (q, n) but other sets: mask and eta would come from two profiles
+    foreign = ConstraintSet(random_sets_profile(3, 3, 1, 0.7, seed=5), 0.4)
+    assert foreign.profile.sets != profile.sets
+    with pytest.raises(ValueError, match="different profile"):
+        run_reduction(code, profile, decoder, np.array([0]), foreign)
+    with pytest.raises(ValueError, match="different profile"):
+        run_reduction_sweep(code, profile, decoder, [constraint, foreign])
+    # same sets but another tau
+    retuned = ConstraintSet(interval_profile(3, 3, 0, 0.8), 0.4)
+    with pytest.raises(ValueError, match="different profile"):
+        run_reduction(code, profile, decoder, np.array([0]), retuned)
+    with pytest.raises(ValueError, match="different profile"):
+        run_reduction_sweep(code, profile, decoder, [retuned])
 
 
 def test_budget_enforced():
@@ -232,6 +269,21 @@ def test_budget_enforced():
     with pytest.raises(BudgetError):
         run_reduction_sweep(code, profile, decoder,
                             [ConstraintSet(profile, 0.4)], budget=10)
+
+
+def test_sweep_budget_is_q_to_the_n_and_checked_first():
+    code = rs_code(5, 2)
+    profile = interval_profile(5, 5, 1, 0.7)
+    constraint = ConstraintSet(profile, 0.5)
+    decoder = BerlekampWelchDecoder(code)
+    with pytest.raises(BudgetError):
+        run_reduction_sweep(code, profile, decoder, [constraint],
+                            budget=5**5 - 1)
+    assert decoder._table is None  # rejected before the table was built
+    outcomes = run_reduction_sweep(code, profile, decoder, [constraint],
+                                   budget=5**5)[0]
+    assert outcomes[0].symmetrized
+    assert verify_bound(outcomes).ok
 
 
 def test_force_symmetrize_override():
