@@ -23,9 +23,9 @@ from . import codes, decode, galois, noise, opi, qsim, thresholds
 from .codes import LinearCode, dual, random_code, rs_code, syndrome
 from .config import TOL, BudgetError, Tolerances
 from .decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                     TableDecoder, berlekamp_welch, brute_force_list,
-                     brute_force_nearest, per_message_success,
-                     success_probability)
+                     TableDecoder, berlekamp_welch, berlekamp_welch_batch,
+                     brute_force_list, brute_force_nearest,
+                     per_message_success, success_probability)
 from .galois import (PrimeField, character, fourier_transform,
                      inverse_fourier_transform)
 from .noise import (ConstraintSet, ErrorProfile, build_profile,
@@ -43,7 +43,7 @@ __all__ = [
     "LinearCode", "rs_code", "random_code", "dual", "syndrome",
     "TOL", "Tolerances", "BudgetError",
     "BerlekampWelchDecoder", "BruteForceNearestDecoder", "TableDecoder",
-    "berlekamp_welch", "brute_force_list", "brute_force_nearest",
+    "berlekamp_welch", "berlekamp_welch_batch", "brute_force_list", "brute_force_nearest",
     "per_message_success", "success_probability",
     "PrimeField", "character", "fourier_transform", "inverse_fourier_transform",
     "ConstraintSet", "ErrorProfile", "build_profile", "center_probability",

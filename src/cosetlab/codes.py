@@ -22,7 +22,9 @@ __all__ = [
     "syndrome",
     "coset_sample",
     "rref",
+    "rref_batch",
     "null_space",
+    "solve_batch",
     "solve_particular",
 ]
 
@@ -30,56 +32,84 @@ __all__ = [
 # ---- dense Gaussian elimination over F_q ---------------------------------
 
 
+def rref_batch(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix in a (batch, rows, cols) stack.
+
+    The one F_q elimination kernel: all matrices share one column sweep of
+    whole-stack numpy operations, with pivots scaled by `_inverse_table`
+    lookups. Returns (reduced stack, pivots), pivots[b, r] being the pivot
+    column of row r of matrix b or -1 for a zero row. The RREF is
+    canonical, so the pivot search order cannot change the result.
+    """
+    q = field.q
+    m = np.asarray(m, dtype=np.int64)
+    if m.ndim != 3:
+        raise ValueError("expected a (batch, rows, cols) stack of matrices")
+    batch, rows, cols = m.shape
+    # an extra zero row 0 is the pivot row of a column without one (its
+    # score is 0, so argmax lands on it); scaling and clearing with it is a no-op
+    a = np.zeros((batch, rows + 1, cols), dtype=np.int64)
+    np.remainder(m, q, out=a[:, 1:])
+    flat_rows = a.reshape(-1, cols)
+    first_row = np.arange(0, batch * (rows + 1), rows + 1)
+    free = np.ones((batch, rows + 1), dtype=np.int64)
+    pivot_of_row = np.full((batch, rows + 1), cols, dtype=np.int64)
+    for c in range(cols):
+        if c >= rows and not free[:, 1:].any():
+            break
+        column = a[:, :, c]
+        p = first_row + (column * free).argmax(axis=1)
+        top = flat_rows[p]
+        top *= field._inverse_table[top[:, c]][:, None]
+        # clear column c everywhere, then restore row p as the scaled pivot row
+        a -= column[:, :, None] * top[:, None, :]
+        flat_rows[p] = top
+        a %= q
+        free.reshape(-1)[p] = 0
+        pivot_of_row.reshape(-1)[p] = c
+    # pivot rows in pivot-column order, then the zero rows
+    at = np.arange(batch)[:, None]
+    order = 1 + np.argsort(pivot_of_row[:, 1:], axis=1, kind="stable")
+    pivots = pivot_of_row[at, order]
+    return a[at, order], np.where(pivots < cols, pivots, -1)
+
+
+def solve_batch(field: PrimeField, m: np.ndarray,
+                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One solution x[i] of m[i] x[i]^T = b[i]^T for each system of a stack.
+
+    m is (batch, rows, cols), b is (batch, rows). Returns (x, ok): free
+    unknowns are 0, and x[i] is meaningless where system i is inconsistent.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    batch, _, cols = m.shape
+    red, pivots = rref_batch(field, np.concatenate([m, np.asarray(b)[..., None]], axis=2))
+    # zero rows (-1) and an inconsistent row (pivot cols) write to spare slots
+    x = np.zeros((batch, cols + 2), dtype=np.int64)
+    x[np.arange(batch)[:, None], pivots] = red[:, :, cols]
+    return x[:, :cols], ~np.any(pivots == cols, axis=1)
+
+
 def rref(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q; returns (rref matrix, pivot columns)."""
-    a = np.array(m, dtype=np.int64) % field.q
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = (a[r] * field.inv(int(a[r, c]))) % field.q
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % field.q
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    red, pivots = rref_batch(field, np.asarray(m)[None])
+    return red[0], [int(c) for c in pivots[0] if c >= 0]
 
 
 def null_space(field: PrimeField, m: np.ndarray) -> np.ndarray:
     """Basis of {x : m x^T = 0} as rows; shape (dim, cols)."""
     a, pivots = rref(field, m)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-a[r, fc]) % field.q
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-a[:len(pivots), free].T) % field.q
     return basis
 
 
 def solve_particular(field: PrimeField, m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One solution x of m x^T = b^T, or None if inconsistent."""
-    m = np.asarray(m, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64) % field.q
-    aug = np.hstack([m % field.q, b.reshape(-1, 1)])
-    a, pivots = rref(field, aug)
-    cols = m.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r, cols]
-    return x
+    x, ok = solve_batch(field, np.asarray(m)[None], np.asarray(b)[None])
+    return x[0] if ok[0] else None
 
 
 # ---- code objects ----------------------------------------------------------
@@ -186,25 +216,25 @@ def syndrome(code: LinearCode, y: np.ndarray, side: str = "primal") -> np.ndarra
     raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
 
 
-def coset_sample(code: LinearCode, u: np.ndarray, side: str,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Uniform element of the coset {y : syndrome(y, side) = u}.
-
-    One particular solution by Gaussian elimination plus a uniform random
-    element of the kernel code (the code itself for 'primal', its dual for
-    'dual').
-    """
+def _coset_parts(code: LinearCode, u: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(particular solution, kernel generator) of the coset {y : syndrome(y, side) = u}:
+    the kernel code is the code itself for 'primal' and its dual for 'dual'."""
     u = np.asarray(u, dtype=np.int64) % code.q
-    if side == "primal":
-        m, kernel_gen = code.H, code.G
-    elif side == "dual":
-        m, kernel_gen = code.G, code.H
-    else:
+    if side not in ("primal", "dual"):
         raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+    m, kernel_gen = (code.H, code.G) if side == "primal" else (code.G, code.H)
     if u.shape != (m.shape[0],):
         raise ValueError(f"syndrome length must be {m.shape[0]}")
     particular = solve_particular(code.field, m, u)
     assert particular is not None, "full-rank system cannot be inconsistent"
+    return particular, kernel_gen
+
+
+def coset_sample(code: LinearCode, u: np.ndarray, side: str,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Uniform element of the coset {y : syndrome(y, side) = u}: one
+    particular solution plus a uniform random element of the kernel code."""
+    particular, kernel_gen = _coset_parts(code, u, side)
     coeffs = rng.integers(0, code.q, size=kernel_gen.shape[0], dtype=np.int64)
     return (particular + coeffs @ kernel_gen) % code.q
 
@@ -212,15 +242,7 @@ def coset_sample(code: LinearCode, u: np.ndarray, side: str,
 def coset_members(code: LinearCode, u: np.ndarray, side: str,
                   budget: int | None = None) -> np.ndarray:
     """All coset elements, exhaustively (desk scale only)."""
-    u = np.asarray(u, dtype=np.int64) % code.q
-    if side == "primal":
-        m, kernel_gen = code.H, code.G
-    elif side == "dual":
-        m, kernel_gen = code.G, code.H
-    else:
-        raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
-    particular = solve_particular(code.field, m, u)
-    assert particular is not None
+    particular, kernel_gen = _coset_parts(code, u, side)
     require_budget(code.q ** kernel_gen.shape[0] * code.n, budget)
     span = (all_vectors(code.q, kernel_gen.shape[0]) @ kernel_gen) % code.q
     return (particular + span) % code.q

@@ -8,18 +8,21 @@ word only (never on how it was produced).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .codes import LinearCode, null_space, rs_code  # noqa: F401  (rs_code re-exported for callers)
+from .codes import LinearCode, rs_code, solve_batch
 from .config import require_budget
 from .galois import all_vectors, radix_weights
 from .noise import ErrorProfile
 
 __all__ = [
     "berlekamp_welch",
+    "berlekamp_welch_batch",
     "brute_force_list",
     "brute_force_nearest",
     "gs_list_radius",
@@ -32,47 +35,68 @@ __all__ = [
 ]
 
 
-# ---- polynomial helpers (coefficients low-degree-first) -------------------
+# ---- Berlekamp-Welch (polynomial coefficients low-degree-first) -----------
 
 
-def _poly_divide(field, num: np.ndarray, den: np.ndarray):
-    """Exact division num/den over F_q; returns quotient or None if inexact."""
-    num = list(np.asarray(num, dtype=np.int64) % field.q)
-    den = list(np.asarray(den, dtype=np.int64) % field.q)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    while num and num[-1] == 0:
-        num.pop()
-    if not num:
-        return np.zeros(0, dtype=np.int64)
-    if len(num) < len(den):
-        return None
-    lead_inv = field.inv(den[-1])
-    quotient = [0] * (len(num) - len(den) + 1)
-    rem = num[:]
-    for shift in range(len(quotient) - 1, -1, -1):
-        coeff = (rem[shift + len(den) - 1] * lead_inv) % field.q
-        quotient[shift] = coeff
-        if coeff:
-            for j, d in enumerate(den):
-                rem[shift + j] = (rem[shift + j] - coeff * d) % field.q
-    if any(rem):
-        return None
-    return np.array(quotient, dtype=np.int64)
+@lru_cache(maxsize=None)
+def _bw_constants(q: int, d: int) -> tuple[np.ndarray, ...]:
+    """Read-only per-(q, d) constants of full-support Berlekamp-Welch: the
+    evaluation generator; powers[i, j] = i^j for j <= t0; the parity check
+    of the dimension-(d + t0) code; the map from a polynomial Q of degree
+    < d + t0, given by its values, to its coefficients t0..t0+d-1 (over all
+    of F_q, Q_j = -sum_x Q(x) x^(q-1-j)); and the gather index that lays
+    out (E_0, ..., E_{t0-1}, 1, 0) for a monic degree-t0 E as the d x d
+    matrix taking P to the top d coefficients of P*E."""
+    t0 = (q - d) // 2
+    wide = rs_code(q, d + t0)
+    top = np.array([[-pow(x, q - 1 - j, q) % q for j in range(t0, t0 + d)] for x in range(q)])
+    shift = t0 + np.subtract.outer(np.arange(d), np.arange(d))
+    tables = (rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, top,
+              np.where((shift >= 0) & (shift <= t0), shift, t0 + 1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _require_full_support_rs(code: LinearCode) -> None:
     """Reject codes whose generator is not the ascending-power evaluation map."""
     if code.n != code.q:
         raise ValueError("decoder requires a full-support evaluation code (n == q)")
-    points = np.arange(code.q, dtype=np.int64)
-    expected = np.ones((code.k, code.n), dtype=np.int64)
-    for i in range(1, code.k):
-        expected[i] = (expected[i - 1] * points) % code.q
-    if np.any(code.G != expected):
+    if not np.array_equal(code.G, _bw_constants(code.q, code.k)[0]):
         raise ValueError("decoder requires the standard evaluation generator")
+
+
+def berlekamp_welch_batch(code: LinearCode,
+                          ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp-Welch on every row of a (B, n) stack of received words.
+
+    Returns (messages, hits). Where hits[b] is True, messages[b] is the
+    coefficient vector of the unique P with deg P < d whose evaluations
+    lie within t0 = floor((n-d)/2) of ys[b]; where it is False no such
+    codeword exists and messages[b] is meaningless. Two batched kernel
+    solves: the key equation E(x_i) y_i = Q(x_i) with E monic of degree
+    t0 and deg Q < d + t0, which says that E(x) y lies in the
+    dimension-(d + t0) code, so its parity check leaves t0 unknowns; then
+    P from the unit upper-triangular system that the top d coefficients
+    of Q = P*E form. Whenever a codeword lies within t0, every such E has
+    Q = P*E for its P. Every hit is re-encoded and its distance checked,
+    so a spurious algebraic solution can never be returned.
+    """
+    _require_full_support_rs(code)
+    q, n, d = code.q, code.n, code.k
+    ys = np.asarray(ys, dtype=np.int64) % q
+    if ys.ndim != 2 or ys.shape[1] != n:
+        raise ValueError(f"received words must be rows of length {n}")
+    t0 = (n - d) // 2
+    gen, powers, check, top, shift = _bw_constants(q, d)
+    # check @ (E(x_i) y_i)_i = 0 in the unknowns E_0..E_{t0-1}
+    syndromes = (check * ys[:, None, :]) @ powers
+    e_low, ok = solve_batch(code.field, syndromes[:, :, :t0], -syndromes[:, :, t0])
+    e_monic = np.concatenate([e_low, np.tile([1, 0], (len(ys), 1))], axis=1)
+    q_top = (e_monic[:, :t0 + 1] @ powers.T % q * ys) @ top
+    messages, _ = solve_batch(code.field, e_monic[:, shift], q_top)
+    far = ((messages @ gen - ys) % q != 0).sum(axis=1) > t0
+    return messages, ok & ~far
 
 
 def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
@@ -81,43 +105,13 @@ def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
     Returns the coefficient vector (low-degree-first) of the unique
     polynomial P with deg P < d whose evaluations lie within Hamming
     distance t0 = floor((n-d)/2) of y, or None when no such codeword
-    exists. Solves E(x_i) y_i = Q(x_i) with deg E <= t0, deg Q < d + t0,
-    divides Q/E, then re-encodes and checks the distance, so a spurious
-    algebraic solution can never be returned.
+    exists: `berlekamp_welch_batch` on a batch of one.
     """
-    _require_full_support_rs(code)
-    field = code.field
-    n, d = code.n, code.k
-    y = np.asarray(y, dtype=np.int64) % code.q
-    if y.shape != (n,):
-        raise ValueError(f"received word must have length {n}")
-    t0 = (n - d) // 2
-    points = np.arange(n, dtype=np.int64)
-    # power table: powers[i, j] = x_i^j
-    width = max(t0 + 1, d + t0)
-    powers = np.ones((n, width), dtype=np.int64)
-    for j in range(1, width):
-        powers[:, j] = (powers[:, j - 1] * points) % code.q
-    # unknowns: E_0..E_t0, Q_0..Q_{d+t0-1}; rows: E(x_i) y_i - Q(x_i) = 0
-    system = np.hstack([
-        (powers[:, : t0 + 1] * y[:, None]) % code.q,
-        (-powers[:, : d + t0]) % code.q,
-    ])
-    kernel = null_space(field, system)
-    if kernel.shape[0] == 0:
-        return None
-    vec = kernel[0]
-    e_coeffs, q_coeffs = vec[: t0 + 1], vec[t0 + 1:]
-    if not np.any(e_coeffs):
-        return None
-    p_coeffs = _poly_divide(field, q_coeffs, e_coeffs)
-    if p_coeffs is None or p_coeffs.shape[0] > d:
-        return None
-    message = np.zeros(d, dtype=np.int64)
-    message[: p_coeffs.shape[0]] = p_coeffs
-    if int(np.count_nonzero((code.encode(message) - y) % code.q)) > t0:
-        return None
-    return message
+    y = np.asarray(y)
+    if y.shape != (code.n,):
+        raise ValueError(f"received word must have length {code.n}")
+    messages, hits = berlekamp_welch_batch(code, y[None])
+    return messages[0] if hits[0] else None
 
 
 def gs_list_radius(n: int, d: int) -> int:
@@ -173,14 +167,7 @@ class _BaseDecoder:
         return self._table
 
     def _build_table(self, budget: int | None) -> np.ndarray:
-        code = self.code
-        require_budget(code.q**code.n, budget)
-        radix = radix_weights(code.q, code.k)
-        ys = all_vectors(code.q, code.n)
-        out = np.empty(ys.shape[0], dtype=np.int64)
-        for i, y in enumerate(ys):
-            out[i] = int(self.decode(y) @ radix)
-        return out
+        raise NotImplementedError
 
 
 class BerlekampWelchDecoder(_BaseDecoder):
@@ -199,6 +186,40 @@ class BerlekampWelchDecoder(_BaseDecoder):
             return np.zeros(self.code.k, dtype=np.int64)
         return message
 
+    def _build_table(self, budget: int | None) -> np.ndarray:
+        """Ball scatter: table[cG + e] = s for wt(e) <= t0, sentinel 0 elsewhere.
+
+        The code is MDS with 2 t0 < d_min, so the radius-t0 balls around
+        codewords are disjoint and BW decodes exactly the words inside them.
+        """
+        code = self.code
+        q, n = code.q, code.n
+        require_budget(q**n, budget)
+        errors = [np.zeros((1, n), dtype=np.int64)]
+        for weight in range(1, self.radius + 1):
+            values = all_vectors(q - 1, weight) + 1
+            for support in itertools.combinations(range(n), weight):
+                block = np.zeros((values.shape[0], n), dtype=np.int64)
+                block[:, support] = values
+                errors.append(block)
+        codewords = code.codewords()
+        words = (codewords[:, None, :] + np.concatenate(errors)[None, :, :]) % q
+        table = np.zeros(q**n, dtype=np.int64)
+        table[words @ radix_weights(q, n)] = np.arange(codewords.shape[0])[:, None]
+        return table
+
+
+def _mismatch_counts(q: int, columns: np.ndarray) -> np.ndarray:
+    """counts[y, s] = #{i : y_i != columns[s, i]} for every y in F_q^m, in
+    index order, as uint8: one broadcast add per coordinate, least
+    significant first."""
+    counts = np.zeros((1, columns.shape[0]), dtype=np.uint8)
+    residues = np.arange(q)[:, None]
+    for i in range(columns.shape[1] - 1, -1, -1):
+        counts = ((residues != columns[:, i])[:, None, :] + counts[None, :, :]).reshape(
+            -1, columns.shape[0])
+    return counts
+
 
 class BruteForceNearestDecoder(_BaseDecoder):
     """Nearest-codeword decoder by exhaustive enumeration (always succeeds)."""
@@ -209,19 +230,23 @@ class BruteForceNearestDecoder(_BaseDecoder):
         return brute_force_nearest(self.code, y)
 
     def _build_table(self, budget: int | None) -> np.ndarray:
-        # chunked distance matrix: q^n rows never materialize at once
+        """Distances split at a coordinate: the low m coordinates' mismatch
+        counts are tabulated once, and each high prefix adds its own row, so
+        one chunk holds q^m x q^k uint8 counts. argmin breaks ties to the
+        smallest message index, as `brute_force_nearest` does."""
         code = self.code
-        require_budget(code.q**code.n, budget)
+        q, n = code.q, code.n
+        require_budget(q**n, budget)
         codewords = code.codewords()
-        ys = all_vectors(code.q, code.n)
-        out = np.empty(ys.shape[0], dtype=np.int64)
-        step = 4096
-        for lo in range(0, ys.shape[0], step):
-            block = ys[lo:lo + step]
-            dists = np.count_nonzero(
-                (block[:, None, :] - codewords[None, :, :]) % code.q, axis=2)
-            out[lo:lo + step] = np.argmin(dists, axis=1)
-        return out
+        low = n  # keep a chunk within 4 MiB of counts
+        while low > 0 and q**low * codewords.shape[0] > 1 << 22:
+            low -= 1
+        low_counts = _mismatch_counts(q, codewords[:, n - low:])
+        high_counts = _mismatch_counts(q, codewords[:, :n - low])
+        out = np.empty((high_counts.shape[0], q**low), dtype=np.int64)
+        for prefix, row in enumerate(high_counts):
+            out[prefix] = np.argmin(low_counts + row, axis=1)
+        return out.reshape(-1)
 
 
 class TableDecoder(_BaseDecoder):
@@ -269,10 +294,7 @@ class DecoderReport:
 def _channel_probabilities(profile: ErrorProfile, budget: int | None) -> np.ndarray:
     """P[e] for all q^n error vectors: tensor product of |u_i|^2."""
     require_budget(profile.q**profile.n, budget)
-    probs = np.ones(1)
-    for row in profile.error_probabilities():
-        probs = np.kron(probs, row)
-    return probs
+    return reduce(np.kron, profile.error_probabilities(), np.ones(1))
 
 
 def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,

@@ -72,11 +72,6 @@ class PrimeField:
 
     # ---- scalar/array arithmetic -------------------------------------
 
-    def validate(self, a) -> None:
-        arr = np.asarray(a)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
-            raise ValueError(f"value outside [0, {self.q})")
-
     def add(self, a, b):
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.q
 
@@ -86,12 +81,10 @@ class PrimeField:
     def mul(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.q
 
-    def neg(self, a):
-        return (-np.asarray(a, dtype=np.int64)) % self.q
-
     @cached_property
     def _inverse_table(self) -> np.ndarray:
-        # index 0 is a placeholder; inv(0) is rejected before lookup
+        # 0 maps to 0: inv(0) is rejected before lookup, and the elimination
+        # kernel scales its all-zero row by it
         table = np.zeros(self.q, dtype=np.int64)
         for a in range(1, self.q):
             table[a] = pow(a, self.q - 2, self.q)
@@ -103,13 +96,6 @@ class PrimeField:
             raise ZeroDivisionError("division by zero in F_q")
         out = self._inverse_table[arr]
         return int(out) if np.isscalar(a) or np.asarray(a).ndim == 0 else out
-
-    def matvec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """m @ v over F_q (m: 2-D, v: 1-D)."""
-        return (np.asarray(m, dtype=np.int64) @ np.asarray(v, dtype=np.int64)) % self.q
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % self.q
 
     # ---- representatives and subsets ---------------------------------
 
@@ -123,10 +109,6 @@ class PrimeField:
         if z < 0 or 2 * z + 1 > self.q:
             raise ValueError(f"interval radius {z} invalid for q={self.q}")
         return tuple(sorted({j % self.q for j in range(-z, z + 1)}))
-
-    @property
-    def elements(self) -> np.ndarray:
-        return np.arange(self.q, dtype=np.int64)
 
     # ---- characters ---------------------------------------------------
 

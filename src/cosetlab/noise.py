@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -83,18 +83,12 @@ class ErrorProfile:
     def amplitudes(self, budget: int | None = None) -> np.ndarray:
         """Dense joint amplitude f = tensor product of the u_i, length q^n."""
         require_budget(self.q**self.n, budget)
-        f = np.ones(1, dtype=np.complex128)
-        for i in range(self.n):
-            f = np.kron(f, self.u[i])
-        return f
+        return reduce(np.kron, self.u, np.ones(1))
 
     def fourier_amplitudes(self, budget: int | None = None) -> np.ndarray:
         """Dense fhat = tensor product of the uhat_i, length q^n, real."""
         require_budget(self.q**self.n, budget)
-        f = np.ones(1)
-        for i in range(self.n):
-            f = np.kron(f, self.uhat[i])
-        return f
+        return reduce(np.kron, self.uhat, np.ones(1))
 
     def to_dict(self) -> dict:
         return {

@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .codes import LinearCode, coset_members, coset_sample, rs_code, syndrome
+from .codes import (LinearCode, coset_members, coset_sample, rs_code, solve_particular,
+                    syndrome)
 from .config import count_threshold, require_budget
 from .galois import PrimeField, all_vectors
 from .noise import ConstraintSet, ErrorProfile, build_profile
@@ -58,30 +59,15 @@ def interpolate(q: int, values: np.ndarray, k: int) -> np.ndarray | None:
     """Coefficients of the unique P with deg < k through (i, values[i]).
 
     `values` must cover all residues 0..q-1; returns None when no
-    polynomial of degree < k fits every point.
+    polynomial of degree < k fits every point. The q x k evaluation system
+    has full column rank, so it is consistent exactly when P exists and
+    then has one solution.
     """
-    field = PrimeField(q)
     values = np.asarray(values, dtype=np.int64) % q
     if values.shape != (q,):
         raise ValueError(f"need one value per residue, got shape {values.shape}")
-    # solve on the first k points, then check the rest
-    points = np.arange(k, dtype=np.int64)
-    vand = np.vander(points, k, increasing=True).astype(np.int64) % q
-    coeffs = np.zeros(k, dtype=np.int64)
-    # forward elimination on the k x k Vandermonde (invertible: distinct points)
-    a = np.hstack([vand, values[:k, None]]) % q
-    for col in range(k):
-        piv = col + int(np.nonzero(a[col:, col])[0][0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        a[col] = (a[col] * field.inv(int(a[col, col]))) % q
-        for row in range(k):
-            if row != col and a[row, col]:
-                a[row] = (a[row] - a[row, col] * a[col]) % q
-    coeffs = a[:, k]
-    if np.any(poly_eval(q, coeffs, np.arange(q)) != values):
-        return None
-    return coeffs
+    vand = np.array([[pow(i, j, q) for j in range(k)] for i in range(q)], dtype=np.int64)
+    return solve_particular(PrimeField(q), vand, values)
 
 
 # ---- instances ---------------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -124,10 +124,7 @@ class _Registers:
     @cached_property
     def fourier_k(self) -> np.ndarray:
         """Unitary transform matrix on the k-coordinate message register."""
-        f = np.ones((1, 1), dtype=np.complex128)
-        for _ in range(self.k):
-            f = np.kron(f, self.field.fourier_matrix)
-        return f
+        return reduce(np.kron, [self.field.fourier_matrix] * self.k, np.ones((1, 1)))
 
     def psi(self, s_idx: int) -> np.ndarray:
         """|psi_s> as a dense q^n vector: f shifted by codeword s."""
@@ -313,11 +310,14 @@ class BoundReport:
         }
 
 
-def _check_inputs(code: LinearCode, profile: ErrorProfile,
+def _check_inputs(code: LinearCode, profile: ErrorProfile, decoder: _BaseDecoder,
                   constraints: list[ConstraintSet]) -> None:
-    """Reject a profile or constraint set built for another instance."""
+    """Reject a profile, decoder or constraint set built for another instance."""
     if profile.q != code.q or profile.n != code.n:
         raise ValueError("profile and code must share q and n")
+    other = decoder.code
+    if (other.q, other.n, other.k) != (code.q, code.n, code.k) or np.any(other.G != code.G):
+        raise ValueError("decoder was built for a different code")
     key = (profile.q, profile.n, profile.sets, profile.tau)
     for c in constraints:
         if (c.profile.q, c.profile.n, c.profile.sets, c.profile.tau) != key:
@@ -346,7 +346,7 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     u = np.asarray(u, dtype=np.int64) % code.q
     if u.shape != (code.k,):
         raise ValueError(f"u must have length {code.k}")
-    _check_inputs(code, profile, [constraint])
+    _check_inputs(code, profile, decoder, [constraint])
     regs = _Registers(code, profile, budget)
     symmetrized, p_dec = _decide_symmetrization(
         decoder, profile, force_symmetrize, budget)
@@ -443,7 +443,7 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     `per_message_success`, an independent enumeration, so acceptance
     minus p_dec remains a check.
     """
-    _check_inputs(code, profile, constraints)
+    _check_inputs(code, profile, decoder, constraints)
     q, n, k = code.q, code.n, code.k
     require_budget(q**n, budget)
     symmetrized, p_dec = _decide_symmetrization(decoder, profile, None, budget)
@@ -488,6 +488,8 @@ def verify_bound(outcomes: list[ReductionOutcome],
         raise ValueError(
             f"exhaustive verification needs all {expected} syndromes exactly "
             f"once, got {len(outcomes)} outcomes over {len(seen)} distinct u")
+    if len({o.p_dec for o in outcomes}) > 1 or len({o.eta for o in outcomes}) > 1:
+        raise ValueError("outcomes do not share one p_dec and one eta")
     p_dec = first.p_dec if p_dec is None else p_dec
     eta = first.eta if eta is None else eta
     mean_p = float(np.mean([o.p_u for o in outcomes]))

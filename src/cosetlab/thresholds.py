@@ -101,22 +101,14 @@ def tau_max(query: ThresholdQuery) -> float:
             f"condition infeasible for {query.kind} at R={query.r}, rho={query.rho}")
     if feasible(hi):
         return 1.0
-    # the bisection relies on a decreasing right-hand side; check, then solve
+    # the bisection relies on a decreasing right-hand side; if it is not,
+    # first bracket the last feasible point on a fine grid
     grid = np.linspace(lo, hi, 9)
     values = [_rhs(query, t) for t in grid]
-    if all(b <= a + 1e-12 for a, b in zip(values, values[1:])):
-        while hi - lo > TOL.bisection:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    # non-monotone fallback: bracket the last feasible point on a fine grid
-    fine = np.linspace(lo, hi, 4097)
-    flags = [feasible(t) for t in fine]
-    last = max(i for i, f in enumerate(flags) if f)
-    lo, hi = fine[last], fine[min(last + 1, len(fine) - 1)]
+    if not all(b <= a + 1e-12 for a, b in zip(values, values[1:])):
+        fine = np.linspace(lo, hi, 4097)
+        last = max(i for i, t in enumerate(fine) if feasible(t))
+        lo, hi = fine[last], fine[min(last + 1, len(fine) - 1)]
     while hi - lo > TOL.bisection:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

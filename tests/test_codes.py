@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab.codes import (LinearCode, coset_members, coset_sample, dual,
-                            null_space, random_code, rref, rs_code,
+                            null_space, random_code, rref, rref_batch, rs_code,
                             solve_particular, syndrome)
-from cosetlab.galois import PrimeField, all_vectors
+from cosetlab.galois import PrimeField, all_vectors, radix_weights
 
 
 def _rank_by_span(q, m):
     """Oracle rank: count distinct vectors in the row span, exhaustively."""
-    span = {tuple(np.zeros(m.shape[1], dtype=np.int64))}
-    for coeffs in all_vectors(q, m.shape[0]):
-        span.add(tuple((coeffs @ m) % q))
-    count = len(span)
+    span = (all_vectors(q, m.shape[0]) @ m) % q
+    count = len(np.unique(span @ radix_weights(q, m.shape[1])))
     r = 0
     while q**r < count:
         r += 1
@@ -41,6 +39,26 @@ def test_rref_properties(seed, q):
         assert np.array_equal(red[:, c], col)
     # row spaces agree: every reduced row is in the span of m and vice versa
     assert _rank_by_span(q, np.vstack([m, red])) == len(pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([2, 3, 5, 7]))
+def test_rref_batch_equals_batch_of_one(seed, q):
+    rng = np.random.default_rng(seed)
+    batch, rows, cols = (int(v) for v in rng.integers(1, 7, size=3))
+    stack = rng.integers(0, q, size=(batch, rows, cols))
+    # repeated and zero rows give stacks whose matrices differ in rank
+    stack[rng.random(batch) < 0.3, 0] = 0
+    if rows > 1:
+        stack[rng.random(batch) < 0.3, -1] = stack[0, 0]
+    field = PrimeField(q)
+    red, pivots = rref_batch(field, stack)
+    for b in range(batch):
+        one, one_pivots = rref(field, stack[b])
+        assert np.array_equal(red[b], one)
+        assert [int(c) for c in pivots[b] if c >= 0] == one_pivots
+        assert np.all(pivots[b, len(one_pivots):] == -1)
 
 
 @settings(max_examples=30, deadline=None)

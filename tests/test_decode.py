@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetlab.codes import random_code, rs_code
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                             TableDecoder, berlekamp_welch, brute_force_list,
+                             TableDecoder, berlekamp_welch,
+                             berlekamp_welch_batch, brute_force_list,
                              brute_force_nearest, gs_list_radius,
                              per_message_success, success_probability)
-from cosetlab.galois import all_vectors
+from cosetlab.galois import all_vectors, radix_weights
 from cosetlab.noise import build_profile, interval_profile
 
 
@@ -64,6 +67,51 @@ def test_bw_matches_nearest_within_radius_exhaustive():
             assert got is not None and np.array_equal(got, nearest)
         else:
             assert got is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 4)]))
+def test_bw_batch_equals_scalar(seed, qk):
+    # half the words sit near a codeword, half are uniform: many of those lie
+    # outside the radius, where both forms must report no codeword
+    q, k = qk
+    code = rs_code(q, k)
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, q, size=(40, q))
+    near = (rng.integers(0, q, size=(20, k)) @ code.G) % q
+    flips = rng.integers(0, q, size=near.shape) * (rng.random(near.shape) < 0.3)
+    words[:20] = (near + flips) % q
+    messages, hits = berlekamp_welch_batch(code, words)
+    dists = (words[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
+    assert np.array_equal(hits, dists.min(axis=1) <= (q - k) // 2)
+    for y, message, hit in zip(words, messages, hits):
+        want = berlekamp_welch(code, y)
+        assert hit == (want is not None)
+        if hit:
+            assert np.array_equal(message, want)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_bw_table_equals_nearest_within_radius_oracle(q):
+    for k in range(1, q):
+        code = rs_code(q, k)
+        radius = (code.n - code.k) // 2
+        words = all_vectors(q, code.n)
+        dists = (words[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
+        want = np.where(dists.min(axis=1) <= radius, dists.argmin(axis=1), 0)
+        assert np.array_equal(BerlekampWelchDecoder(code).table(), want), k
+
+
+def test_nearest_table_equals_scalar_search_on_tie_heavy_code():
+    # a [4,2]_3 code has minimum distance at most 3, so ties are common
+    code = random_code(3, 4, 2, seed=0)
+    table = BruteForceNearestDecoder(code).table()
+    radix = radix_weights(code.q, code.k)
+    dists = (all_vectors(3, 4)[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
+    assert np.sum((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 20
+    for idx, y in enumerate(all_vectors(3, 4)):
+        assert table[idx] == int(brute_force_nearest(code, y) @ radix)
 
 
 def test_bw_requires_full_support_rs():
@@ -128,7 +176,7 @@ def test_decoder_tables_agree_with_decode():
                     BruteForceNearestDecoder(random_code(3, 4, 2, seed=2))):
         table = decoder.table()
         vecs = all_vectors(decoder.code.q, decoder.code.n)
-        radix = decoder.code.q ** np.arange(decoder.code.k - 1, -1, -1)
+        radix = radix_weights(decoder.code.q, decoder.code.k)
         for idx in (0, 7, len(vecs) // 2, len(vecs) - 1):
             msg = decoder.decode(vecs[idx])
             assert table[idx] == int(msg @ radix)

@@ -235,6 +235,24 @@ def test_verify_bound_requires_exhaustive_coverage():
         verify_bound([])
 
 
+def test_verify_bound_rejects_mixed_outcomes():
+    # one syndrome's outcome taken from a sweep at another tau_tilde carries
+    # another eta; one from another profile carries another p_dec as well
+    code, profile, decoder = _q3_setup()
+    tight, loose = run_reduction_sweep(
+        code, profile, decoder,
+        [ConstraintSet(profile, 0.4), ConstraintSet(profile, 0.7)])
+    assert tight[0].eta != loose[0].eta
+    with pytest.raises(ValueError, match="one p_dec and one eta"):
+        verify_bound(loose[:1] + tight[1:])
+    other = interval_profile(3, 3, 0, 0.9)
+    foreign = run_reduction_sweep(code, other, decoder, [ConstraintSet(other, 0.4)])[0]
+    assert foreign[0].p_dec != tight[0].p_dec
+    with pytest.raises(ValueError, match="one p_dec and one eta"):
+        verify_bound(foreign[:1] + tight[1:])
+    assert verify_bound(tight).n_outcomes == len(tight)
+
+
 def test_run_reduction_rejects_bad_inputs():
     code, profile, decoder = _q3_setup()
     constraint = ConstraintSet(profile, 0.4)
@@ -259,6 +277,13 @@ def test_run_reduction_rejects_bad_inputs():
         run_reduction(code, profile, decoder, np.array([0]), retuned)
     with pytest.raises(ValueError, match="different profile"):
         run_reduction_sweep(code, profile, decoder, [retuned])
+    # a decoder tabulated for another [3,1]_3 code has a table of the right shape
+    alien = BruteForceNearestDecoder(random_code(3, 3, 1, seed=4))
+    assert np.any(alien.code.G != code.G)
+    with pytest.raises(ValueError, match="different code"):
+        run_reduction(code, profile, alien, np.array([0]), constraint)
+    with pytest.raises(ValueError, match="different code"):
+        run_reduction_sweep(code, profile, alien, [constraint])
 
 
 def test_budget_enforced():
