@@ -339,11 +339,10 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
     if profile.n != code.n or profile.q != code.q:
         raise ValueError("profile and code must share q and n")
     probs = _channel_probabilities(profile, budget)
-    table = decoder.table(budget)
-    radix = radix_weights(code.q, code.n)
-    errors = all_vectors(code.q, code.n)
+    table = decoder.table(budget).reshape((code.q,) * code.n)
     out = np.empty(code.q**code.k)
     for s_idx, codeword in enumerate(code.codewords()):
-        indices = ((errors + codeword) % code.q) @ radix
-        out[s_idx] = probs[table[indices] == s_idx].sum()
+        # decoded[e] = D(sG + e), read by rolling each axis back by c_i
+        decoded = np.roll(table, tuple(-codeword), axis=tuple(range(code.n)))
+        out[s_idx] = probs[decoded.reshape(-1) == s_idx].sum()
     return out

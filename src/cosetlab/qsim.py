@@ -19,12 +19,16 @@ Symmetrization: when the decoder's per-message success probabilities p_s
 are not all equal (the all-zeros failure sentinel breaks shift covariance),
 U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
 to A, run U, subtract t from B. U' has uniform diagonal amplitudes
-sqrt(mean_s p_s), which the success-bound machinery requires.
+sqrt(mean_s p_s), which the success-bound machinery requires. Past the
+transform on T, U' permutes basis states: it runs as one composed gather.
 
 Two engines compute identical outcomes:
 
-- `run_reduction` materializes the registers densely and walks the five
-  steps literally, checking norms at every step (the reference engine).
+- `run_reduction` walks the five steps literally for one syndrome (the
+  reference engine), checking norms at every step. U' never touches the
+  message copy C, so each C = s block evolves alone and keeping C = 0 keeps
+  its B = s slice: the engine streams over s in O(q^(n+2k)) memory, not
+  the O(q^(n+3k)) of the whole (A, B, C, T) tensor.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
   register A is left holding
@@ -64,6 +68,9 @@ __all__ = [
     "verify_bound",
 ]
 
+COMPLEX_BYTES = 16
+INDEX_BYTES = 8
+
 
 # ---- index machinery of the reference engine ---------------------------------
 
@@ -71,25 +78,19 @@ __all__ = [
 class _Registers:
     """Index tables of the dense registers for one (code, profile) pair."""
 
-    def __init__(self, code: LinearCode, profile: ErrorProfile,
-                 budget: int | None = None):
+    def __init__(self, code: LinearCode, profile: ErrorProfile):
         self.code = code
         self.profile = profile
         self.field = PrimeField(code.q)
         self.q, self.n, self.k = code.q, code.n, code.k
         self.dim_a = self.q**self.n
         self.dim_b = self.q**self.k
-        require_budget(self.dim_a * self.dim_b, budget)
         self._radix_n = radix_weights(self.q, self.n)
         self._radix_k = radix_weights(self.q, self.k)
 
     @cached_property
     def messages(self) -> np.ndarray:
         return all_vectors(self.q, self.k)
-
-    @cached_property
-    def codewords(self) -> np.ndarray:
-        return (self.messages @ self.code.G) % self.q
 
     @cached_property
     def add_k(self) -> np.ndarray:
@@ -107,19 +108,7 @@ class _Registers:
     def shift_sub_idx(self) -> np.ndarray:
         """shift_sub_idx[s, a] = index of (vector_a - codeword_s)."""
         va = all_vectors(self.q, self.n)
-        return ((va[None, :, :] - self.codewords[:, None, :]) % self.q) @ self._radix_n
-
-    @cached_property
-    def shift_add_idx(self) -> np.ndarray:
-        """shift_add_idx[s, a] = index of (vector_a + codeword_s)."""
-        va = all_vectors(self.q, self.n)
-        return ((va[None, :, :] + self.codewords[:, None, :]) % self.q) @ self._radix_n
-
-    @cached_property
-    def dual_syndrome_idx(self) -> np.ndarray:
-        """Index of G y^T for every received-word index y."""
-        va = all_vectors(self.q, self.n)
-        return ((va @ self.code.G.T) % self.q) @ self._radix_k
+        return np.stack([((va - c) % self.q) @ self._radix_n for c in self.code.codewords()])
 
     @cached_property
     def fourier_k(self) -> np.ndarray:
@@ -130,16 +119,9 @@ class _Registers:
         """|psi_s> as a dense q^n vector: f shifted by codeword s."""
         return self.profile.amplitudes()[self.shift_sub_idx[s_idx]]
 
-    def phases_for(self, u: np.ndarray) -> np.ndarray:
-        """chi_{-u}(s) for every message index s."""
-        dots = (self.messages @ (np.asarray(u, dtype=np.int64) % self.q)) % self.q
-        return np.conj(self.field.roots_of_unity[dots])
-
-    def qft_a(self, arr: np.ndarray, inverse: bool = False) -> np.ndarray:
+    def qft_a(self, arr: np.ndarray) -> np.ndarray:
         """Coordinate-wise Fourier transform of the leading q^n axis."""
         m = self.field.fourier_matrix
-        if inverse:
-            m = m.conj()
         shaped = arr.reshape((self.q,) * self.n + arr.shape[1:])
         for axis in range(self.n):
             shaped = np.moveaxis(
@@ -150,100 +132,102 @@ class _Registers:
 # ---- decoder maps ------------------------------------------------------------
 
 
-class DecoderUnitary:
-    """Permutation map |y>_A |t>_B -> |y>_A |t + D(y)>_B for a total D."""
+class _GatherMap:
+    """A decoder map whose basis-state action is the gather `steps`. `apply`
+    runs one flat gather index, built once by running `steps` on an index
+    array; the adjoint scatters by the same index."""
 
-    def __init__(self, decoder: _BaseDecoder, budget: int | None = None):
-        self.decoder = decoder
-        self.code = decoder.code
-        self.q, self.n, self.k = self.code.q, self.code.n, self.code.k
-        require_budget(self.q ** (self.n + self.k), budget)
-        self.table = decoder.table(budget)
-        if self.table.shape != (self.q**self.n,):
-            raise ValueError("decoder table must cover every received word")
+    shape: tuple[int, ...]
+    _gather: np.ndarray | None = None
 
-    def _gather_indices(self, regs: _Registers, adjoint: bool) -> np.ndarray:
-        # forward: out[a, b'] = in[a, b' - D(a)]; adjoint: in[a, b' + D(a)]
-        pair = regs.add_k if adjoint else regs.sub_k
-        return pair[:, self.table].T
+    def steps(self, regs: _Registers, arr: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def gather(self, regs: _Registers) -> np.ndarray:
+        if self._gather is None:
+            index = np.arange(math.prod(self.shape)).reshape(self.shape)
+            self._gather = self.steps(regs, index).reshape(-1)
+        return self._gather
 
     def apply(self, regs: _Registers, state: np.ndarray,
               adjoint: bool = False) -> np.ndarray:
-        """Apply to a state whose axes start (A, B, ...)."""
-        idx = self._gather_indices(regs, adjoint)
-        return state[np.arange(state.shape[0])[:, None], idx]
+        """Apply to a state of shape `shape`, or any reshape of it."""
+        flat, gather = state.reshape(-1), self.gather(regs)
+        if not adjoint:
+            return flat[gather].reshape(state.shape)
+        out = np.empty_like(flat)
+        out[gather] = flat
+        return out.reshape(state.shape)
 
     def diagonal_gammas(self, regs: _Registers) -> np.ndarray:
-        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>), for all s."""
-        out = np.empty(regs.dim_b)
-        for s_idx in range(regs.dim_b):
-            state = np.zeros((regs.dim_a, regs.dim_b), dtype=np.complex128)
-            state[:, 0] = regs.psi(s_idx)
-            state = self.apply(regs, state)
-            out[s_idx] = float(np.linalg.norm(state[:, s_idx]))
-        return out
+        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s."""
+        return np.array([float(np.linalg.norm(mapped[:, s_idx])) for s_idx, _, mapped
+                         in _evolved_blocks(regs, self, np.ones(regs.dim_b))])
 
 
-class SymmetrizedUnitary:
+class DecoderUnitary(_GatherMap):
+    """Permutation map |y>_A |t>_B -> |y>_A |t + D(y)>_B for a total D."""
+
+    def __init__(self, decoder: _BaseDecoder, budget: int | None = None):
+        code = decoder.code
+        self.shape = (code.q**code.n, code.q**code.k)
+        require_budget(math.prod(self.shape), budget)
+        self.table = decoder.table(budget)
+        if self.table.shape != self.shape[:1]:
+            raise ValueError("decoder table must cover every received word")
+
+    def steps(self, regs: _Registers, arr: np.ndarray) -> np.ndarray:
+        """b += D(a) on axes (A, B, ...): reads b - D(a)."""
+        return arr[np.arange(regs.dim_a)[:, None], regs.sub_k[:, self.table].T]
+
+
+class SymmetrizedUnitary(_GatherMap):
     """U' on (A, B, T): Fourier T, add TG to A, run U, subtract T from B.
 
     Makes the diagonal amplitudes uniform: every gamma'_{s,s} equals
-    sqrt(mean_s p_s), real nonnegative.
+    sqrt(mean_s p_s), real nonnegative. The three steps after the transform
+    are gathers, which `apply` runs as one composed gather index.
     """
 
     def __init__(self, base: DecoderUnitary, budget: int | None = None):
         self.base = base
-        self.q, self.n, self.k = base.q, base.n, base.k
-        require_budget(self.q ** (self.n + 2 * self.k), budget)
+        self.shape = base.shape + (base.shape[1],)
+        require_budget(math.prod(self.shape), budget)
+
+    @staticmethod
+    def shift_a(regs: _Registers, arr: np.ndarray) -> np.ndarray:
+        """a += tG on axes (A, B, T): reads a - tG."""
+        b, t = np.ogrid[:regs.dim_b, :regs.dim_b]
+        return arr[regs.shift_sub_idx.T[:, None, :], b, t]
+
+    @staticmethod
+    def sub_b_t(regs: _Registers, arr: np.ndarray) -> np.ndarray:
+        """b -= t on axes (A, B, T): reads b + t."""
+        return arr[:, regs.add_k, np.arange(regs.dim_b)]
+
+    def steps(self, regs: _Registers, arr: np.ndarray) -> np.ndarray:
+        return self.sub_b_t(regs, self.base.steps(regs, self.shift_a(regs, arr)))
 
     def apply(self, regs: _Registers, state: np.ndarray,
               adjoint: bool = False) -> np.ndarray:
-        """Apply to a state whose axes are (A, B, ..., T), T last."""
-        dim_b = regs.dim_b
-        t_axis = state.ndim - 1
+        """Apply to an (A, B, T) state: transform T, then gather. fourier_k
+        is symmetric, so the adjoint's transform is its conjugate."""
+        rows = state.reshape(-1, regs.dim_b)
+        if adjoint:
+            rows = super().apply(regs, rows, adjoint=True) @ regs.fourier_k.conj()
+        else:
+            rows = super().apply(regs, rows @ regs.fourier_k.T)
+        return rows.reshape(state.shape)
 
-        def qft_t(arr: np.ndarray, inverse: bool) -> np.ndarray:
-            m = regs.fourier_k.conj() if inverse else regs.fourier_k
-            return np.moveaxis(
-                np.tensordot(m, arr, axes=([1], [t_axis])), 0, t_axis)
 
-        def shift_a(arr: np.ndarray, add: bool) -> np.ndarray:
-            # a += tG needs old index a' - tG; a -= tG needs a' + tG
-            out = np.empty_like(arr)
-            perms = regs.shift_sub_idx if add else regs.shift_add_idx
-            for t in range(dim_b):
-                out[..., t] = np.take(arr[..., t], perms[t], axis=0)
-            return out
-
-        def sub_b_t(arr: np.ndarray, add: bool) -> np.ndarray:
-            # b -= t needs old index b' + t; b += t needs b' - t
-            out = np.empty_like(arr)
-            pair = regs.add_k if not add else regs.sub_k
-            for t in range(dim_b):
-                out[..., t] = np.take(arr[..., t], pair[:, t], axis=1)
-            return out
-
-        if not adjoint:
-            state = qft_t(state, inverse=False)
-            state = shift_a(state, add=True)
-            state = self.base.apply(regs, state)
-            state = sub_b_t(state, add=False)
-            return state
-        state = sub_b_t(state, add=True)
-        state = self.base.apply(regs, state, adjoint=True)
-        state = shift_a(state, add=False)
-        return qft_t(state, inverse=True)
-
-    def diagonal_gammas(self, regs: _Registers) -> np.ndarray:
-        """gamma'_{s,s} extracted from the B=s block of U'(|psi_s>|0>|0>)."""
-        out = np.empty(regs.dim_b)
-        for s_idx in range(regs.dim_b):
-            state = np.zeros((regs.dim_a, regs.dim_b, regs.dim_b),
-                             dtype=np.complex128)
-            state[:, 0, 0] = regs.psi(s_idx)
-            state = self.apply(regs, state)
-            out[s_idx] = float(np.linalg.norm(state[:, s_idx, :]))
-        return out
+def _evolved_blocks(regs: _Registers, u_map: _GatherMap, weights: np.ndarray):
+    """Yield (s, prepared, mapped) for every message s, one block at a time:
+    prepared = w_s |psi_s>_A |0>_B [|0>_T] and mapped = u_map(prepared)."""
+    u_map.gather(regs)  # built before any block, so its temporaries add no peak
+    for s_idx, weight in enumerate(weights):
+        block = np.zeros(u_map.shape, dtype=np.complex128)
+        block.reshape(regs.dim_a, -1)[:, 0] = weight * regs.psi(s_idx)
+        yield s_idx, block, u_map.apply(regs, block)
 
 
 # ---- outcomes ----------------------------------------------------------------
@@ -334,7 +318,17 @@ def _decide_symmetrization(decoder: _BaseDecoder, profile: ErrorProfile,
     return needed, float(p_s.mean())
 
 
-# ---- reference engine: one syndrome, dense registers -------------------------
+# ---- reference engine: one syndrome, one message-copy block at a time ---------
+
+
+def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
+    """Peak bytes of `run_reduction`: in step 2, four complex (A, B[, T])
+    blocks (prepared, T-transformed, mapped, accepted) and the int64 gather
+    index; beside them the int64 shift table of q^(n+k) entries, at most 64
+    bytes per entry of q^n- and q^(2k)-entry tables, and 64 KiB of overhead."""
+    entries = q ** (n + (2 if symmetrized else 1) * k)
+    return (entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + q ** (n + k) * INDEX_BYTES
+            + (q**n + q ** (2 * k)) * 64 + 2**16)
 
 
 def run_reduction(code: LinearCode, profile: ErrorProfile,
@@ -342,65 +336,63 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
                   constraint: ConstraintSet, *, budget: int | None = None,
                   force_symmetrize: bool | None = None,
                   keep_marginal: bool = False) -> ReductionOutcome:
-    """Run the five-step reduction for one dual syndrome u, densely."""
+    """Run the five-step reduction for one dual syndrome u, densely.
+
+    Steps 1-2 stream over the message copy C. U' acts on (A, B[, T]) only,
+    so each C = s block of the prepared state evolves alone; C -= B moves
+    its B = b slice to C = s - b, so keeping C = 0 keeps b = s. Each block
+    is prepared, mapped and cut to accepted[:, s] = mapped[:, s] before the
+    next is built, and the step-1 and step-2 squared norms are summed over
+    blocks: the same numbers as walking the whole (A, B, C[, T]) tensor, in
+    O(q^(n+2k)) memory instead of O(q^(n+3k)). Steps 3-5 run on the
+    accepted (A, B[, T]) state.
+
+    The budget counts 16-byte amplitudes of the stated peak
+    (`_reference_peak_bytes`, for the symmetrized map unless
+    force_symmetrize is False), checked before any decoder table is built.
+    """
     u = np.asarray(u, dtype=np.int64) % code.q
     if u.shape != (code.k,):
         raise ValueError(f"u must have length {code.k}")
     _check_inputs(code, profile, decoder, [constraint])
-    regs = _Registers(code, profile, budget)
+    peak = _reference_peak_bytes(code.q, code.n, code.k, force_symmetrize is not False)
+    require_budget(-(-peak // COMPLEX_BYTES), budget)
+    regs = _Registers(code, profile)
     symmetrized, p_dec = _decide_symmetrization(
         decoder, profile, force_symmetrize, budget)
-    base = DecoderUnitary(decoder, budget)
-    u_map: DecoderUnitary | SymmetrizedUnitary
+    u_map: _GatherMap = DecoderUnitary(decoder, budget)
     if symmetrized:
-        u_map = SymmetrizedUnitary(base, budget)
-        shape = (regs.dim_a, regs.dim_b, regs.dim_b, regs.dim_b)
-    else:
-        u_map = base
-        shape = (regs.dim_a, regs.dim_b, regs.dim_b)
-    require_budget(int(np.prod(shape)), budget)
+        u_map = SymmetrizedUnitary(u_map, budget)
 
-    drift = 0.0
-
-    def check_norm(arr: np.ndarray) -> None:
-        nonlocal drift
-        drift = max(drift, abs(float(np.linalg.norm(arr)) - 1.0))
-
-    # step 1: superposed shifted error states, phases on the message copy
-    state = np.zeros(shape, dtype=np.complex128)
-    phases = regs.phases_for(u) / math.sqrt(regs.dim_b)
-    f_dense = profile.amplitudes(budget)
-    for s_idx in range(regs.dim_b):
-        if symmetrized:
-            state[:, 0, s_idx, 0] = phases[s_idx] * f_dense[regs.shift_sub_idx[s_idx]]
-        else:
-            state[:, 0, s_idx] = phases[s_idx] * f_dense[regs.shift_sub_idx[s_idx]]
-    check_norm(state)
-
-    # step 2: decoder map on (A, B[, T]), then C -= B
-    state = u_map.apply(regs, state)
-    b_axis_index = np.arange(regs.dim_b)[:, None]
-    state = state[:, b_axis_index, regs.add_k.T]
-    check_norm(state)
+    # steps 1-2: superposed shifted error states, one C = s block at a time
+    phases = np.conj(regs.field.roots_of_unity[(regs.messages @ u) % code.q])
+    weights = phases / math.sqrt(regs.dim_b)
+    accepted = np.empty(u_map.shape, dtype=np.complex128)
+    norms_sq = [0.0, 0.0]
+    for s_idx, prepared, mapped in _evolved_blocks(regs, u_map, weights):
+        norms_sq[0] += float(np.vdot(prepared, prepared).real)
+        norms_sq[1] += float(np.vdot(mapped, mapped).real)
+        accepted[:, s_idx] = mapped[:, s_idx]
+        del prepared, mapped  # keep one block alive at a time
+    norms = [math.sqrt(x) for x in norms_sq]
 
     # step 3: measure the message copy, keep outcome 0, renormalize
-    accepted = state[:, :, 0] if not symmetrized else state[:, :, 0, :]
     post_select_prob = float(np.vdot(accepted, accepted).real)
-    accepted = accepted / math.sqrt(post_select_prob)
+    accepted /= math.sqrt(post_select_prob)
 
     # step 4: adjoint decoder map
     accepted = u_map.apply(regs, accepted, adjoint=True)
-    check_norm(accepted)
+    norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
     accepted = regs.qft_a(accepted)
-    check_norm(accepted)
+    norms.append(float(np.linalg.norm(accepted)))
     marginal = np.abs(accepted) ** 2
     marginal = marginal.reshape(regs.dim_a, -1).sum(axis=1)
 
     mask = constraint.membership_mask(budget)
-    u_idx = int(u @ radix_weights(code.q, code.k))
-    p_u = float(marginal[mask & (regs.dual_syndrome_idx == u_idx)].sum())
+    on_coset = np.all(syndrome(code, all_vectors(code.q, code.n), "dual") == u, axis=1)
+    p_u = float(marginal[mask & on_coset].sum())
 
     eta, _ = tail_mass(profile, constraint.tau_tilde)
     return ReductionOutcome(
@@ -408,11 +400,19 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
         tau_tilde=constraint.tau_tilde, p_u=p_u,
         post_select_prob=post_select_prob, p_dec=p_dec, eta=eta,
         bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized,
-        max_norm_drift=drift,
+        max_norm_drift=max(abs(x - 1.0) for x in norms),
         a_marginal=marginal if keep_marginal else None)
 
 
 # ---- sweep engine: all syndromes from the closed form --------------------------
+
+
+def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
+    """Peak bytes of `run_reduction_sweep`: per received word, three int64
+    n-vectors (the words and two stages of the residual), the int64 decoded
+    message, and at most 96 bytes of amplitudes, indices, masks and
+    transform buffers."""
+    return q**n * (INDEX_BYTES * (3 * n + k) + 96)
 
 
 def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
@@ -423,8 +423,9 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     """Outcomes for every dual syndrome and every constraint set.
 
     Returns outcomes[c][j] for constraint c and syndrome index j. Each
-    syndrome costs one q^n transform of the closed-form accepted state;
-    the working set is a few arrays of q^n entries, whatever k is.
+    syndrome costs one q^n transform of the closed-form accepted state.
+    The budget counts the q^n received words; the peak, a few arrays of
+    q^n entries whatever k is, is stated by `_sweep_peak_bytes`.
 
     Derivation. With g_u(y) = chi_{-u}(D(y)) f(y - D(y)G): after step 2 the
     state is q^(-k/2) sum_{s,y} chi_{-u}(s) f(y - sG) |y>|D(y)>|s - D(y)>.

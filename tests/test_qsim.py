@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab.codes import LinearCode, random_code, rs_code
-from cosetlab.config import BudgetError
+from cosetlab.config import TOL, BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              TableDecoder, per_message_success)
-from cosetlab.galois import vector_of_index
+from cosetlab.galois import all_vectors, radix_weights, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
 from cosetlab.qsim import (DecoderUnitary, SymmetrizedUnitary, _Registers,
+                           _reference_peak_bytes, _sweep_peak_bytes,
                            run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
 
@@ -64,6 +66,39 @@ def test_unitary_preserves_norm_and_adjoint_inverts(sym):
     assert np.linalg.norm(forward) == pytest.approx(1.0, abs=1e-12)
     back = unitary.apply(regs, forward, adjoint=True)
     assert np.max(np.abs(back - state)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 3, 1), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 4, 1)]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_composed_gather_equals_elementary_steps(shape, seed):
+    # apply runs one transform and one precomputed gather; the definition is
+    # the steps one by one, and on basis states the gather must send
+    # |a, b, t> to |a + tG, b + D(a + tG) - t, t>
+    q, n, k = shape
+    rng = np.random.default_rng(seed)
+    code = random_code(q, n, k, seed=seed)
+    decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
+    regs = _Registers(code, interval_profile(q, n, 0, 0.7))
+    base = DecoderUnitary(decoder)
+    sym = SymmetrizedUnitary(base)
+    x = _random_state(sym.shape, seed=seed % 1000)
+    y = _random_state(sym.shape, seed=seed % 1000 + 1)
+    steps = x @ regs.fourier_k.T
+    steps = sym.sub_b_t(regs, base.steps(regs, sym.shift_a(regs, steps)))
+    for u_map, xs, ys, want in ((base, x[..., 0], y[..., 0], base.steps(regs, x[..., 0])),
+                                (sym, x, y, steps)):
+        forward = u_map.apply(regs, xs)
+        assert np.max(np.abs(forward - want)) <= 1e-12
+        inner = np.vdot(ys, forward) - np.vdot(u_map.apply(regs, ys, adjoint=True), xs)
+        assert abs(inner) <= 1e-12
+        assert np.max(np.abs(u_map.apply(regs, forward, adjoint=True) - xs)) <= TOL.unitarity
+    words, msgs = all_vectors(q, n), all_vectors(q, k)
+    a, b, t = (v.reshape(-1) for v in np.indices(sym.shape))
+    a_new = (words[a] + msgs[t] @ code.G) % q @ radix_weights(q, n)
+    b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ radix_weights(q, k)
+    target = np.ravel_multi_index((a_new, b_new, t), sym.shape)
+    assert np.array_equal(sym.gather(regs)[target], np.arange(a.size))
 
 
 def test_gamma_diagonal_matches_success_probability():
@@ -172,6 +207,50 @@ def test_sweep_matches_direct_engine_on_random_table_decoders(shape, seed):
         assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
         assert abs(swept[u_idx].post_select_prob
                    - direct.post_select_prob) <= 1e-12
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_reference_matches_sweep_at_q5_k2(force):
+    code = random_code(5, 4, 2, seed=11)
+    profile = random_sets_profile(5, 4, 2, 0.8, seed=11)
+    decoder = BruteForceNearestDecoder(code)
+    constraint = ConstraintSet(profile, 0.5)
+    swept = run_reduction_sweep(code, profile, decoder, [constraint])[0]
+    direct = run_reduction(code, profile, decoder, np.array([2, 3]), constraint,
+                           force_symmetrize=force)
+    ref = swept[2 * 5 + 3]
+    assert ref.u == direct.u and direct.symmetrized == force
+    assert abs(ref.p_u - direct.p_u) <= 1e-12
+    assert abs(ref.post_select_prob - direct.post_select_prob) <= 1e-12
+    assert direct.max_norm_drift <= TOL.unitarity
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stated_peak_bytes_bound_traced_peak():
+    # each engine's stated peak is an upper bound that is not loose by 2x
+    code = random_code(5, 4, 2, seed=11)
+    profile = random_sets_profile(5, 4, 2, 0.8, seed=11)
+    decoder = BruteForceNearestDecoder(code)
+    constraint = ConstraintSet(profile, 0.5)
+    peak = _traced_peak(lambda: run_reduction(code, profile, decoder, np.array([1, 4]),
+                                              constraint, force_symmetrize=True))
+    stated = _reference_peak_bytes(5, 4, 2, symmetrized=True)
+    assert stated / 2 <= peak <= stated
+    code = rs_code(5, 2)
+    profile = interval_profile(5, 5, 1, 0.7)
+    decoder = BerlekampWelchDecoder(code)
+    peak = _traced_peak(lambda: run_reduction_sweep(
+        code, profile, decoder, [ConstraintSet(profile, 0.5)]))
+    stated = _sweep_peak_bytes(5, 5, 2)
+    assert stated / 2 <= peak <= stated
 
 
 def test_no_postselection_acceptance_equals_p_dec():
@@ -291,6 +370,7 @@ def test_budget_enforced():
     with pytest.raises(BudgetError):
         run_reduction(code, profile, decoder, np.array([0]),
                       ConstraintSet(profile, 0.4), budget=10)
+    assert decoder._table is None  # rejected before the table was built
     with pytest.raises(BudgetError):
         run_reduction_sweep(code, profile, decoder,
                             [ConstraintSet(profile, 0.4)], budget=10)
