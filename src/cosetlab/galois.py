@@ -180,25 +180,27 @@ def character_profile(field: PrimeField, y: np.ndarray, xs: np.ndarray) -> np.nd
 def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray,
                         budget: int | None) -> np.ndarray:
     q = field.q
-    size = f.shape[0]
+    f = np.asarray(f, dtype=np.complex128)
+    size = f.shape[0] if f.ndim else 0
     n = 0
     total = 1
     while total < size:
         total *= q
         n += 1
-    if total != size or f.ndim != 1:
+    if total != size:
         raise ValueError(f"function length {size} is not a power of q={q}")
-    require_budget(size, budget)
-    arr = np.asarray(f, dtype=np.complex128).reshape((q,) * max(n, 1))
-    # one size-q pass per coordinate: O(n * q * q^n) total
+    require_budget(f.size, budget)
+    arr = f.reshape((q,) * n + f.shape[1:])
+    # one size-q pass per coordinate: O(n * q * q^n) total per trailing entry
     for axis in range(n):
         arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [axis])), 0, axis)
-    return arr.reshape(size)
+    return arr.reshape(f.shape)
 
 
 def fourier_transform(field: PrimeField, f: np.ndarray,
                       budget: int | None = None) -> np.ndarray:
-    """fhat(x) = q^(-n/2) sum_y chi_x(y) f(y), computed coordinate-wise."""
+    """fhat(x) = q^(-n/2) sum_y chi_x(y) f(y), computed coordinate-wise on
+    the leading axis of f, of length q^n; trailing axes are carried along."""
     return _axiswise_transform(field, f, field.fourier_matrix, budget)
 
 

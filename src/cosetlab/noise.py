@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .config import TOL, count_threshold, require_budget
-from .galois import PrimeField, all_vectors, inverse_fourier_transform
+from .galois import PrimeField, inverse_fourier_transform
 
 __all__ = [
     "ErrorProfile",
@@ -202,12 +202,12 @@ class ConstraintSet:
         return self.count(y) >= self.min_count
 
     def membership_mask(self, budget: int | None = None) -> np.ndarray:
-        """Boolean mask over all of F_q^n in index order."""
+        """Boolean mask over all of F_q^n in index order; the hit counts are
+        the outer sum of the indicator rows, ordered as in `amplitudes`."""
         p = self.profile
         require_budget(p.q**p.n, budget)
-        vecs = all_vectors(p.q, p.n)
-        counts = p.set_indicator[np.arange(p.n), vecs].sum(axis=1)
-        return counts >= self.min_count
+        counts = reduce(np.add.outer, p.set_indicator.astype(np.uint8))
+        return counts.reshape(-1) >= self.min_count
 
     def fourier_mass(self, budget: int | None = None) -> float:
         """sum_{y in T} |fhat(y)|^2 by exhaustive enumeration."""

@@ -31,16 +31,12 @@ Two engines compute identical outcomes:
   the O(q^(n+3k)) of the whole (A, B, C, T) tensor.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
-  register A is left holding
-
-      F_u(y) = chi_{-u}(D(y)) f(y - D(y)G) / sqrt(q^k P_acc),
-      P_acc  = q^-k sum_y |f(y - D(y)G)|^2,
-
-  and p_u is the mass of its transform on {x in T : G x^T = u}: one q^n
-  transform per syndrome, O(q^n) memory. Symmetrization entangles the
-  shift register with A only through a unit-modulus phase, so it changes
-  the diagonal gammas but not P_acc or the A marginal; one formula serves
-  both cases (derivation in `run_reduction_sweep`).
+  register A holds F_u(y) = chi_{-u}(D(y)) f(y - D(y)G), normalized. On the
+  dual coset of u, where p_u is read, its transform is that of f N, with
+  N(e) = #{y : y - D(y)G = e} the residual histogram of the decoder table:
+  one q^n transform serves every syndrome, in O(q^n) memory.
+  Symmetrization changes the diagonal gammas but not P_acc or the A
+  marginal (derivation in `run_reduction_sweep`).
 """
 
 from __future__ import annotations
@@ -118,15 +114,6 @@ class _Registers:
     def psi(self, s_idx: int) -> np.ndarray:
         """|psi_s> as a dense q^n vector: f shifted by codeword s."""
         return self.profile.amplitudes()[self.shift_sub_idx[s_idx]]
-
-    def qft_a(self, arr: np.ndarray) -> np.ndarray:
-        """Coordinate-wise Fourier transform of the leading q^n axis."""
-        m = self.field.fourier_matrix
-        shaped = arr.reshape((self.q,) * self.n + arr.shape[1:])
-        for axis in range(self.n):
-            shaped = np.moveaxis(
-                np.tensordot(m, shaped, axes=([1], [axis])), 0, axis)
-        return shaped.reshape(arr.shape)
 
 
 # ---- decoder maps ------------------------------------------------------------
@@ -385,7 +372,7 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
-    accepted = regs.qft_a(accepted)
+    accepted = fourier_transform(regs.field, accepted, budget)
     norms.append(float(np.linalg.norm(accepted)))
     marginal = np.abs(accepted) ** 2
     marginal = marginal.reshape(regs.dim_a, -1).sum(axis=1)
@@ -408,11 +395,14 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
 
 
 def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
-    """Peak bytes of `run_reduction_sweep`: per received word, three int64
-    n-vectors (the words and two stages of the residual), the int64 decoded
-    message, and at most 96 bytes of amplitudes, indices, masks and
-    transform buffers."""
-    return q**n * (INDEX_BYTES * (3 * n + k) + 96)
+    """Peak bytes of `run_reduction_sweep` with one constraint set. Per
+    received word: the int64 table, syndrome index and residual, at most
+    max(2n, 13) int64-sized entries of words, codewords, amplitudes and
+    transform buffers, and one of slack. Per message: its codeword and
+    message rows and its outcome. A nearest-codeword table built in the
+    call adds a few MiB of distance counts."""
+    return (q**n * INDEX_BYTES * (max(2 * n, 13) + 4)
+            + q**k * (4 * n * INDEX_BYTES + 512) + 2**16)
 
 
 def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
@@ -422,23 +412,29 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
                         ) -> list[list[ReductionOutcome]]:
     """Outcomes for every dual syndrome and every constraint set.
 
-    Returns outcomes[c][j] for constraint c and syndrome index j. Each
-    syndrome costs one q^n transform of the closed-form accepted state.
-    The budget counts the q^n received words; the peak, a few arrays of
-    q^n entries whatever k is, is stated by `_sweep_peak_bytes`.
+    Returns outcomes[c][j] for constraint c and syndrome index j. One q^n
+    transform serves every syndrome. The budget counts the 16-byte
+    amplitudes of the stated peak (`_sweep_peak_bytes`, a few arrays of q^n
+    entries whatever k is), checked before any decoder table is built.
 
     Derivation. With g_u(y) = chi_{-u}(D(y)) f(y - D(y)G): after step 2 the
     state is q^(-k/2) sum_{s,y} chi_{-u}(s) f(y - sG) |y>|D(y)>|s - D(y)>.
     Keeping C = 0 selects s = D(y) with probability
     P_acc = q^-k sum_y |f(y - D(y)G)|^2, and the adjoint map clears B, so A
     holds F_u = g_u / sqrt(q^k P_acc) and the step-5 marginal is |Fhat_u|^2.
+    p_u reads it on {x in T : G x^T = u}. There <u, D(y)> = <x, D(y)G>, so
+    chi_x(y) chi_{-u}(D(y)) = chi_x(y - D(y)G), and grouping y by its
+    residual gives ghat_u(x) = FT(f N)(x) with N(e) = #{y : y - D(y)G = e};
+    likewise q^k P_acc = sum_e N(e) |f(e)|^2. One transform of f N thus
+    serves every u, and p_u sums |FT(f N)|^2 / (q^k P_acc) over one
+    dual-syndrome class of T.
+
     With symmetrization, acceptance selects s = D(y) - t for each shift t,
     which leaves P_acc unchanged; after the adjoint the (A, T) state is
     q^-k sum_t chi_u(t) g_u(a + tG) |a>|t> / sqrt(P_acc) before T's inverse
     transform, and transforming A gives
     q^-k chi(<u - G x^T, t>) ghat_u(x) / sqrt(P_acc). The phase has unit
     modulus, so summing over t returns the same A marginal |Fhat_u(x)|^2.
-    p_u is that marginal's mass on {x in T : G x^T = u}.
 
     P_acc equals mean_s p_s algebraically; p_dec is still taken from
     `per_message_success`, an independent enumeration, so acceptance
@@ -446,33 +442,30 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     """
     _check_inputs(code, profile, decoder, constraints)
     q, n, k = code.q, code.n, code.k
-    require_budget(q**n, budget)
+    require_budget(-(-_sweep_peak_bytes(q, n, k) // COMPLEX_BYTES), budget)
     symmetrized, p_dec = _decide_symmetrization(decoder, profile, None, budget)
     table = decoder.table(budget)
-    field_q = PrimeField(q)
     ys = all_vectors(q, n)
-    decoded = all_vectors(q, k)[table]
-    residual = ((ys - code.codewords()[table]) % q) @ radix_weights(q, n)
-    accepted = profile.amplitudes(budget)[residual]
-    norm_sq = float(np.vdot(accepted, accepted).real)
-    post_select_prob = norm_sq / q**k
-    accepted /= math.sqrt(norm_sq)
     dual_idx = syndrome(code, ys, "dual") @ radix_weights(q, k)
+    ys -= code.codewords()[table]
+    residual = (ys % q) @ radix_weights(q, n)
+    del ys  # freed before the transform buffers, as `_sweep_peak_bytes` assumes
+    f = profile.amplitudes(budget)
+    histogram = np.bincount(residual, minlength=q**n)
+    norm_sq = float(histogram @ np.abs(f) ** 2)
+    marginal = np.abs(fourier_transform(PrimeField(q), f * histogram, budget)) ** 2 / norm_sq
 
-    masks = [c.membership_mask(budget) for c in constraints]
-    etas = [tail_mass(profile, c.tau_tilde)[0] for c in constraints]
-    out: list[list[ReductionOutcome]] = [[] for _ in constraints]
-    for u_idx, u_vec in enumerate(all_vectors(q, k)):
-        phases = np.conj(field_q.roots_of_unity[(decoded @ u_vec) % q])
-        marginal = np.abs(fourier_transform(field_q, phases * accepted, budget)) ** 2
-        on_coset = dual_idx == u_idx
-        for c_i, (mask, eta) in enumerate(zip(masks, etas)):
-            p_u = float(marginal[mask & on_coset].sum())
-            out[c_i].append(ReductionOutcome(
-                q=q, n=n, k=k, u=tuple(int(x) for x in u_vec),
-                tau_tilde=constraints[c_i].tau_tilde, p_u=p_u,
-                post_select_prob=post_select_prob, p_dec=p_dec, eta=eta,
-                bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized))
+    syndromes = [tuple(int(x) for x in u) for u in all_vectors(q, k)]
+    out: list[list[ReductionOutcome]] = []
+    for c in constraints:
+        mask = c.membership_mask(budget)
+        p_us = np.bincount(dual_idx[mask], weights=marginal[mask], minlength=q**k)
+        eta = tail_mass(profile, c.tau_tilde)[0]
+        out.append([ReductionOutcome(
+            q=q, n=n, k=k, u=u, tau_tilde=c.tau_tilde, p_u=float(p_u),
+            post_select_prob=norm_sq / q**k, p_dec=p_dec, eta=eta,
+            bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized)
+            for u, p_u in zip(syndromes, p_us)])
     return out
 
 

@@ -198,11 +198,11 @@ def test_sweep_matches_direct_engine_on_random_table_decoders(shape, seed):
                                   seed=seed)
     constraint = ConstraintSet(profile, float(rng.uniform(0.0, tau)))
     swept = run_reduction_sweep(code, profile, decoder, [constraint])[0]
-    u_idx = int(rng.integers(0, q**k))
-    u = vector_of_index(u_idx, q, k)
-    for force in (False, True):
-        direct = run_reduction(code, profile, decoder, u, constraint,
-                               force_symmetrize=force)
+    drawn = int(rng.integers(0, q**k))
+    runs = [(u_idx, False) for u_idx in range(q**k)] + [(drawn, True)]
+    for u_idx, force in runs:
+        direct = run_reduction(code, profile, decoder, vector_of_index(u_idx, q, k),
+                               constraint, force_symmetrize=force)
         assert swept[u_idx].u == direct.u
         assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
         assert abs(swept[u_idx].post_select_prob
@@ -376,17 +376,21 @@ def test_budget_enforced():
                             [ConstraintSet(profile, 0.4)], budget=10)
 
 
-def test_sweep_budget_is_q_to_the_n_and_checked_first():
+def test_sweep_budget_is_stated_peak_and_checked_first():
+    # the budget counts the 16-byte amplitudes of the stated peak, as for
+    # run_reduction, and one fewer is rejected before any table is built
     code = rs_code(5, 2)
     profile = interval_profile(5, 5, 1, 0.7)
     constraint = ConstraintSet(profile, 0.5)
     decoder = BerlekampWelchDecoder(code)
+    stated = -(-_sweep_peak_bytes(5, 5, 2) // 16)
+    assert stated > 5**5
     with pytest.raises(BudgetError):
         run_reduction_sweep(code, profile, decoder, [constraint],
-                            budget=5**5 - 1)
+                            budget=stated - 1)
     assert decoder._table is None  # rejected before the table was built
     outcomes = run_reduction_sweep(code, profile, decoder, [constraint],
-                                   budget=5**5)[0]
+                                   budget=stated)[0]
     assert outcomes[0].symmetrized
     assert verify_bound(outcomes).ok
 
