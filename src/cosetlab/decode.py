@@ -1,9 +1,11 @@
 """Classical decoders and exact channel success probabilities.
 
-All decoders here are total deterministic functions from received words to
-messages; failure maps to the all-zeros message sentinel so that downstream
-unitary constructions stay permutations. Decoding depends on the received
-word only (never on how it was produced).
+A decoder object is its table: the message index D(y) of every received
+word y. Decoders are total functions of the received word alone; failure
+maps to the all-zeros message sentinel so that downstream unitary
+constructions stay permutations. `decode` and the per-message success
+p_s = sum_{y : D(y) = s} P(y - D(y)G) are read off the table, the latter
+through the residual index of y - D(y)G that the sweep engine shares.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .codes import LinearCode, rs_code, solve_batch
 from .config import require_budget
-from .galois import all_vectors, radix_weights
+from .galois import all_vectors, radix_weights, vector_of_index
 from .noise import ErrorProfile
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "BruteForceNearestDecoder",
     "TableDecoder",
     "DecoderReport",
+    "residual_index",
     "success_probability",
     "per_message_success",
 ]
@@ -158,7 +161,13 @@ class _BaseDecoder:
         self._table: np.ndarray | None = None
 
     def decode(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The message the table assigns to the received word y."""
+        code = self.code
+        y = np.asarray(y, dtype=np.int64) % code.q
+        if y.shape != (code.n,):
+            raise ValueError(f"received word must have length {code.n}")
+        return vector_of_index(int(self.table()[y @ radix_weights(code.q, code.n)]),
+                               code.q, code.k)
 
     def table(self, budget: int | None = None) -> np.ndarray:
         """Message index for every received word index, shape (q^n,)."""
@@ -179,12 +188,6 @@ class BerlekampWelchDecoder(_BaseDecoder):
         _require_full_support_rs(code)
         super().__init__(code)
         self.radius = (code.n - code.k) // 2
-
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        message = berlekamp_welch(self.code, y)
-        if message is None:
-            return np.zeros(self.code.k, dtype=np.int64)
-        return message
 
     def _build_table(self, budget: int | None) -> np.ndarray:
         """Ball scatter: table[cG + e] = s for wt(e) <= t0, sentinel 0 elsewhere.
@@ -221,31 +224,52 @@ def _mismatch_counts(q: int, columns: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _prefix_rows(mismatch: list[np.ndarray], base: np.ndarray):
+    """Yield base + sum_i mismatch[i][y_i] for every y in F_q^m, in index
+    order, one row at a time from one partial sum per coordinate."""
+    if len(mismatch) == 0:
+        yield base
+        return
+    for row in mismatch[0]:
+        yield from _prefix_rows(mismatch[1:], base + row)
+
+
+def _nearest_low(q: int, n: int, k: int) -> int:
+    """Low coordinates tabulated at once: q^low x q^k uint8 counts within 4 MiB."""
+    return max((m for m in range(n + 1) if q ** (m + k) <= 1 << 22), default=0)
+
+
+def _table_build_bytes(q: int, n: int, k: int) -> int:
+    """Peak bytes of a nearest-codeword table build: the table as q^n
+    16-byte amplitudes, two q^low x q^k uint8 count blocks, (25 + q)n
+    bytes per message (codeword, partial sums, mismatch flags), the argmin row."""
+    low = _nearest_low(q, n, k)
+    return 16 * q**n + 2 * q ** (low + k) + (25 + q) * n * q**k + 8 * q**low
+
+
 class BruteForceNearestDecoder(_BaseDecoder):
     """Nearest-codeword decoder by exhaustive enumeration (always succeeds)."""
 
     kind = "brute_force_nearest"
 
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        return brute_force_nearest(self.code, y)
-
     def _build_table(self, budget: int | None) -> np.ndarray:
-        """Distances split at a coordinate: the low m coordinates' mismatch
-        counts are tabulated once, and each high prefix adds its own row, so
-        one chunk holds q^m x q^k uint8 counts. argmin breaks ties to the
+        """Distances split at a coordinate: the low coordinates' mismatch
+        counts are tabulated once, and each high prefix adds its own row,
+        so the build holds at most `_table_build_bytes`, checked in 16-byte
+        amplitudes before anything is allocated. argmin breaks ties to the
         smallest message index, as `brute_force_nearest` does."""
         code = self.code
-        q, n = code.q, code.n
-        require_budget(q**n, budget)
+        q, n, k = code.q, code.n, code.k
+        require_budget(-(-_table_build_bytes(q, n, k) // 16), budget)
         codewords = code.codewords()
-        low = n  # keep a chunk within 4 MiB of counts
-        while low > 0 and q**low * codewords.shape[0] > 1 << 22:
-            low -= 1
+        low = _nearest_low(q, n, k)
         low_counts = _mismatch_counts(q, codewords[:, n - low:])
-        high_counts = _mismatch_counts(q, codewords[:, :n - low])
-        out = np.empty((high_counts.shape[0], q**low), dtype=np.int64)
-        for prefix, row in enumerate(high_counts):
-            out[prefix] = np.argmin(low_counts + row, axis=1)
+        mismatch = [_mismatch_counts(q, codewords[:, [i]]) for i in range(n - low)]
+        rows = _prefix_rows(mismatch, np.zeros(q**k, dtype=np.uint8))
+        block = np.empty_like(low_counts)
+        out = np.empty((q ** (n - low), q**low), dtype=np.int64)
+        for prefix, row in enumerate(rows):
+            out[prefix] = np.add(low_counts, row, out=block).argmin(axis=1)
         return out.reshape(-1)
 
 
@@ -263,11 +287,6 @@ class TableDecoder(_BaseDecoder):
         if table.min() < 0 or table.max() >= code.q**code.k:
             raise ValueError("table entries must be message indices")
         self._table = table
-
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        from .galois import index_of_vector, vector_of_index
-        idx = index_of_vector(np.asarray(y, dtype=np.int64), self.code.q)
-        return vector_of_index(int(self._table[idx]), self.code.q, self.code.k)
 
 
 # ---- channel success probabilities -----------------------------------------
@@ -291,10 +310,16 @@ class DecoderReport:
         }
 
 
-def _channel_probabilities(profile: ErrorProfile, budget: int | None) -> np.ndarray:
-    """P[e] for all q^n error vectors: tensor product of |u_i|^2."""
-    require_budget(profile.q**profile.n, budget)
-    return reduce(np.kron, profile.error_probabilities(), np.ones(1))
+def residual_index(code: LinearCode, table: np.ndarray) -> np.ndarray:
+    """Index of y - D(y)G for every received word index y, given the
+    decoder table D, built one coordinate at a time on the (q,)*n grid."""
+    q, n = code.q, code.n
+    decoded = table.reshape((q,) * n)
+    out = np.zeros(decoded.shape, dtype=np.int64)
+    for i, (weight, column) in enumerate(zip(radix_weights(q, n), code.codewords().T)):
+        y_i = np.arange(q).reshape((q,) + (1,) * (n - 1 - i))
+        out += (y_i - column[decoded]) % q * weight
+    return out.reshape(-1)
 
 
 def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,
@@ -310,8 +335,7 @@ def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,
     if profile.n != code.n or profile.q != code.q:
         raise ValueError("profile and code must share q and n")
     if mode == "exact":
-        probs = _channel_probabilities(profile, budget)
-        p = float(probs[decoder.table(budget) == 0].sum())
+        p = float(per_message_success(decoder, profile, budget)[0])
         return DecoderReport(p_dec=p, mode="exact")
     if mode == "monte_carlo":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -332,17 +356,16 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
                         budget: int | None = None) -> np.ndarray:
     """p_s = P[decoder(sG + e) = s] for every message s, exactly.
 
-    This is the classical shadow of the decoder map's diagonal amplitudes:
-    the simulator uses it to decide whether symmetrization is needed.
+    The word y = sG + e decodes to s exactly when e = y - D(y)G, so
+    p_s = sum_{y : D(y) = s} P(y - D(y)G): one pass over the table. This is
+    the classical shadow of the decoder map's diagonal amplitudes: the
+    simulator uses it to decide whether symmetrization is needed.
     """
     code = decoder.code
     if profile.n != code.n or profile.q != code.q:
         raise ValueError("profile and code must share q and n")
-    probs = _channel_probabilities(profile, budget)
-    table = decoder.table(budget).reshape((code.q,) * code.n)
-    out = np.empty(code.q**code.k)
-    for s_idx, codeword in enumerate(code.codewords()):
-        # decoded[e] = D(sG + e), read by rolling each axis back by c_i
-        decoded = np.roll(table, tuple(-codeword), axis=tuple(range(code.n)))
-        out[s_idx] = probs[decoded.reshape(-1) == s_idx].sum()
-    return out
+    require_budget(code.q**code.n, budget)
+    probs = reduce(np.kron, profile.error_probabilities(), np.ones(1))  # P[e] = |f(e)|^2
+    table = decoder.table(budget)
+    return np.bincount(table, weights=probs[residual_index(code, table)],
+                       minlength=code.q**code.k)

@@ -35,7 +35,16 @@ __all__ = [
     "fourth_power_bound",
     "FourthPowerReport",
     "offset_tau",
+    "indicator_table",
 ]
+
+
+def indicator_table(q: int, sets) -> np.ndarray:
+    """0/1 table ind[i, alpha] = 1 iff alpha in sets[i], shape (len(sets), q)."""
+    out = np.zeros((len(sets), q), dtype=np.int64)
+    for i, s in enumerate(sets):
+        out[i, list(s)] = 1
+    return out
 
 
 class ErrorProfile:
@@ -56,10 +65,7 @@ class ErrorProfile:
     @cached_property
     def uhat(self) -> np.ndarray:
         """Per-coordinate Fourier-side amplitudes, shape (n, q), real."""
-        out = np.full((self.n, self.q), self.off_amplitude)
-        for i, s in enumerate(self.sets):
-            out[i, list(s)] = self.on_amplitude
-        return out
+        return np.where(self.set_indicator, self.on_amplitude, self.off_amplitude)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -71,10 +77,7 @@ class ErrorProfile:
     @cached_property
     def set_indicator(self) -> np.ndarray:
         """0/1 table ind[i, alpha] = 1 iff alpha in S_i, shape (n, q)."""
-        out = np.zeros((self.n, self.q), dtype=np.int64)
-        for i, s in enumerate(self.sets):
-            out[i, list(s)] = 1
-        return out
+        return indicator_table(self.q, self.sets)
 
     def error_probabilities(self) -> np.ndarray:
         """|u_i(e)|^2 per coordinate, shape (n, q): the classical channel."""
@@ -291,25 +294,6 @@ def fourth_power_bound(tau: float, rho: float) -> float:
     return quartic * lead + 2.0 * a_sq * gamma * rho**2 + gamma * gamma
 
 
-def _fourth_power_bound_discrete(q: int, z: int, tau: float) -> float:
-    """The (q, z)-explicit form of `fourth_power_bound`; algebraically equal
-    to the scale-free form at rho = (2z+1)/q, kept for direct auditability."""
-    width = 2 * z + 1
-    ell = q - width
-    b = math.sqrt((1.0 - tau) / ell)
-    a = math.sqrt(tau / width) - b
-    gamma = 2.0 * a * b * width + q * b * b
-    rho = width / q
-    if rho <= 0.5:
-        return (a**4 * (2.0 * rho**3 * q**2 / 3.0)
-                + 2.0 * a**2 * gamma * rho**2 * q + gamma**2)
-    combinatorial = (width + ell * (4 * z + 1 - ell)
-                     + (width - ell) * (q - 2 * ell - 1))
-    return (a**4 * q**2 * rho**2 * (10.0 * rho / 3.0 - 4.0 + 2.0 / rho
-                                    - 1.0 / (3.0 * rho**2))
-            + (2.0 * a**2 * gamma / q) * combinatorial + gamma**2)
-
-
 def fourth_power_sum(q: int, z: int, tau: float) -> FourthPowerReport:
     """Exact sum_alpha |u(alpha)|^4 for the centered-interval set [-z, z],
     together with its closed-form lower bound (never asserted equal: the
@@ -319,4 +303,4 @@ def fourth_power_sum(q: int, z: int, tau: float) -> FourthPowerReport:
     profile = interval_profile(q, 1, z, tau)
     u = profile.u[0]
     exact = float(np.sum(np.abs(u) ** 4))
-    return FourthPowerReport(exact=exact, bound=_fourth_power_bound_discrete(q, z, tau))
+    return FourthPowerReport(exact=exact, bound=fourth_power_bound(tau, (2 * z + 1) / q))

@@ -25,7 +25,7 @@ from .codes import (LinearCode, coset_members, coset_sample, rs_code, solve_part
                     syndrome)
 from .config import count_threshold, require_budget
 from .galois import PrimeField, all_vectors
-from .noise import ConstraintSet, ErrorProfile, build_profile
+from .noise import ConstraintSet, ErrorProfile, build_profile, indicator_table
 
 __all__ = [
     "OPIInstance",
@@ -107,10 +107,7 @@ class OPIInstance:
     @cached_property
     def set_indicator(self) -> np.ndarray:
         """0/1 table ind[i, alpha] = 1 iff alpha in S_i, shape (q, q)."""
-        out = np.zeros((self.q, self.q), dtype=np.int64)
-        for i, s in enumerate(self.sets):
-            out[i, list(s)] = 1
-        return out
+        return indicator_table(self.q, self.sets)
 
     @cached_property
     def profile(self) -> ErrorProfile:

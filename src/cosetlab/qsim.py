@@ -49,7 +49,7 @@ import numpy as np
 
 from .codes import LinearCode, syndrome
 from .config import TOL, require_budget
-from .decode import _BaseDecoder, per_message_success
+from .decode import _BaseDecoder, _table_build_bytes, per_message_success, residual_index
 from .galois import PrimeField, all_vectors, fourier_transform, radix_weights
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
@@ -311,11 +311,14 @@ def _decide_symmetrization(decoder: _BaseDecoder, profile: ErrorProfile,
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
     """Peak bytes of `run_reduction`: in step 2, four complex (A, B[, T])
     blocks (prepared, T-transformed, mapped, accepted) and the int64 gather
-    index; beside them the int64 shift table of q^(n+k) entries, at most 64
-    bytes per entry of q^n- and q^(2k)-entry tables, and 64 KiB of overhead."""
+    index; beside them the int64 shift table of q^(n+k) entries and at most
+    64 bytes per entry of q^n- and q^(2k)-entry tables; or, if larger, a
+    nearest-codeword table build, which precedes them; and 64 KiB of
+    overhead."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
-    return (entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + q ** (n + k) * INDEX_BYTES
-            + (q**n + q ** (2 * k)) * 64 + 2**16)
+    evolve = (entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + q ** (n + k) * INDEX_BYTES
+              + (q**n + q ** (2 * k)) * 64)
+    return max(evolve, _table_build_bytes(q, n, k)) + 2**16
 
 
 def run_reduction(code: LinearCode, profile: ErrorProfile,
@@ -398,10 +401,10 @@ def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
     """Peak bytes of `run_reduction_sweep` with one constraint set. Per
     received word: the int64 table, syndrome index and residual, at most
     max(2n, 13) int64-sized entries of words, codewords, amplitudes and
-    transform buffers, and one of slack. Per message: its codeword and
-    message rows and its outcome. A nearest-codeword table built in the
-    call adds a few MiB of distance counts."""
-    return (q**n * INDEX_BYTES * (max(2 * n, 13) + 4)
+    transform buffers, and one of slack; or, if larger, a nearest-codeword
+    table build, which precedes them. Per message: its codeword and message
+    rows and its outcome."""
+    return (max(q**n * INDEX_BYTES * (max(2 * n, 13) + 4), _table_build_bytes(q, n, k))
             + q**k * (4 * n * INDEX_BYTES + 512) + 2**16)
 
 
@@ -436,20 +439,18 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     q^-k chi(<u - G x^T, t>) ghat_u(x) / sqrt(P_acc). The phase has unit
     modulus, so summing over t returns the same A marginal |Fhat_u(x)|^2.
 
-    P_acc equals mean_s p_s algebraically; p_dec is still taken from
-    `per_message_success`, an independent enumeration, so acceptance
-    minus p_dec remains a check.
+    q^k P_acc = sum_y |f(y - D(y)G)|^2 and mean_s p_s =
+    q^-k sum_y P(y - D(y)G) are the same sum over one residual index, so
+    acceptance equals p_dec by construction, not as a check. The checks of
+    acceptance are independent: the literal engine `run_reduction` evolves
+    the state and measures it.
     """
     _check_inputs(code, profile, decoder, constraints)
     q, n, k = code.q, code.n, code.k
     require_budget(-(-_sweep_peak_bytes(q, n, k) // COMPLEX_BYTES), budget)
     symmetrized, p_dec = _decide_symmetrization(decoder, profile, None, budget)
-    table = decoder.table(budget)
-    ys = all_vectors(q, n)
-    dual_idx = syndrome(code, ys, "dual") @ radix_weights(q, k)
-    ys -= code.codewords()[table]
-    residual = (ys % q) @ radix_weights(q, n)
-    del ys  # freed before the transform buffers, as `_sweep_peak_bytes` assumes
+    dual_idx = syndrome(code, all_vectors(q, n), "dual") @ radix_weights(q, k)
+    residual = residual_index(code, decoder.table(budget))
     f = profile.amplitudes(budget)
     histogram = np.bincount(residual, minlength=q**n)
     norm_sq = float(histogram @ np.abs(f) ** 2)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .noise import (_fourth_power_bound_discrete, center_probability_form,
-                    fourth_power_bound)
+from .noise import center_probability_form, fourth_power_bound
 
 __all__ = [
     "ThresholdQuery",
@@ -50,8 +49,6 @@ class ThresholdQuery:
     kind: str
     r: float
     rho: float
-    q: int | None = None
-    z: int | None = None
 
     def __post_init__(self):
         if self.kind not in DECODER_KINDS:
@@ -60,11 +57,6 @@ class ThresholdQuery:
             raise ValueError(f"rate must be in (0, 1), got {self.r}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.q is not None:
-            if self.kind != "kv":
-                raise ValueError("q and z apply to the kv kind only")
-            if self.z is None or abs(self.rho * self.q - (2 * self.z + 1)) > 1e-9:
-                raise ValueError("kv with explicit q needs 2z+1 = rho*q")
 
 
 def binary_threshold(tau: float) -> float:
@@ -81,8 +73,6 @@ def _rhs(query: ThresholdQuery, tau: float) -> float:
         return center_probability_form(tau, query.rho)
     if query.kind == "gs":
         return center_probability_form(tau, query.rho) ** 2
-    if query.q is not None:
-        return _fourth_power_bound_discrete(query.q, query.z, tau)
     return fourth_power_bound(tau, query.rho)
 
 
@@ -164,7 +154,7 @@ def _kv_query(r: float, rho: float, kv_q: int | None) -> ThresholdQuery:
         return ThresholdQuery("kv", r, rho)
     z = max(0, round((rho * kv_q - 1) / 2))
     z = min(z, (kv_q - 3) // 2)  # keep 2z+1 < q
-    return ThresholdQuery("kv", r, (2 * z + 1) / kv_q, q=kv_q, z=z)
+    return ThresholdQuery("kv", r, (2 * z + 1) / kv_q)
 
 
 def optimize_over_rho(kind: str, classical_target: float,

@@ -28,6 +28,7 @@ from cosetlab.qsim import (DecoderUnitary, SymmetrizedUnitary, _Registers,
                            run_reduction_sweep, verify_bound)
 from cosetlab.thresholds import ThresholdQuery, binary_threshold, table1, \
     tau_max
+from oracles import roll_per_message_success
 
 # ---- criterion 1: the six-row threshold table ---------------------------------
 
@@ -128,8 +129,12 @@ def test_criterion_04_success_bound_matrix():
                 assert report.slack >= -1e-9, (
                     f"{label}: mean acceptance {report.mean_p:.6f} fell "
                     f"below bound {report.bound:.6f}")
+                # acceptance and p_dec read one residual index; the roll
+                # enumeration shares none of it
+                p_dec = roll_per_message_success(decoder, profile).mean()
+                assert abs(report.p_dec - p_dec) <= 1e-9, label
                 for o in outcomes:
-                    assert abs(o.post_select_prob - report.p_dec) <= 1e-9, label
+                    assert abs(o.post_select_prob - p_dec) <= 1e-9, label
                 cases += 1
     elapsed = time.perf_counter() - start
     assert cases == 72  # 11 decoder/code rows x 3 tau_tilde x 2 profiles / ...

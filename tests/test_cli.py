@@ -93,6 +93,18 @@ def test_simulate_single_u(capsys):
     assert doc["outcomes"][0]["slack"] >= -1e-9
 
 
+def test_simulate_sweeps_rs_7_5_within_default_budget(capsys):
+    # the all-syndrome sweep reaches k = 5 at q = 7 without a budget flag
+    code, out = _run(capsys, "simulate", "--q", "7", "--n", "7", "--k", "5",
+                     "--code", "rs", "--decoder", "bw", "--tau", "0.7",
+                     "--ttilde", "0.5", "--sets", "interval:2", "--u", "all",
+                     "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["outcomes"]) == 7**5
+    assert doc["report"]["ok"] is True
+
+
 def test_simulate_budget_exceeded_exits_2(capsys):
     code, out = _run(capsys, "simulate", "--q", "5", "--n", "5", "--k", "2",
                      "--tau", "0.7", "--ttilde", "0.5", "--sets", "interval:1",

@@ -9,12 +9,21 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              berlekamp_welch_batch, brute_force_list,
                              brute_force_nearest, gs_list_radius,
                              per_message_success, success_probability)
-from cosetlab.galois import all_vectors, radix_weights
-from cosetlab.noise import build_profile, interval_profile
+from cosetlab.galois import all_vectors, radix_weights, vector_of_index
+from cosetlab.noise import build_profile, interval_profile, random_sets_profile
+from oracles import roll_per_message_success
 
 
 def _distances(code, y):
     return np.sum(code.codewords() != np.asarray(y)[None, :], axis=1)
+
+
+def _scalar_decode(decoder, y):
+    """The decoder's message for y from the scalar decoders, not the table."""
+    if isinstance(decoder, BerlekampWelchDecoder):
+        message = berlekamp_welch(decoder.code, y)
+        return np.zeros(decoder.code.k, dtype=np.int64) if message is None else message
+    return brute_force_nearest(decoder.code, y)
 
 
 # ---- Berlekamp-Welch ------------------------------------------------------------
@@ -114,6 +123,21 @@ def test_nearest_table_equals_scalar_search_on_tie_heavy_code():
         assert table[idx] == int(brute_force_nearest(code, y) @ radix)
 
 
+@pytest.mark.parametrize("code", [rs_code(7, 3), random_code(3, 12, 6, seed=1)],
+                         ids=["rs(7,3)", "random[12,6]_3"])
+def test_nearest_table_splits_beyond_the_count_block(code):
+    # q^(n+k) counts exceed one 4 MiB block, so high prefixes add their own
+    # rows (3 and 5 high coordinates here); sampled words against the scalar
+    # search, which breaks ties the same way
+    assert code.q ** (code.n + code.k) > 1 << 22
+    table = BruteForceNearestDecoder(code).table()
+    radix = radix_weights(code.q, code.k)
+    rng = np.random.default_rng(3)
+    for idx in rng.integers(0, code.q**code.n, size=400):
+        y = vector_of_index(int(idx), code.q, code.n)
+        assert table[idx] == int(brute_force_nearest(code, y) @ radix)
+
+
 def test_bw_requires_full_support_rs():
     with pytest.raises(ValueError):
         BerlekampWelchDecoder(random_code(5, 5, 2, seed=1))
@@ -164,7 +188,7 @@ def test_table_decoder_roundtrip():
     via = TableDecoder(code, table)
     assert np.array_equal(via.table(), table)
     y = np.array([1, 1, 2])
-    assert np.array_equal(via.decode(y), base.decode(y))
+    assert np.array_equal(via.decode(y), brute_force_nearest(code, y))
     with pytest.raises(ValueError):
         TableDecoder(code, table[:-1])  # wrong length
     with pytest.raises(ValueError):
@@ -178,15 +202,17 @@ def test_decoder_tables_agree_with_decode():
         vecs = all_vectors(decoder.code.q, decoder.code.n)
         radix = radix_weights(decoder.code.q, decoder.code.k)
         for idx in (0, 7, len(vecs) // 2, len(vecs) - 1):
-            msg = decoder.decode(vecs[idx])
-            assert table[idx] == int(msg @ radix)
+            want = _scalar_decode(decoder, vecs[idx])
+            assert table[idx] == int(want @ radix)
+            assert np.array_equal(decoder.decode(vecs[idx]), want)
 
 
 def test_bw_sentinel_is_zero_message():
     code = rs_code(5, 2)
     decoder = BerlekampWelchDecoder(code)
-    y = np.array([1, 0, 0, 3, 2])
-    if berlekamp_welch(code, y) is None:
+    far = [y for y in all_vectors(5, 5)[::7] if berlekamp_welch(code, y) is None]
+    assert far  # words outside every decoding ball exist
+    for y in far:
         assert np.array_equal(decoder.decode(y), np.zeros(2, dtype=np.int64))
 
 
@@ -203,7 +229,7 @@ def _success_oracle(decoder, profile, s_idx):
         p = 1.0
         for i in range(code.n):
             p *= probs[i, e[i]]
-        msg = decoder.decode((word + e) % code.q)
+        msg = _scalar_decode(decoder, (word + e) % code.q)
         radix = code.q ** np.arange(code.k - 1, -1, -1)
         if int(msg @ radix) == s_idx:
             total += p
@@ -218,6 +244,36 @@ def test_per_message_success_oracle():
     for s_idx in (0, 1, 4, 8):
         assert ps[s_idx] == pytest.approx(
             _success_oracle(decoder, profile, s_idx), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_per_message_success_equals_roll_oracle_on_every_rs(q):
+    for k in range(1, q):
+        code = rs_code(q, k)
+        profiles = [interval_profile(q, q, (q - 1) // 4, 0.7),
+                    random_sets_profile(q, q, max(1, q // 2), 0.8, seed=q + k)]
+        for decoder in (BerlekampWelchDecoder(code), BruteForceNearestDecoder(code)):
+            for profile in profiles:
+                want = roll_per_message_success(decoder, profile)
+                got = per_message_success(decoder, profile)
+                assert np.max(np.abs(got - want)) <= 1e-12, (q, k, decoder.kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3, 1), (2, 5, 2), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 4, 2)]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_per_message_success_equals_roll_oracle_on_random_tables(shape, seed):
+    # arbitrary tables: no shift covariance, many messages never decoded
+    q, n, k = shape
+    rng = np.random.default_rng(seed)
+    code = random_code(q, n, k, seed=int(rng.integers(2**31)))
+    decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
+    profile = random_sets_profile(q, n, 1, float(rng.uniform(0.3, 1.0)),
+                                  seed=int(rng.integers(2**31)))
+    want = roll_per_message_success(decoder, profile)
+    assert np.max(np.abs(per_message_success(decoder, profile) - want)) <= 1e-12
+    exact = success_probability(decoder, profile, mode="exact").p_dec
+    assert abs(exact - want[0]) <= 1e-12
 
 
 def test_success_probability_exact_is_message_zero():

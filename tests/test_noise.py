@@ -11,8 +11,7 @@ from cosetlab.galois import PrimeField, all_vectors, fourier_transform
 from cosetlab.noise import (ConstraintSet, build_profile, center_probability,
                             center_probability_form, fourth_power_bound,
                             fourth_power_sum, interval_profile, offset_tau,
-                            random_sets_profile, tail_mass,
-                            _fourth_power_bound_discrete)
+                            random_sets_profile, tail_mass)
 
 
 # ---- profile construction --------------------------------------------------------
@@ -222,13 +221,34 @@ def test_fourth_power_bound_tau_one():
     assert fourth_power_bound(1.0, 0.5) == 1 / 3  # exact in floats
 
 
+def _fourth_power_bound_discrete(q, z, tau):
+    """The (q, z)-explicit form of the fourth-power bound for [-z, z]."""
+    width = 2 * z + 1
+    ell = q - width
+    b = math.sqrt((1.0 - tau) / ell)
+    a = math.sqrt(tau / width) - b
+    gamma = 2.0 * a * b * width + q * b * b
+    rho = width / q
+    if rho <= 0.5:
+        return (a**4 * (2.0 * rho**3 * q**2 / 3.0)
+                + 2.0 * a**2 * gamma * rho**2 * q + gamma**2)
+    combinatorial = (width + ell * (4 * z + 1 - ell)
+                     + (width - ell) * (q - 2 * ell - 1))
+    return (a**4 * q**2 * rho**2 * (10.0 * rho / 3.0 - 4.0 + 2.0 / rho
+                                    - 1.0 / (3.0 * rho**2))
+            + (2.0 * a**2 * gamma / q) * combinatorial + gamma**2)
+
+
 def test_fourth_power_scale_free_matches_discrete():
-    # the (q, z) closed form is the scale-free form at rho = (2z+1)/q
+    # the (q, z) closed form is the scale-free form at rho = (2z+1)/q, and
+    # fourth_power_sum reports the scale-free form as its bound
     for q, z in [(11, 1), (11, 4), (13, 2), (17, 6), (17, 7), (251, 62)]:
         rho = (2 * z + 1) / q
         for tau in (0.6, 0.8, 1.0):
-            assert _fourth_power_bound_discrete(q, z, tau) == pytest.approx(
-                fourth_power_bound(tau, rho), abs=1e-12)
+            want = _fourth_power_bound_discrete(q, z, tau)
+            assert fourth_power_bound(tau, rho) == pytest.approx(want, abs=1e-12)
+            if q < 100:
+                assert fourth_power_sum(q, z, tau).bound == pytest.approx(want, abs=1e-12)
 
 
 def test_convolution_identity():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cosetlab.codes import LinearCode, random_code, rs_code
 from cosetlab.config import TOL, BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                             TableDecoder, per_message_success)
+                             TableDecoder, _table_build_bytes, per_message_success)
 from cosetlab.galois import all_vectors, radix_weights, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
@@ -251,6 +251,39 @@ def test_stated_peak_bytes_bound_traced_peak():
         code, profile, decoder, [ConstraintSet(profile, 0.5)]))
     stated = _sweep_peak_bytes(5, 5, 2)
     assert stated / 2 <= peak <= stated
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_fresh_nearest_build_within_stated_peak(k):
+    # the nearest table's count blocks are built inside the call; at
+    # rs(5,4) they, not the q^n arrays, set the peak
+    code = rs_code(5, k)
+    profile = interval_profile(5, 5, 1, 0.7)
+    peak = _traced_peak(lambda: run_reduction_sweep(
+        code, profile, BruteForceNearestDecoder(code), [ConstraintSet(profile, 0.5)]))
+    assert peak <= _sweep_peak_bytes(5, 5, k)
+
+
+def test_nearest_build_scratch_counts_against_budget():
+    # rs(5,4): the build's count blocks need far more than the q^n table
+    code = rs_code(5, 4)
+    decoder = BruteForceNearestDecoder(code)
+    need = -(-_table_build_bytes(5, 5, 4) // 16)
+    assert need > 50 * 5**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            decoder.table(budget=need - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14 and decoder._table is None  # nothing was allocated
+    profile = interval_profile(5, 5, 1, 0.7)
+    with pytest.raises(BudgetError):
+        run_reduction_sweep(code, profile, decoder, [ConstraintSet(profile, 0.5)],
+                            budget=-(-_sweep_peak_bytes(5, 5, 4) // 16) - 1)
+    assert decoder._table is None
+    assert decoder.table(budget=need).shape == (5**5,)
 
 
 def test_no_postselection_acceptance_equals_p_dec():

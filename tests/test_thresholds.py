@@ -66,17 +66,15 @@ def test_query_validation():
         ThresholdQuery("bw", 0.0, 0.5)  # rate must be positive
     with pytest.raises(ValueError):
         ThresholdQuery("bw", 0.5, 0.0)
-    with pytest.raises(ValueError):
-        ThresholdQuery("kv", 0.5, 0.4, q=11)  # 2z+1 = rho q has no integer z
-    ok = ThresholdQuery("kv", 0.5, 3 / 11, q=11, z=1)
-    assert ok.z == 1
 
 
 def test_discrete_kv_close_to_scale_free_at_large_q():
-    rho = 999 / 1999  # 2z+1 = 999 residues out of q = 1999
-    free = tau_max(ThresholdQuery("kv", 0.3, rho))
-    disc = tau_max(ThresholdQuery("kv", 0.3, rho, q=1999, z=499))
-    assert disc == pytest.approx(free, abs=2e-3)
+    # kv_q snaps rho to the nearest (2z+1)/q; at q = 1999 that moves 0.5 to
+    # 999/1999, and the kv column barely moves with it
+    free = tau_max(ThresholdQuery("kv", 0.3, 0.5))
+    row = figure1_curves(0.5, [0.3], kv_q=1999)[0]
+    assert row.tau_kv == tau_max(ThresholdQuery("kv", 0.3, 999 / 1999))
+    assert row.tau_kv == pytest.approx(free, abs=2e-3)
 
 
 def test_optimizer_hits_classical_target_curve():
