@@ -6,6 +6,8 @@ maps to the all-zeros message sentinel so that downstream unitary
 constructions stay permutations. `decode` and the per-message success
 p_s = sum_{y : D(y) = s} P(y - D(y)G) are read off the table, the latter
 through the residual index of y - D(y)G that the sweep engine shares.
+Every word index, of one word, a batch or the whole (q,)*n grid, is
+`galois.index_of_vector`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .codes import LinearCode, rs_code, solve_batch
 from .config import require_budget
-from .galois import all_vectors, radix_weights, vector_of_index
+from .galois import all_vectors, index_of_vector, vector_of_index
 from .noise import ErrorProfile
 
 __all__ = [
@@ -166,8 +168,7 @@ class _BaseDecoder:
         y = np.asarray(y, dtype=np.int64) % code.q
         if y.shape != (code.n,):
             raise ValueError(f"received word must have length {code.n}")
-        return vector_of_index(int(self.table()[y @ radix_weights(code.q, code.n)]),
-                               code.q, code.k)
+        return vector_of_index(int(self.table()[index_of_vector(y, code.q)]), code.q, code.k)
 
     def table(self, budget: int | None = None) -> np.ndarray:
         """Message index for every received word index, shape (q^n,)."""
@@ -208,7 +209,8 @@ class BerlekampWelchDecoder(_BaseDecoder):
         codewords = code.codewords()
         words = (codewords[:, None, :] + np.concatenate(errors)[None, :, :]) % q
         table = np.zeros(q**n, dtype=np.int64)
-        table[words @ radix_weights(q, n)] = np.arange(codewords.shape[0])[:, None]
+        table[index_of_vector(np.moveaxis(words, -1, 0), q)] = np.arange(
+            codewords.shape[0])[:, None]
         return table
 
 
@@ -312,14 +314,11 @@ class DecoderReport:
 
 def residual_index(code: LinearCode, table: np.ndarray) -> np.ndarray:
     """Index of y - D(y)G for every received word index y, given the
-    decoder table D, built one coordinate at a time on the (q,)*n grid."""
+    decoder table D: coordinate i is y_i - c_{D(y),i} on the (q,)*n grid."""
     q, n = code.q, code.n
     decoded = table.reshape((q,) * n)
-    out = np.zeros(decoded.shape, dtype=np.int64)
-    for i, (weight, column) in enumerate(zip(radix_weights(q, n), code.codewords().T)):
-        y_i = np.arange(q).reshape((q,) + (1,) * (n - 1 - i))
-        out += (y_i - column[decoded]) % q * weight
-    return out.reshape(-1)
+    return index_of_vector((y_i - column[decoded] for y_i, column in zip(
+        np.ogrid[(slice(q),) * n], code.codewords().T)), q).reshape(-1)
 
 
 def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,
@@ -343,7 +342,7 @@ def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,
         draws = np.empty((samples, profile.n), dtype=np.int64)
         for i in range(profile.n):
             draws[:, i] = rng.choice(profile.q, size=samples, p=channel[i])
-        hits = decoder.table(budget)[draws @ radix_weights(code.q, code.n)] == 0
+        hits = decoder.table(budget)[index_of_vector(draws.T, code.q)] == 0
         p = float(np.mean(hits))
         # variance floor keeps the interval honest when p sits at 0 or 1
         half = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
@@ -365,7 +364,13 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
     if profile.n != code.n or profile.q != code.q:
         raise ValueError("profile and code must share q and n")
     require_budget(code.q**code.n, budget)
-    probs = reduce(np.kron, profile.error_probabilities(), np.ones(1))  # P[e] = |f(e)|^2
     table = decoder.table(budget)
-    return np.bincount(table, weights=probs[residual_index(code, table)],
-                       minlength=code.q**code.k)
+    return _message_success(code, profile, table, residual_index(code, table))
+
+
+def _message_success(code: LinearCode, profile: ErrorProfile, table: np.ndarray,
+                     residual: np.ndarray) -> np.ndarray:
+    """p_s from the decoder table and its residual index: the channel
+    probability at y - D(y)G, summed by D(y)."""
+    probs = reduce(np.kron, profile.error_probabilities(), np.ones(1))  # P[e] = |f(e)|^2
+    return np.bincount(table, weights=probs[residual], minlength=code.q**code.k)

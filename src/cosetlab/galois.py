@@ -7,7 +7,8 @@ Conventions fixed here and shared by the whole package:
   alongside, there is no per-element wrapper type).
 - Dense functions on F_q^n are 1-D complex arrays of length q^n indexed in
   mixed radix with coordinate 0 most significant:
-  index(v) = v[0]*q^(n-1) + ... + v[n-1].
+  index(v) = v[0]*q^(n-1) + ... + v[n-1]. `index_of_vector` computes every
+  such index in the package, of one vector or of a whole grid of words.
 - The forward transform is fhat(x) = q^(-n/2) * sum_y chi_x(y) f(y) with
   chi_x(y) = exp(2*pi*i*<x,y>/q); the inverse conjugates the character.
 """
@@ -15,6 +16,7 @@ Conventions fixed here and shared by the whole package:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +30,6 @@ __all__ = [
     "inverse_fourier_transform",
     "code_character_sum",
     "index_of_vector",
-    "radix_weights",
     "vector_of_index",
     "all_vectors",
 ]
@@ -127,18 +128,19 @@ class PrimeField:
 # ---- mixed-radix indexing ----------------------------------------------
 
 
-def index_of_vector(vec: np.ndarray, q: int) -> int:
-    """Mixed-radix index of a vector, coordinate 0 most significant."""
+def index_of_vector(coords: np.ndarray | Iterable[np.ndarray], q: int) -> int | np.ndarray:
+    """Mixed-radix index, coordinate 0 most significant, by Horner's rule
+    idx = idx * q + c mod q over the coordinates c = coords[0], coords[1], ...
+
+    `coords` is a vector (the index is an int) or an iterable of broadcastable
+    integer arrays, one per coordinate (the index is their broadcast array).
+    On the axes `np.ogrid[(slice(q),) * m]` it indexes every word of F_q^m,
+    in index order; on a (m, ...) stack of words it indexes each of them.
+    """
     idx = 0
-    for v in np.asarray(vec, dtype=np.int64):
-        idx = idx * q + int(v) % q
-    return idx
-
-
-def radix_weights(q: int, n: int) -> np.ndarray:
-    """Place values (q^(n-1), ..., q, 1): `vectors @ radix_weights(q, n)`
-    gives the index of every row of a (..., n) array of residues."""
-    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for c in coords:
+        idx = idx * q + np.asarray(c, dtype=np.int64) % q
+    return int(idx) if np.ndim(idx) == 0 else idx
 
 
 def vector_of_index(idx: int, q: int, n: int) -> np.ndarray:

@@ -20,7 +20,10 @@ are not all equal (the all-zeros failure sentinel breaks shift covariance),
 U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
 to A, run U, subtract t from B. U' has uniform diagonal amplitudes
 sqrt(mean_s p_s), which the success-bound machinery requires. Past the
-transform on T, U' permutes basis states: it runs as one composed gather.
+transform on T, U and U' permute basis states: each is one `DecoderMap`,
+a gather whose index is read off the register grid from the definition.
+Every dense index, of registers, residuals and dual syndromes, comes from
+`galois.index_of_vector`.
 
 Two engines compute identical outcomes:
 
@@ -28,7 +31,8 @@ Two engines compute identical outcomes:
   reference engine), checking norms at every step. U' never touches the
   message copy C, so each C = s block evolves alone and keeping C = 0 keeps
   its B = s slice: the engine streams over s in O(q^(n+2k)) memory, not
-  the O(q^(n+3k)) of the whole (A, B, C, T) tensor.
+  the O(q^(n+3k)) of the whole (A, B, C, T) tensor. Each |psi_s> is the
+  Kronecker product of the profile's rows shifted by the codeword sG.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
   register A holds F_u(y) = chi_{-u}(D(y)) f(y - D(y)G), normalized. On the
@@ -47,17 +51,17 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .codes import LinearCode, syndrome
+from .codes import LinearCode
 from .config import TOL, require_budget
-from .decode import _BaseDecoder, _table_build_bytes, per_message_success, residual_index
-from .galois import PrimeField, all_vectors, fourier_transform, radix_weights
+from .decode import (_BaseDecoder, _message_success, _table_build_bytes, per_message_success,
+                     residual_index)
+from .galois import PrimeField, fourier_transform, index_of_vector
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
 __all__ = [
     "ReductionOutcome",
     "BoundReport",
-    "DecoderUnitary",
-    "SymmetrizedUnitary",
+    "DecoderMap",
     "success_lower_bound",
     "run_reduction",
     "run_reduction_sweep",
@@ -68,153 +72,95 @@ COMPLEX_BYTES = 16
 INDEX_BYTES = 8
 
 
-# ---- index machinery of the reference engine ---------------------------------
+# ---- the decoder map -----------------------------------------------------------
 
 
-class _Registers:
-    """Index tables of the dense registers for one (code, profile) pair."""
+class DecoderMap:
+    """The decoder map for a total D, as a permutation of basis states.
 
-    def __init__(self, code: LinearCode, profile: ErrorProfile):
-        self.code = code
-        self.profile = profile
-        self.field = PrimeField(code.q)
-        self.q, self.n, self.k = code.q, code.n, code.k
-        self.dim_a = self.q**self.n
-        self.dim_b = self.q**self.k
-        self._radix_n = radix_weights(self.q, self.n)
-        self._radix_k = radix_weights(self.q, self.k)
+    Plain, U acts on (A, B): |a, b> -> |a, b + D(a)>. Symmetrized, U' acts on
+    (A, B, T): Fourier-transform T, then |a, b, t> -> |a + tG, b + D(a + tG)
+    - t, t>, that is add tG to A, run U and subtract t from B. U' makes the
+    diagonal amplitudes uniform: every gamma'_{s,s} equals sqrt(mean_s p_s),
+    real nonnegative. Past the transform either map is one gather, by an
+    index read off the register grid once; the adjoint scatters by it.
+    """
 
-    @cached_property
-    def messages(self) -> np.ndarray:
-        return all_vectors(self.q, self.k)
-
-    @cached_property
-    def add_k(self) -> np.ndarray:
-        """add_k[i, j] = index of message_i + message_j."""
-        v = self.messages
-        return ((v[:, None, :] + v[None, :, :]) % self.q) @ self._radix_k
-
-    @cached_property
-    def sub_k(self) -> np.ndarray:
-        """sub_k[i, j] = index of message_i - message_j."""
-        v = self.messages
-        return ((v[:, None, :] - v[None, :, :]) % self.q) @ self._radix_k
-
-    @cached_property
-    def shift_sub_idx(self) -> np.ndarray:
-        """shift_sub_idx[s, a] = index of (vector_a - codeword_s)."""
-        va = all_vectors(self.q, self.n)
-        return np.stack([((va - c) % self.q) @ self._radix_n for c in self.code.codewords()])
-
-    @cached_property
-    def fourier_k(self) -> np.ndarray:
-        """Unitary transform matrix on the k-coordinate message register."""
-        return reduce(np.kron, [self.field.fourier_matrix] * self.k, np.ones((1, 1)))
-
-    def psi(self, s_idx: int) -> np.ndarray:
-        """|psi_s> as a dense q^n vector: f shifted by codeword s."""
-        return self.profile.amplitudes()[self.shift_sub_idx[s_idx]]
-
-
-# ---- decoder maps ------------------------------------------------------------
-
-
-class _GatherMap:
-    """A decoder map whose basis-state action is the gather `steps`. `apply`
-    runs one flat gather index, built once by running `steps` on an index
-    array; the adjoint scatters by the same index."""
-
-    shape: tuple[int, ...]
-    _gather: np.ndarray | None = None
-
-    def steps(self, regs: _Registers, arr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gather(self, regs: _Registers) -> np.ndarray:
-        if self._gather is None:
-            index = np.arange(math.prod(self.shape)).reshape(self.shape)
-            self._gather = self.steps(regs, index).reshape(-1)
-        return self._gather
-
-    def apply(self, regs: _Registers, state: np.ndarray,
-              adjoint: bool = False) -> np.ndarray:
-        """Apply to a state of shape `shape`, or any reshape of it."""
-        flat, gather = state.reshape(-1), self.gather(regs)
-        if not adjoint:
-            return flat[gather].reshape(state.shape)
-        out = np.empty_like(flat)
-        out[gather] = flat
-        return out.reshape(state.shape)
-
-    def diagonal_gammas(self, regs: _Registers) -> np.ndarray:
-        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s."""
-        return np.array([float(np.linalg.norm(mapped[:, s_idx])) for s_idx, _, mapped
-                         in _evolved_blocks(regs, self, np.ones(regs.dim_b))])
-
-
-class DecoderUnitary(_GatherMap):
-    """Permutation map |y>_A |t>_B -> |y>_A |t + D(y)>_B for a total D."""
-
-    def __init__(self, decoder: _BaseDecoder, budget: int | None = None):
+    def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False,
+                 budget: int | None = None):
         code = decoder.code
-        self.shape = (code.q**code.n, code.q**code.k)
+        self.code, self.symmetrized = code, symmetrized
+        self.shape = (code.q**code.n,) + (code.q**code.k,) * (2 if symmetrized else 1)
         require_budget(math.prod(self.shape), budget)
         self.table = decoder.table(budget)
         if self.table.shape != self.shape[:1]:
             raise ValueError("decoder table must cover every received word")
 
-    def steps(self, regs: _Registers, arr: np.ndarray) -> np.ndarray:
-        """b += D(a) on axes (A, B, ...): reads b - D(a)."""
-        return arr[np.arange(regs.dim_a)[:, None], regs.sub_k[:, self.table].T]
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """Flat source index of every basis state: U's amplitude at |a, b>
+        comes from |a, b - D(a)>, and U''s at |a, b, t> from
+        |a - tG, b - D(a) + t, t>."""
+        code = self.code
+        q, n, k = code.q, code.n, code.k
+        axes = np.ogrid[(slice(q),) * (n + k * (len(self.shape) - 1))]
+        a, b, t = axes[:n], axes[n:n + k], axes[n + k:]
+        lift = t or (0,) * k
+        decoded = code.messages()[self.table].T.reshape(
+            (k,) + (q,) * n + (1,) * (len(axes) - n))
+        a_src = [a_i - sum(t_j * g for t_j, g in zip(lift, column))
+                 for a_i, column in zip(a, code.G.T)]
+        b_src = [b_j - d_j + t_j for b_j, d_j, t_j in zip(b, decoded, lift)]
+        return index_of_vector([*a_src, *b_src, *t], q).reshape(-1)
 
+    @cached_property
+    def _fourier_t(self) -> np.ndarray:
+        """Unitary transform matrix on the k-coordinate shift register T."""
+        return reduce(np.kron, [PrimeField(self.code.q).fourier_matrix] * self.code.k,
+                      np.ones((1, 1)))
 
-class SymmetrizedUnitary(_GatherMap):
-    """U' on (A, B, T): Fourier T, add TG to A, run U, subtract T from B.
-
-    Makes the diagonal amplitudes uniform: every gamma'_{s,s} equals
-    sqrt(mean_s p_s), real nonnegative. The three steps after the transform
-    are gathers, which `apply` runs as one composed gather index.
-    """
-
-    def __init__(self, base: DecoderUnitary, budget: int | None = None):
-        self.base = base
-        self.shape = base.shape + (base.shape[1],)
-        require_budget(math.prod(self.shape), budget)
-
-    @staticmethod
-    def shift_a(regs: _Registers, arr: np.ndarray) -> np.ndarray:
-        """a += tG on axes (A, B, T): reads a - tG."""
-        b, t = np.ogrid[:regs.dim_b, :regs.dim_b]
-        return arr[regs.shift_sub_idx.T[:, None, :], b, t]
-
-    @staticmethod
-    def sub_b_t(regs: _Registers, arr: np.ndarray) -> np.ndarray:
-        """b -= t on axes (A, B, T): reads b + t."""
-        return arr[:, regs.add_k, np.arange(regs.dim_b)]
-
-    def steps(self, regs: _Registers, arr: np.ndarray) -> np.ndarray:
-        return self.sub_b_t(regs, self.base.steps(regs, self.shift_a(regs, arr)))
-
-    def apply(self, regs: _Registers, state: np.ndarray,
-              adjoint: bool = False) -> np.ndarray:
-        """Apply to an (A, B, T) state: transform T, then gather. fourier_k
-        is symmetric, so the adjoint's transform is its conjugate."""
-        rows = state.reshape(-1, regs.dim_b)
+    def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Apply to a state of shape `shape`, or any reshape of it. The
+        transform on T is symmetric, so the adjoint's is its conjugate."""
+        flat = state.reshape(-1)
         if adjoint:
-            rows = super().apply(regs, rows, adjoint=True) @ regs.fourier_k.conj()
+            out = np.empty_like(flat)
+            out[self.gather] = flat
+            if self.symmetrized:
+                out = out.reshape(-1, self.shape[-1]) @ self._fourier_t.conj()
         else:
-            rows = super().apply(regs, rows @ regs.fourier_k.T)
-        return rows.reshape(state.shape)
+            if self.symmetrized:
+                flat = (state.reshape(-1, self.shape[-1]) @ self._fourier_t.T).reshape(-1)
+            out = flat[self.gather]
+        return out.reshape(state.shape)
+
+    def diagonal_gammas(self, profile: ErrorProfile) -> np.ndarray:
+        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s."""
+        return np.array([float(np.linalg.norm(mapped[:, s_idx])) for s_idx, _, mapped
+                         in _evolved_blocks(self, profile, np.ones(self.shape[1]))])
 
 
-def _evolved_blocks(regs: _Registers, u_map: _GatherMap, weights: np.ndarray):
+def _evolved_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
     """Yield (s, prepared, mapped) for every message s, one block at a time:
-    prepared = w_s |psi_s>_A |0>_B [|0>_T] and mapped = u_map(prepared)."""
-    u_map.gather(regs)  # built before any block, so its temporaries add no peak
-    for s_idx, weight in enumerate(weights):
+    prepared = w_s |psi_s>_A |0>_B [|0>_T] and mapped = u_map(prepared). The
+    amplitude of |psi_s> at y is f(y - sG), the Kronecker product of the
+    profile's rows u_i shifted by the codeword coordinates c_{s,i}."""
+    u_map.gather  # built before any block, so its temporaries add no peak
+    q = profile.q
+    for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
+        psi = reduce(np.kron, [row[(np.arange(q) - c) % q]
+                               for row, c in zip(profile.u, codeword)], np.ones(1))
         block = np.zeros(u_map.shape, dtype=np.complex128)
-        block.reshape(regs.dim_a, -1)[:, 0] = weight * regs.psi(s_idx)
-        yield s_idx, block, u_map.apply(regs, block)
+        block.reshape(u_map.shape[0], -1)[:, 0] = weight * psi
+        yield s_idx, block, u_map.apply(block)
+
+
+def _dual_index(code: LinearCode) -> np.ndarray:
+    """Index of the dual syndrome G y^T of every received word y, read off
+    the (q,)*n grid."""
+    axes = np.ogrid[(slice(code.q),) * code.n]
+    return index_of_vector((sum(g * y for g, y in zip(row, axes)) for row in code.G),
+                           code.q).reshape(-1)
 
 
 # ---- outcomes ----------------------------------------------------------------
@@ -295,11 +241,9 @@ def _check_inputs(code: LinearCode, profile: ErrorProfile, decoder: _BaseDecoder
             raise ValueError("constraint was built for a different profile")
 
 
-def _decide_symmetrization(decoder: _BaseDecoder, profile: ErrorProfile,
-                           force: bool | None,
-                           budget: int | None) -> tuple[bool, float]:
-    """(symmetrize?, p_dec). p_dec is always mean_s p_s."""
-    p_s = per_message_success(decoder, profile, budget)
+def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, float]:
+    """(symmetrize?, p_dec) from the per-message success p_s: symmetrize when
+    its spread exceeds TOL.gamma_spread, unless forced. p_dec is mean_s p_s."""
     spread = float(p_s.max() - p_s.min())
     needed = spread > TOL.gamma_spread if force is None else force
     return needed, float(p_s.mean())
@@ -311,13 +255,11 @@ def _decide_symmetrization(decoder: _BaseDecoder, profile: ErrorProfile,
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
     """Peak bytes of `run_reduction`: in step 2, four complex (A, B[, T])
     blocks (prepared, T-transformed, mapped, accepted) and the int64 gather
-    index; beside them the int64 shift table of q^(n+k) entries and at most
-    64 bytes per entry of q^n- and q^(2k)-entry tables; or, if larger, a
-    nearest-codeword table build, which precedes them; and 64 KiB of
-    overhead."""
+    index; beside them at most 64 bytes per entry of q^n- and q^(2k)-entry
+    tables; or, if larger, a nearest-codeword table build, which precedes
+    them; and 64 KiB of overhead."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
-    evolve = (entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + q ** (n + k) * INDEX_BYTES
-              + (q**n + q ** (2 * k)) * 64)
+    evolve = entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + (q**n + q ** (2 * k)) * 64
     return max(evolve, _table_build_bytes(q, n, k)) + 2**16
 
 
@@ -341,25 +283,23 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     (`_reference_peak_bytes`, for the symmetrized map unless
     force_symmetrize is False), checked before any decoder table is built.
     """
-    u = np.asarray(u, dtype=np.int64) % code.q
-    if u.shape != (code.k,):
-        raise ValueError(f"u must have length {code.k}")
+    q, n, k = code.q, code.n, code.k
+    u = np.asarray(u, dtype=np.int64) % q
+    if u.shape != (k,):
+        raise ValueError(f"u must have length {k}")
     _check_inputs(code, profile, decoder, [constraint])
-    peak = _reference_peak_bytes(code.q, code.n, code.k, force_symmetrize is not False)
+    peak = _reference_peak_bytes(q, n, k, force_symmetrize is not False)
     require_budget(-(-peak // COMPLEX_BYTES), budget)
-    regs = _Registers(code, profile)
     symmetrized, p_dec = _decide_symmetrization(
-        decoder, profile, force_symmetrize, budget)
-    u_map: _GatherMap = DecoderUnitary(decoder, budget)
-    if symmetrized:
-        u_map = SymmetrizedUnitary(u_map, budget)
+        per_message_success(decoder, profile, budget), force_symmetrize)
+    u_map = DecoderMap(decoder, symmetrized, budget)
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
-    phases = np.conj(regs.field.roots_of_unity[(regs.messages @ u) % code.q])
-    weights = phases / math.sqrt(regs.dim_b)
+    phases = np.conj(PrimeField(q).roots_of_unity[(code.messages() @ u) % q])
+    weights = phases / math.sqrt(q**k)
     accepted = np.empty(u_map.shape, dtype=np.complex128)
     norms_sq = [0.0, 0.0]
-    for s_idx, prepared, mapped in _evolved_blocks(regs, u_map, weights):
+    for s_idx, prepared, mapped in _evolved_blocks(u_map, profile, weights):
         norms_sq[0] += float(np.vdot(prepared, prepared).real)
         norms_sq[1] += float(np.vdot(mapped, mapped).real)
         accepted[:, s_idx] = mapped[:, s_idx]
@@ -371,22 +311,21 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     accepted /= math.sqrt(post_select_prob)
 
     # step 4: adjoint decoder map
-    accepted = u_map.apply(regs, accepted, adjoint=True)
+    accepted = u_map.apply(accepted, adjoint=True)
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
-    accepted = fourier_transform(regs.field, accepted, budget)
+    accepted = fourier_transform(PrimeField(q), accepted, budget)
     norms.append(float(np.linalg.norm(accepted)))
     marginal = np.abs(accepted) ** 2
-    marginal = marginal.reshape(regs.dim_a, -1).sum(axis=1)
+    marginal = marginal.reshape(q**n, -1).sum(axis=1)
 
-    mask = constraint.membership_mask(budget)
-    on_coset = np.all(syndrome(code, all_vectors(code.q, code.n), "dual") == u, axis=1)
-    p_u = float(marginal[mask & on_coset].sum())
+    on_coset = _dual_index(code) == index_of_vector(u, q)
+    p_u = float(marginal[constraint.membership_mask(budget) & on_coset].sum())
 
     eta, _ = tail_mass(profile, constraint.tau_tilde)
     return ReductionOutcome(
-        q=code.q, n=code.n, k=code.k, u=tuple(int(x) for x in u),
+        q=q, n=n, k=k, u=tuple(int(x) for x in u),
         tau_tilde=constraint.tau_tilde, p_u=p_u,
         post_select_prob=post_select_prob, p_dec=p_dec, eta=eta,
         bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized,
@@ -399,12 +338,12 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
 
 def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
     """Peak bytes of `run_reduction_sweep` with one constraint set. Per
-    received word: the int64 table, syndrome index and residual, at most
-    max(2n, 13) int64-sized entries of words, codewords, amplitudes and
-    transform buffers, and one of slack; or, if larger, a nearest-codeword
-    table build, which precedes them. Per message: its codeword and message
-    rows and its outcome."""
-    return (max(q**n * INDEX_BYTES * (max(2 * n, 13) + 4), _table_build_bytes(q, n, k))
+    received word, at the transform: the int64 table and residual histogram,
+    the complex amplitudes, four complex transform buffers and one int64 of
+    slack, 13 int64-sized entries; or, if larger, a nearest-codeword table
+    build, which precedes them. Per message: its codeword and message rows
+    and its outcome."""
+    return (max(q**n * INDEX_BYTES * 13, _table_build_bytes(q, n, k))
             + q**k * (4 * n * INDEX_BYTES + 512) + 2**16)
 
 
@@ -448,15 +387,19 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     _check_inputs(code, profile, decoder, constraints)
     q, n, k = code.q, code.n, code.k
     require_budget(-(-_sweep_peak_bytes(q, n, k) // COMPLEX_BYTES), budget)
-    symmetrized, p_dec = _decide_symmetrization(decoder, profile, None, budget)
-    dual_idx = syndrome(code, all_vectors(q, n), "dual") @ radix_weights(q, k)
-    residual = residual_index(code, decoder.table(budget))
-    f = profile.amplitudes(budget)
+    table = decoder.table(budget)
+    residual = residual_index(code, table)
+    symmetrized, p_dec = _decide_symmetrization(
+        _message_success(code, profile, table, residual), None)
     histogram = np.bincount(residual, minlength=q**n)
+    del residual  # each array is freed before the larger ones that follow it
+    f = profile.amplitudes(budget)
     norm_sq = float(histogram @ np.abs(f) ** 2)
     marginal = np.abs(fourier_transform(PrimeField(q), f * histogram, budget)) ** 2 / norm_sq
+    del f, histogram
+    dual_idx = _dual_index(code)
 
-    syndromes = [tuple(int(x) for x in u) for u in all_vectors(q, k)]
+    syndromes = [tuple(int(x) for x in u) for u in code.messages()]
     out: list[list[ReductionOutcome]] = []
     for c in constraints:
         mask = c.membership_mask(budget)

@@ -20,3 +20,9 @@ def roll_per_message_success(decoder, profile) -> np.ndarray:
         decoded = np.roll(table, tuple(-codeword), axis=tuple(range(code.n)))
         out[s_idx] = probs[decoded.reshape(-1) == s_idx].sum()
     return out
+
+
+def place_values(q: int, m: int) -> np.ndarray:
+    """(q^(m-1), ..., q, 1): `words @ place_values(q, m)` indexes each row
+    of a (..., m) array of residues, independently of `index_of_vector`."""
+    return q ** np.arange(m - 1, -1, -1, dtype=np.int64)

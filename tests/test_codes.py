@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from cosetlab.codes import (LinearCode, coset_members, coset_sample, dual,
                             null_space, random_code, rref, rref_batch, rs_code,
                             solve_particular, syndrome)
-from cosetlab.galois import PrimeField, all_vectors, radix_weights
+from cosetlab.galois import PrimeField, all_vectors
+from oracles import place_values
 
 
 def _rank_by_span(q, m):
     """Oracle rank: count distinct vectors in the row span, exhaustively."""
     span = (all_vectors(q, m.shape[0]) @ m) % q
-    count = len(np.unique(span @ radix_weights(q, m.shape[1])))
+    count = len(np.unique(span @ place_values(q, m.shape[1])))
     r = 0
     while q**r < count:
         r += 1

@@ -9,9 +9,9 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              berlekamp_welch_batch, brute_force_list,
                              brute_force_nearest, gs_list_radius,
                              per_message_success, success_probability)
-from cosetlab.galois import all_vectors, radix_weights, vector_of_index
+from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import build_profile, interval_profile, random_sets_profile
-from oracles import roll_per_message_success
+from oracles import place_values, roll_per_message_success
 
 
 def _distances(code, y):
@@ -116,7 +116,7 @@ def test_nearest_table_equals_scalar_search_on_tie_heavy_code():
     # a [4,2]_3 code has minimum distance at most 3, so ties are common
     code = random_code(3, 4, 2, seed=0)
     table = BruteForceNearestDecoder(code).table()
-    radix = radix_weights(code.q, code.k)
+    radix = place_values(code.q, code.k)
     dists = (all_vectors(3, 4)[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
     assert np.sum((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 20
     for idx, y in enumerate(all_vectors(3, 4)):
@@ -131,7 +131,7 @@ def test_nearest_table_splits_beyond_the_count_block(code):
     # search, which breaks ties the same way
     assert code.q ** (code.n + code.k) > 1 << 22
     table = BruteForceNearestDecoder(code).table()
-    radix = radix_weights(code.q, code.k)
+    radix = place_values(code.q, code.k)
     rng = np.random.default_rng(3)
     for idx in rng.integers(0, code.q**code.n, size=400):
         y = vector_of_index(int(idx), code.q, code.n)
@@ -200,7 +200,7 @@ def test_decoder_tables_agree_with_decode():
                     BruteForceNearestDecoder(random_code(3, 4, 2, seed=2))):
         table = decoder.table()
         vecs = all_vectors(decoder.code.q, decoder.code.n)
-        radix = radix_weights(decoder.code.q, decoder.code.k)
+        radix = place_values(decoder.code.q, decoder.code.k)
         for idx in (0, 7, len(vecs) // 2, len(vecs) - 1):
             want = _scalar_decode(decoder, vecs[idx])
             assert table[idx] == int(want @ radix)

@@ -7,8 +7,8 @@ from cosetlab import codes
 from cosetlab.galois import (PrimeField, all_vectors, character,
                              character_profile, code_character_sum,
                              fourier_transform, index_of_vector,
-                             inverse_fourier_transform, radix_weights,
-                             vector_of_index)
+                             inverse_fourier_transform, vector_of_index)
+from oracles import place_values
 
 PRIMES = [2, 3, 5, 7, 11]
 
@@ -65,7 +65,29 @@ def test_index_order_coordinate_zero_most_significant():
     vecs = all_vectors(3, 2)
     assert vecs.shape == (9, 2)
     assert [index_of_vector(v, 3) for v in vecs] == list(range(9))
-    assert list(all_vectors(3, 3) @ radix_weights(3, 3)) == list(range(27))
+    assert list(all_vectors(3, 3) @ place_values(3, 3)) == list(range(27))
+    assert list(index_of_vector(all_vectors(3, 3).T, 3)) == list(range(27))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+def test_index_of_grid_coordinates_matches_place_values(q, n, k, seed):
+    # coordinate j of word y is <G_j, y>, as in the dual syndrome, or that
+    # plus row D(y) of an offset table, as in the residual y - D(y)G
+    rng = np.random.default_rng(seed)
+    gen = rng.integers(0, q, size=(k, n))
+    offsets = rng.integers(-q, q, size=(q**k, k))  # negative: the helper reduces mod q
+    table = rng.integers(0, q**k, size=q**n)
+    words = all_vectors(q, n)
+    axes = np.ogrid[(slice(q),) * n]
+    decoded = table.reshape((q,) * n)
+    dual = [sum(g * y for g, y in zip(row, axes)) for row in gen]
+    got = index_of_vector(dual, q).reshape(-1)
+    assert np.array_equal(got, (words @ gen.T) % q @ place_values(q, k))
+    got = index_of_vector([c + column[decoded] for c, column in zip(dual, offsets.T)], q)
+    want = (words @ gen.T + offsets[table]) % q @ place_values(q, k)
+    assert np.array_equal(got.reshape(-1), want)
 
 
 # ---- characters ---------------------------------------------------------------

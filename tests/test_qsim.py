@@ -10,13 +10,13 @@ from cosetlab.codes import LinearCode, random_code, rs_code
 from cosetlab.config import TOL, BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              TableDecoder, _table_build_bytes, per_message_success)
-from cosetlab.galois import all_vectors, radix_weights, vector_of_index
+from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
-from cosetlab.qsim import (DecoderUnitary, SymmetrizedUnitary, _Registers,
-                           _reference_peak_bytes, _sweep_peak_bytes,
+from cosetlab.qsim import (DecoderMap, _reference_peak_bytes, _sweep_peak_bytes,
                            run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
+from oracles import place_values
 
 REP3 = LinearCode(2, np.array([[1, 1, 1]]))
 
@@ -37,13 +37,12 @@ def _random_state(shape, seed):
 def test_decoder_unitary_action_on_basis_states():
     # oracle: |y>|t> must land exactly on |y>|t + D(y)>
     decoder = BruteForceNearestDecoder(REP3)
-    regs = _Registers(REP3, _rep3_profile())
-    unitary = DecoderUnitary(decoder)
+    unitary = DecoderMap(decoder)
     for y_idx in range(8):
         for t in range(2):
             state = np.zeros((8, 2), dtype=np.complex128)
             state[y_idx, t] = 1.0
-            out = unitary.apply(regs, state)
+            out = unitary.apply(state)
             target = (t + unitary.table[y_idx]) % 2
             assert out[y_idx, target] == 1.0
             assert np.count_nonzero(out) == 1
@@ -52,53 +51,42 @@ def test_decoder_unitary_action_on_basis_states():
 @pytest.mark.parametrize("sym", [False, True])
 def test_unitary_preserves_norm_and_adjoint_inverts(sym):
     code = rs_code(3, 1)
-    profile = interval_profile(3, 3, 0, 0.7)
-    regs = _Registers(code, profile)
-    base = DecoderUnitary(BruteForceNearestDecoder(code))
-    if sym:
-        unitary = SymmetrizedUnitary(base)
-        shape = (27, 3, 3)  # (A, B, T)
-    else:
-        unitary = base
-        shape = (27, 3)
-    state = _random_state(shape, seed=11)
-    forward = unitary.apply(regs, state)
+    unitary = DecoderMap(BruteForceNearestDecoder(code), symmetrized=sym)
+    assert unitary.shape == ((27, 3, 3) if sym else (27, 3))  # (A, B[, T])
+    state = _random_state(unitary.shape, seed=11)
+    forward = unitary.apply(state)
     assert np.linalg.norm(forward) == pytest.approx(1.0, abs=1e-12)
-    back = unitary.apply(regs, forward, adjoint=True)
+    back = unitary.apply(forward, adjoint=True)
     assert np.max(np.abs(back - state)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(2, 3, 1), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 4, 1)]),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_composed_gather_equals_elementary_steps(shape, seed):
-    # apply runs one transform and one precomputed gather; the definition is
-    # the steps one by one, and on basis states the gather must send
-    # |a, b, t> to |a + tG, b + D(a + tG) - t, t>
+def test_gather_follows_definition_on_basis_states(shape, seed):
+    # both maps are unitary with adjoint inverse, and past the transform on
+    # T each gather sends |a, b> to |a, b + D(a)> and |a, b, t> to
+    # |a + tG, b + D(a + tG) - t, t>, in place values of its own
     q, n, k = shape
     rng = np.random.default_rng(seed)
     code = random_code(q, n, k, seed=seed)
     decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
-    regs = _Registers(code, interval_profile(q, n, 0, 0.7))
-    base = DecoderUnitary(decoder)
-    sym = SymmetrizedUnitary(base)
-    x = _random_state(sym.shape, seed=seed % 1000)
-    y = _random_state(sym.shape, seed=seed % 1000 + 1)
-    steps = x @ regs.fourier_k.T
-    steps = sym.sub_b_t(regs, base.steps(regs, sym.shift_a(regs, steps)))
-    for u_map, xs, ys, want in ((base, x[..., 0], y[..., 0], base.steps(regs, x[..., 0])),
-                                (sym, x, y, steps)):
-        forward = u_map.apply(regs, xs)
-        assert np.max(np.abs(forward - want)) <= 1e-12
-        inner = np.vdot(ys, forward) - np.vdot(u_map.apply(regs, ys, adjoint=True), xs)
-        assert abs(inner) <= 1e-12
-        assert np.max(np.abs(u_map.apply(regs, forward, adjoint=True) - xs)) <= TOL.unitarity
     words, msgs = all_vectors(q, n), all_vectors(q, k)
-    a, b, t = (v.reshape(-1) for v in np.indices(sym.shape))
-    a_new = (words[a] + msgs[t] @ code.G) % q @ radix_weights(q, n)
-    b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ radix_weights(q, k)
-    target = np.ravel_multi_index((a_new, b_new, t), sym.shape)
-    assert np.array_equal(sym.gather(regs)[target], np.arange(a.size))
+    for sym in (False, True):
+        u_map = DecoderMap(decoder, symmetrized=sym)
+        x = _random_state(u_map.shape, seed=seed % 1000)
+        y = _random_state(u_map.shape, seed=seed % 1000 + 1)
+        forward = u_map.apply(x)
+        inner = np.vdot(y, forward) - np.vdot(u_map.apply(y, adjoint=True), x)
+        assert abs(inner) <= 1e-12
+        assert abs(np.linalg.norm(forward) - 1.0) <= TOL.unitarity
+        assert np.max(np.abs(u_map.apply(forward, adjoint=True) - x)) <= TOL.unitarity
+        shape = u_map.shape if sym else u_map.shape + (1,)  # plain: the one shift t = 0
+        a, b, t = (v.reshape(-1) for v in np.indices(shape))
+        a_new = (words[a] + msgs[t] @ code.G) % q @ place_values(q, n)
+        b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ place_values(q, k)
+        target = np.ravel_multi_index((a_new, b_new, t), shape)
+        assert np.array_equal(u_map.gather[target], np.arange(a.size))
 
 
 def test_gamma_diagonal_matches_success_probability():
@@ -106,8 +94,7 @@ def test_gamma_diagonal_matches_success_probability():
     code = rs_code(3, 2)
     profile = interval_profile(3, 3, 0, 0.7)
     decoder = BerlekampWelchDecoder(code)
-    regs = _Registers(code, profile)
-    gammas = DecoderUnitary(decoder).diagonal_gammas(regs)
+    gammas = DecoderMap(decoder).diagonal_gammas(profile)
     p_s = per_message_success(decoder, profile)
     assert np.max(np.abs(gammas - np.sqrt(p_s))) < 1e-12
 
@@ -118,11 +105,9 @@ def test_symmetrized_gammas_uniform_sqrt_mean():
     table[7] = 1
     decoder = TableDecoder(REP3, table)
     profile = _rep3_profile()
-    regs = _Registers(REP3, profile)
-    base = DecoderUnitary(decoder)
-    raw = base.diagonal_gammas(regs)
+    raw = DecoderMap(decoder).diagonal_gammas(profile)
     assert raw.max() - raw.min() > 0.1  # base diagonal is genuinely uneven
-    sym = SymmetrizedUnitary(base).diagonal_gammas(regs)
+    sym = DecoderMap(decoder, symmetrized=True).diagonal_gammas(profile)
     assert sym.max() - sym.min() < 1e-12
     p_s = per_message_success(decoder, profile)
     assert sym[0] == pytest.approx(math.sqrt(p_s.mean()), abs=1e-12)
@@ -132,10 +117,8 @@ def test_symmetrization_keeps_equivariant_gammas():
     # repetition + nearest is already shift-covariant; gamma' == gamma
     decoder = BruteForceNearestDecoder(REP3)
     profile = _rep3_profile()
-    regs = _Registers(REP3, profile)
-    base = DecoderUnitary(decoder)
-    assert np.max(np.abs(SymmetrizedUnitary(base).diagonal_gammas(regs)
-                         - base.diagonal_gammas(regs))) < 1e-12
+    assert np.max(np.abs(DecoderMap(decoder, symmetrized=True).diagonal_gammas(profile)
+                         - DecoderMap(decoder).diagonal_gammas(profile))) < 1e-12
 
 
 # ---- the bound ---------------------------------------------------------------
@@ -244,13 +227,14 @@ def test_stated_peak_bytes_bound_traced_peak():
                                               constraint, force_symmetrize=True))
     stated = _reference_peak_bytes(5, 4, 2, symmetrized=True)
     assert stated / 2 <= peak <= stated
-    code = rs_code(5, 2)
-    profile = interval_profile(5, 5, 1, 0.7)
-    decoder = BerlekampWelchDecoder(code)
-    peak = _traced_peak(lambda: run_reduction_sweep(
-        code, profile, decoder, [ConstraintSet(profile, 0.5)]))
-    stated = _sweep_peak_bytes(5, 5, 2)
-    assert stated / 2 <= peak <= stated
+    for q, k, z in ((5, 2, 1), (7, 3, 2)):
+        code = rs_code(q, k)
+        profile = interval_profile(q, q, z, 0.7)
+        decoder = BerlekampWelchDecoder(code)
+        peak = _traced_peak(lambda: run_reduction_sweep(
+            code, profile, decoder, [ConstraintSet(profile, 0.5)]))
+        stated = _sweep_peak_bytes(q, q, k)
+        assert stated / 2 <= peak <= stated, (q, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
