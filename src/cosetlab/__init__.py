@@ -9,7 +9,7 @@ Subpackages:
 - `noise`: product error profiles built on the Fourier side, constraint
   sets, exact tail masses, fourth-power sums and their lower bound.
 - `decode`: Berlekamp-Welch half-distance decoding plus brute-force
-  oracles, decode tables, exact success probabilities.
+  oracles, decode tables, exact per-message success probabilities.
 - `qsim`: dense simulation of the decoder-driven reduction, its
   symmetrization, and the success-probability lower bound.
 - `thresholds`: maximal tolerable error fractions per decoding strategy,
@@ -20,12 +20,12 @@ Subpackages:
 """
 
 from . import codes, decode, galois, noise, opi, qsim, thresholds
-from .codes import LinearCode, dual, random_code, rs_code, syndrome
+from .codes import LinearCode, random_code, rs_code, syndrome
 from .config import TOL, BudgetError, Tolerances
 from .decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                      TableDecoder, berlekamp_welch, berlekamp_welch_batch,
                      brute_force_list, brute_force_nearest,
-                     per_message_success, success_probability)
+                     per_message_success)
 from .galois import (PrimeField, character, fourier_transform,
                      inverse_fourier_transform)
 from .noise import (ConstraintSet, ErrorProfile, build_profile,
@@ -40,11 +40,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "galois", "codes", "noise", "decode", "qsim", "thresholds", "opi",
-    "LinearCode", "rs_code", "random_code", "dual", "syndrome",
+    "LinearCode", "rs_code", "random_code", "syndrome",
     "TOL", "Tolerances", "BudgetError",
     "BerlekampWelchDecoder", "BruteForceNearestDecoder", "TableDecoder",
     "berlekamp_welch", "berlekamp_welch_batch", "brute_force_list", "brute_force_nearest",
-    "per_message_success", "success_probability",
+    "per_message_success",
     "PrimeField", "character", "fourier_transform", "inverse_fourier_transform",
     "ConstraintSet", "ErrorProfile", "build_profile", "center_probability",
     "fourth_power_bound", "fourth_power_sum", "interval_profile", "tail_mass",

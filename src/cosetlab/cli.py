@@ -12,6 +12,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,12 +25,16 @@ from .config import DEFAULT_AMPLITUDE_BUDGET, TOL, BudgetError
 __all__ = ["main", "build_parser"]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _emit(content: str | dict | list, out: str | None) -> None:
+    """Write text as it is, or anything else as indented JSON and a
+    newline, to the file `out` or to stdout. JSON is streamed by
+    `json.dump`, never held as one string."""
+    with open(out, "w") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(content, fh, indent=2)
+            fh.write("\n")
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -61,7 +66,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     else:
         rows = thresholds.figure1_curves(args.rho, args.grid, kv_q=args.kv_q)
     if args.format == "json":
-        _emit(thresholds.rows_json(rows), args.out)
+        _emit([row.to_dict() for row in rows], args.out)
     elif args.format == "csv":
         _emit(thresholds.curves_csv(rows), args.out)
     else:
@@ -114,14 +119,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         decoder = decode.BruteForceNearestDecoder(code)
 
     if args.u == "all":
-        outcomes = qsim.run_reduction_sweep(
-            code, profile, decoder, [constraint], budget=budget)[0]
+        outcomes = qsim.run_reduction_sweep(decoder, [constraint], budget=budget)[0]
         report = qsim.verify_bound(outcomes)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(u_seed))
         u = rng.integers(0, args.q, size=args.k)
-        outcomes = [qsim.run_reduction(code, profile, decoder, u, constraint,
-                                       budget=budget)]
+        outcomes = [qsim.run_reduction(decoder, u, constraint, budget=budget)]
         mean_p = outcomes[0].p_u
         report = qsim.BoundReport(
             n_outcomes=1, mean_p=mean_p, p_dec=outcomes[0].p_dec,
@@ -140,7 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "outcomes": [o.to_dict() for o in outcomes],
             "report": report.to_dict(),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(payload, args.out)
     else:
         lines = [
             f"q={args.q} n={args.n} k={args.k} code={args.code} "
@@ -187,12 +190,12 @@ def cmd_opi(args: argparse.Namespace) -> int:
     if args.what == "gen":
         instance = opi.generate_instance(args.q, args.k, args.set_size,
                                          args.tau, seed=args.seed)
-        _emit(instance.to_json(), args.out)
+        _emit(instance.to_dict(), args.out)
         return 0
     instance = _load_json(args.instance, "instance", opi.OPIInstance.from_dict)
     if args.what == "solve-bruteforce":
         solution = opi.brute_force_opi(instance, budget=_budget(args))
-        _emit(json.dumps(solution.to_dict(), indent=2) + "\n", args.out)
+        _emit(solution.to_dict(), args.out)
         return 0
     if args.what == "verify":
         solution = _load_json(args.solution, "solution", _solution_from_dict)
@@ -209,7 +212,7 @@ def cmd_opi(args: argparse.Namespace) -> int:
         "constraint": constraint.to_dict(),
         "sets": [list(s) for s in instance.sets],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -282,14 +285,12 @@ def _suite_decode() -> tuple[bool, str]:
 
 
 def _suite_reduction(seed: int) -> tuple[bool, str]:
-    code = codes.rs_code(3, 1)
-    profile = noise.interval_profile(3, 3, 0, 0.7)
-    constraint = noise.ConstraintSet(profile, 0.5)
-    decoder = decode.BruteForceNearestDecoder(code)
-    outcomes = qsim.run_reduction_sweep(code, profile, decoder, [constraint])[0]
+    decoder = decode.BruteForceNearestDecoder(codes.rs_code(3, 1))
+    constraint = noise.ConstraintSet(noise.interval_profile(3, 3, 0, 0.7), 0.5)
+    outcomes = qsim.run_reduction_sweep(decoder, [constraint])[0]
     report = qsim.verify_bound(outcomes)
     # the sweep's acceptance against the literally evolved state's
-    evolved = qsim.run_reduction(code, profile, decoder, np.array(outcomes[0].u), constraint)
+    evolved = qsim.run_reduction(decoder, np.array(outcomes[0].u), constraint)
     drift = outcomes[0].post_select_prob - evolved.post_select_prob
     return report.ok and abs(drift) < TOL.bound_slack, (
         f"slack {report.slack:.3e}, acceptance drift {drift:.3e}")

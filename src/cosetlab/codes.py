@@ -18,7 +18,6 @@ __all__ = [
     "LinearCode",
     "rs_code",
     "random_code",
-    "dual",
     "syndrome",
     "coset_sample",
     "rref",
@@ -167,11 +166,6 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """Code with G and H roles swapped."""
         return LinearCode(self.q, self.H, self.G)
-
-
-def dual(code: LinearCode) -> LinearCode:
-    """The dual code; any generating matrix of C parity-checks its dual."""
-    return code.dual
 
 
 def rs_code(q: int, k: int) -> LinearCode:

@@ -5,23 +5,24 @@ word y. Decoders are total functions of the received word alone; failure
 maps to the all-zeros message sentinel so that downstream unitary
 constructions stay permutations. `decode` and the per-message success
 p_s = sum_{y : D(y) = s} P(y - D(y)G) are read off the table, the latter
-through the residual index of y - D(y)G that the sweep engine shares.
-Every word index, of one word, a batch or the whole (q,)*n grid, is
-`galois.index_of_vector`.
+through the residual index of y - D(y)G that the sweep engine shares; p_s
+is the one success probability, exact and in one pass. Each decoder
+states the peak bytes of its own table build and checks them against the
+budget before it allocates. Every word index, of one word, a batch or the
+whole (q,)*n grid, is `galois.index_of_vector`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .codes import LinearCode, rs_code, solve_batch
 from .config import require_budget
-from .galois import all_vectors, index_of_vector, vector_of_index
+from .galois import index_of_vector, vector_of_index
 from .noise import ErrorProfile
 
 __all__ = [
@@ -33,9 +34,7 @@ __all__ = [
     "BerlekampWelchDecoder",
     "BruteForceNearestDecoder",
     "TableDecoder",
-    "DecoderReport",
     "residual_index",
-    "success_probability",
     "per_message_success",
 ]
 
@@ -171,13 +170,13 @@ class _BaseDecoder:
         return vector_of_index(int(self.table()[index_of_vector(y, code.q)]), code.q, code.k)
 
     def table(self, budget: int | None = None) -> np.ndarray:
-        """Message index for every received word index, shape (q^n,)."""
+        """Message index for every received word index, shape (q^n,). The
+        first call builds it, after checking the build's stated peak
+        (`_build_bytes`) in 16-byte amplitudes against the budget."""
         if self._table is None:
-            self._table = self._build_table(budget)
+            require_budget(-(-self._build_bytes() // 16), budget)
+            self._table = self._build_table()
         return self._table
-
-    def _build_table(self, budget: int | None) -> np.ndarray:
-        raise NotImplementedError
 
 
 class BerlekampWelchDecoder(_BaseDecoder):
@@ -190,27 +189,34 @@ class BerlekampWelchDecoder(_BaseDecoder):
         super().__init__(code)
         self.radius = (code.n - code.k) // 2
 
-    def _build_table(self, budget: int | None) -> np.ndarray:
+    def _build_bytes(self) -> int:
+        """Peak bytes of the ball scatter: the int64 table; per message, its
+        index, its codeword row and the message row and product that form
+        it; five int64 entries per (codeword, error) pair of the largest
+        error block while its indices are formed; 64 KiB of overhead."""
+        q, n, k = self.code.q, self.code.n, self.code.k
+        return 8 * q**n + 8 * q**k * (1 + 2 * n + k + 5 * (q - 1) ** self.radius) + 2**16
+
+    def _build_table(self) -> np.ndarray:
         """Ball scatter: table[cG + e] = s for wt(e) <= t0, sentinel 0 elsewhere.
 
         The code is MDS with 2 t0 < d_min, so the radius-t0 balls around
         codewords are disjoint and BW decodes exactly the words inside them.
+        One error block, the (q-1)^w errors of one weight w and support, is
+        scattered at a time.
         """
         code = self.code
         q, n = code.q, code.n
-        require_budget(q**n, budget)
-        errors = [np.zeros((1, n), dtype=np.int64)]
-        for weight in range(1, self.radius + 1):
-            values = all_vectors(q - 1, weight) + 1
-            for support in itertools.combinations(range(n), weight):
-                block = np.zeros((values.shape[0], n), dtype=np.int64)
-                block[:, support] = values
-                errors.append(block)
-        codewords = code.codewords()
-        words = (codewords[:, None, :] + np.concatenate(errors)[None, :, :]) % q
+        columns = code.codewords().T[:, :, None]
+        messages = np.arange(q**code.k)[:, None]
         table = np.zeros(q**n, dtype=np.int64)
-        table[index_of_vector(np.moveaxis(words, -1, 0), q)] = np.arange(
-            codewords.shape[0])[:, None]
+        for weight in range(self.radius + 1):
+            block = (q - 1) ** weight
+            values = np.indices((q - 1,) * weight).reshape(weight, block) + 1
+            for support in itertools.combinations(range(n), weight):
+                errors = np.zeros((n, 1, block), dtype=np.int64)
+                errors[list(support), 0] = values
+                table[index_of_vector((c + e for c, e in zip(columns, errors)), q)] = messages
         return table
 
 
@@ -241,28 +247,26 @@ def _nearest_low(q: int, n: int, k: int) -> int:
     return max((m for m in range(n + 1) if q ** (m + k) <= 1 << 22), default=0)
 
 
-def _table_build_bytes(q: int, n: int, k: int) -> int:
-    """Peak bytes of a nearest-codeword table build: the table as q^n
-    16-byte amplitudes, two q^low x q^k uint8 count blocks, (25 + q)n
-    bytes per message (codeword, partial sums, mismatch flags), the argmin row."""
-    low = _nearest_low(q, n, k)
-    return 16 * q**n + 2 * q ** (low + k) + (25 + q) * n * q**k + 8 * q**low
-
-
 class BruteForceNearestDecoder(_BaseDecoder):
     """Nearest-codeword decoder by exhaustive enumeration (always succeeds)."""
 
     kind = "brute_force_nearest"
 
-    def _build_table(self, budget: int | None) -> np.ndarray:
+    def _build_bytes(self) -> int:
+        """Peak bytes of the table build: the table as q^n 16-byte
+        amplitudes, two q^low x q^k uint8 count blocks, (25 + q)n bytes per
+        message (codeword, partial sums, mismatch flags), the argmin row."""
+        q, n, k = self.code.q, self.code.n, self.code.k
+        low = _nearest_low(q, n, k)
+        return 16 * q**n + 2 * q ** (low + k) + (25 + q) * n * q**k + 8 * q**low
+
+    def _build_table(self) -> np.ndarray:
         """Distances split at a coordinate: the low coordinates' mismatch
         counts are tabulated once, and each high prefix adds its own row,
-        so the build holds at most `_table_build_bytes`, checked in 16-byte
-        amplitudes before anything is allocated. argmin breaks ties to the
-        smallest message index, as `brute_force_nearest` does."""
+        so the build holds at most `_build_bytes`. argmin breaks ties to
+        the smallest message index, as `brute_force_nearest` does."""
         code = self.code
         q, n, k = code.q, code.n, code.k
-        require_budget(-(-_table_build_bytes(q, n, k) // 16), budget)
         codewords = code.codewords()
         low = _nearest_low(q, n, k)
         low_counts = _mismatch_counts(q, codewords[:, n - low:])
@@ -294,24 +298,6 @@ class TableDecoder(_BaseDecoder):
 # ---- channel success probabilities -----------------------------------------
 
 
-@dataclass(frozen=True)
-class DecoderReport:
-    p_dec: float
-    mode: str
-    samples: int | None = None
-    seed: int | None = None
-    ci_halfwidth: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "p_dec": self.p_dec,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "ci": self.ci_halfwidth,
-        }
-
-
 def residual_index(code: LinearCode, table: np.ndarray) -> np.ndarray:
     """Index of y - D(y)G for every received word index y, given the
     decoder table D: coordinate i is y_i - c_{D(y),i} on the (q,)*n grid."""
@@ -321,36 +307,6 @@ def residual_index(code: LinearCode, table: np.ndarray) -> np.ndarray:
         np.ogrid[(slice(q),) * n], code.codewords().T)), q).reshape(-1)
 
 
-def success_probability(decoder: _BaseDecoder, profile: ErrorProfile,
-                        mode: str = "exact", samples: int = 100_000,
-                        seed: int = 0, budget: int | None = None) -> DecoderReport:
-    """P[decoder recovers the all-zeros message under the profile's channel].
-
-    By codeword independence of the decoders this is the success probability
-    for message zero; it coincides with the per-message value exactly when
-    the decoder commutes with codeword shifts.
-    """
-    code = decoder.code
-    if profile.n != code.n or profile.q != code.q:
-        raise ValueError("profile and code must share q and n")
-    if mode == "exact":
-        p = float(per_message_success(decoder, profile, budget)[0])
-        return DecoderReport(p_dec=p, mode="exact")
-    if mode == "monte_carlo":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        channel = profile.error_probabilities()
-        draws = np.empty((samples, profile.n), dtype=np.int64)
-        for i in range(profile.n):
-            draws[:, i] = rng.choice(profile.q, size=samples, p=channel[i])
-        hits = decoder.table(budget)[index_of_vector(draws.T, code.q)] == 0
-        p = float(np.mean(hits))
-        # variance floor keeps the interval honest when p sits at 0 or 1
-        half = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-        return DecoderReport(p_dec=p, mode="monte_carlo", samples=samples,
-                             seed=seed, ci_halfwidth=half)
-    raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-
-
 def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
                         budget: int | None = None) -> np.ndarray:
     """p_s = P[decoder(sG + e) = s] for every message s, exactly.
@@ -358,7 +314,9 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
     The word y = sG + e decodes to s exactly when e = y - D(y)G, so
     p_s = sum_{y : D(y) = s} P(y - D(y)G): one pass over the table. This is
     the classical shadow of the decoder map's diagonal amplitudes: the
-    simulator uses it to decide whether symmetrization is needed.
+    simulator uses it to decide whether symmetrization is needed. p_0 is
+    the success probability of the all-zeros message, and equals every
+    p_s when the decoder commutes with codeword shifts.
     """
     code = decoder.code
     if profile.n != code.n or profile.q != code.q:

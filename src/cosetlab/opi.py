@@ -131,9 +131,6 @@ class OPIInstance:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     @staticmethod
     def from_dict(d: dict) -> "OPIInstance":
         return OPIInstance(

@@ -41,6 +41,11 @@ Two engines compute identical outcomes:
   one q^n transform serves every syndrome, in O(q^n) memory.
   Symmetrization changes the diagonal gammas but not P_acc or the A
   marginal (derivation in `run_reduction_sweep`).
+
+Each fact of a run has one owner: the code is the decoder's, and the error
+profile is the constraint sets' (one profile, shared by every set). Each
+engine checks its own stated peak against the budget before it allocates,
+and the decoder checks its table build's before it builds.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .config import TOL, require_budget
-from .decode import (_BaseDecoder, _message_success, _table_build_bytes, per_message_success,
-                     residual_index)
+from .decode import _BaseDecoder, _message_success, per_message_success, residual_index
 from .galois import PrimeField, fourier_transform, index_of_vector
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
@@ -227,18 +231,18 @@ class BoundReport:
         }
 
 
-def _check_inputs(code: LinearCode, profile: ErrorProfile, decoder: _BaseDecoder,
-                  constraints: list[ConstraintSet]) -> None:
-    """Reject a profile, decoder or constraint set built for another instance."""
+def _check_inputs(code: LinearCode, constraints: list[ConstraintSet]) -> ErrorProfile:
+    """The constraints' one error profile, whose (q, n) must be the code's."""
+    if not constraints:
+        raise ValueError("no constraint sets given")
+    profile = constraints[0].profile
     if profile.q != code.q or profile.n != code.n:
         raise ValueError("profile and code must share q and n")
-    other = decoder.code
-    if (other.q, other.n, other.k) != (code.q, code.n, code.k) or np.any(other.G != code.G):
-        raise ValueError("decoder was built for a different code")
     key = (profile.q, profile.n, profile.sets, profile.tau)
     for c in constraints:
         if (c.profile.q, c.profile.n, c.profile.sets, c.profile.tau) != key:
             raise ValueError("constraint was built for a different profile")
+    return profile
 
 
 def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, float]:
@@ -256,19 +260,18 @@ def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
     """Peak bytes of `run_reduction`: in step 2, four complex (A, B[, T])
     blocks (prepared, T-transformed, mapped, accepted) and the int64 gather
     index; beside them at most 64 bytes per entry of q^n- and q^(2k)-entry
-    tables; or, if larger, a nearest-codeword table build, which precedes
-    them; and 64 KiB of overhead."""
+    tables; and 64 KiB of overhead. The decoder checks its table build's
+    peak itself."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
-    evolve = entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + (q**n + q ** (2 * k)) * 64
-    return max(evolve, _table_build_bytes(q, n, k)) + 2**16
+    return entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + (q**n + q ** (2 * k)) * 64 + 2**16
 
 
-def run_reduction(code: LinearCode, profile: ErrorProfile,
-                  decoder: _BaseDecoder, u: np.ndarray,
+def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
                   constraint: ConstraintSet, *, budget: int | None = None,
                   force_symmetrize: bool | None = None,
                   keep_marginal: bool = False) -> ReductionOutcome:
-    """Run the five-step reduction for one dual syndrome u, densely.
+    """Run the five-step reduction for one dual syndrome u, densely, for
+    the decoder's code and the constraint's profile.
 
     Steps 1-2 stream over the message copy C. U' acts on (A, B[, T]) only,
     so each C = s block of the prepared state evolves alone; C -= B moves
@@ -283,11 +286,12 @@ def run_reduction(code: LinearCode, profile: ErrorProfile,
     (`_reference_peak_bytes`, for the symmetrized map unless
     force_symmetrize is False), checked before any decoder table is built.
     """
+    code = decoder.code
     q, n, k = code.q, code.n, code.k
     u = np.asarray(u, dtype=np.int64) % q
     if u.shape != (k,):
         raise ValueError(f"u must have length {k}")
-    _check_inputs(code, profile, decoder, [constraint])
+    profile = _check_inputs(code, [constraint])
     peak = _reference_peak_bytes(q, n, k, force_symmetrize is not False)
     require_budget(-(-peak // COMPLEX_BYTES), budget)
     symmetrized, p_dec = _decide_symmetrization(
@@ -340,24 +344,21 @@ def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
     """Peak bytes of `run_reduction_sweep` with one constraint set. Per
     received word, at the transform: the int64 table and residual histogram,
     the complex amplitudes, four complex transform buffers and one int64 of
-    slack, 13 int64-sized entries; or, if larger, a nearest-codeword table
-    build, which precedes them. Per message: its codeword and message rows
-    and its outcome."""
-    return (max(q**n * INDEX_BYTES * 13, _table_build_bytes(q, n, k))
-            + q**k * (4 * n * INDEX_BYTES + 512) + 2**16)
+    slack, 13 int64-sized entries. Per message: its codeword and message
+    rows and its outcome. The decoder checks its table build's peak itself."""
+    return q**n * INDEX_BYTES * 13 + q**k * (4 * n * INDEX_BYTES + 512) + 2**16
 
 
-def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
-                        decoder: _BaseDecoder,
-                        constraints: list[ConstraintSet], *,
-                        budget: int | None = None
-                        ) -> list[list[ReductionOutcome]]:
-    """Outcomes for every dual syndrome and every constraint set.
+def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet], *,
+                        budget: int | None = None) -> list[list[ReductionOutcome]]:
+    """Outcomes for every dual syndrome and every constraint set, for the
+    decoder's code and the constraints' one profile.
 
     Returns outcomes[c][j] for constraint c and syndrome index j. One q^n
     transform serves every syndrome. The budget counts the 16-byte
     amplitudes of the stated peak (`_sweep_peak_bytes`, a few arrays of q^n
-    entries whatever k is), checked before any decoder table is built.
+    entries whatever k is), checked before any decoder table is built; a
+    fresh table is built only if its own stated peak fits the budget too.
 
     Derivation. With g_u(y) = chi_{-u}(D(y)) f(y - D(y)G): after step 2 the
     state is q^(-k/2) sum_{s,y} chi_{-u}(s) f(y - sG) |y>|D(y)>|s - D(y)>.
@@ -384,7 +385,8 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     acceptance are independent: the literal engine `run_reduction` evolves
     the state and measures it.
     """
-    _check_inputs(code, profile, decoder, constraints)
+    code = decoder.code
+    profile = _check_inputs(code, constraints)
     q, n, k = code.q, code.n, code.k
     require_budget(-(-_sweep_peak_bytes(q, n, k) // COMPLEX_BYTES), budget)
     table = decoder.table(budget)
@@ -413,9 +415,7 @@ def run_reduction_sweep(code: LinearCode, profile: ErrorProfile,
     return out
 
 
-def verify_bound(outcomes: list[ReductionOutcome],
-                 p_dec: float | None = None,
-                 eta: float | None = None) -> BoundReport:
+def verify_bound(outcomes: list[ReductionOutcome]) -> BoundReport:
     """Aggregate exhaustive per-syndrome outcomes against the lower bound."""
     if not outcomes:
         raise ValueError("no outcomes to verify")
@@ -428,8 +428,7 @@ def verify_bound(outcomes: list[ReductionOutcome],
             f"once, got {len(outcomes)} outcomes over {len(seen)} distinct u")
     if len({o.p_dec for o in outcomes}) > 1 or len({o.eta for o in outcomes}) > 1:
         raise ValueError("outcomes do not share one p_dec and one eta")
-    p_dec = first.p_dec if p_dec is None else p_dec
-    eta = first.eta if eta is None else eta
+    p_dec, eta = first.p_dec, first.eta
     mean_p = float(np.mean([o.p_u for o in outcomes]))
     bound = success_lower_bound(p_dec, eta)
     slack = mean_p - bound

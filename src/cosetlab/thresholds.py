@@ -38,10 +38,13 @@ __all__ = [
     "figure1_curves",
     "optimize_over_rho",
     "curves_csv",
-    "rows_json",
 ]
 
 DECODER_KINDS = ("bw", "gs", "kv", "classical")
+# the classical baseline that table1's optimized rows match, and the rho
+# grid step of the search along it
+CLASSICAL_TARGET = 0.55
+RHO_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,10 @@ def _kv_query(r: float, rho: float, kv_q: int | None) -> ThresholdQuery:
     return ThresholdQuery("kv", r, (2 * z + 1) / kv_q)
 
 
-def optimize_over_rho(kind: str, classical_target: float,
-                      step: float = 1e-3) -> tuple[float, float, float]:
+def optimize_over_rho(kind: str, classical_target: float) -> tuple[float, float, float]:
     """Best (R, rho, tau) for a kind along rho + R(1-rho) = classical_target.
 
-    Grid search in rho at the given step, then ternary refinement of the
+    Grid search in rho at step RHO_STEP, then ternary refinement of the
     bracketing interval.
     """
     if not 0.0 < classical_target < 1.0:
@@ -171,7 +173,7 @@ def optimize_over_rho(kind: str, classical_target: float,
         r = (classical_target - rho) / (1.0 - rho)
         return tau_max(ThresholdQuery(kind, r, rho))
 
-    grid = np.arange(step, classical_target, step)
+    grid = np.arange(RHO_STEP, classical_target, RHO_STEP)
     taus = [tau_at(rho) for rho in grid]
     best = int(np.argmax(taus))
     lo = grid[max(best - 1, 0)]
@@ -188,10 +190,10 @@ def optimize_over_rho(kind: str, classical_target: float,
     return r, rho, float(tau_at(rho))
 
 
-def table1(kv_q: int | None = None,
-           classical_target: float = 0.55) -> list[ThresholdRow]:
+def table1(kv_q: int | None = None) -> list[ThresholdRow]:
     """The six reference rows: three fixed (R, rho) points at rho = 1/2 and
-    three optimized operating points matching a fixed classical baseline.
+    three optimized operating points matching the classical baseline
+    CLASSICAL_TARGET.
 
     Optimized rows report the optimizer's own (R, rho), with every column
     evaluated there; round for display as needed.
@@ -202,7 +204,7 @@ def table1(kv_q: int | None = None,
         _make_row("R=2/3", 2.0 / 3.0, 0.5, kv_q),
     ]
     for kind in ("bw", "gs", "kv"):
-        r_opt, rho_opt, _ = optimize_over_rho(kind, classical_target)
+        r_opt, rho_opt, _ = optimize_over_rho(kind, CLASSICAL_TARGET)
         rows.append(_make_row(f"opt-{kind}", r_opt, rho_opt, kv_q))
     return rows
 
@@ -226,9 +228,3 @@ def curves_csv(rows: list[ThresholdRow]) -> str:
             f"{row.r:.6f},{row.rho:.6f},{row.tau_classical:.6f},"
             f"{row.tau_bw:.6f},{row.tau_gs:.6f},{row.tau_kv:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def rows_json(rows: list[ThresholdRow]) -> str:
-    import json
-
-    return json.dumps([row.to_dict() for row in rows], indent=2) + "\n"

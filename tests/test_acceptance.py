@@ -120,8 +120,7 @@ def test_criterion_04_success_bound_matrix():
             decoder = decoders[kind]
             for profile in _matrix_profiles(code, z, set_size, tau_tilde + 0.1):
                 constraint = ConstraintSet(profile, tau_tilde)
-                outcomes = run_reduction_sweep(code, profile, decoder,
-                                               [constraint])[0]
+                outcomes = run_reduction_sweep(decoder, [constraint])[0]
                 report = verify_bound(outcomes)
                 label = (f"q={code.q} n={code.n} k={code.k} {kind} "
                          f"tt={tau_tilde} sets={profile.sets}")

@@ -77,6 +77,7 @@ def test_simulate_sweep_json(capsys):
                      "--decoder", "nearest", "--u", "all", "--format", "json")
     assert code == 0
     doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"  # the format json.dump streams
     assert len(doc["outcomes"]) == 3
     assert doc["report"]["ok"] is True
     assert doc["report"]["slack"] >= -1e-9

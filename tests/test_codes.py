@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab.codes import (LinearCode, coset_members, coset_sample, dual,
+from cosetlab.codes import (LinearCode, coset_members, coset_sample,
                             null_space, random_code, rref, rref_batch, rs_code,
                             solve_particular, syndrome)
 from cosetlab.galois import PrimeField, all_vectors
@@ -136,7 +136,7 @@ def test_rs_structure(q, k):
 def test_rs_duality(q):
     # the dual of the degree-<k evaluation code is the degree-<(q-k) one
     for k in range(1, q):
-        left = dual(rs_code(q, k))
+        left = rs_code(q, k).dual
         right = rs_code(q, q - k)
         assert {tuple(w) for w in left.codewords()} == \
                {tuple(w) for w in right.codewords()}
@@ -161,7 +161,7 @@ def test_random_code_reproducible():
 
 def test_dual_involution():
     code = random_code(3, 4, 2, seed=5)
-    again = dual(dual(code))
+    again = code.dual.dual
     assert {tuple(w) for w in again.codewords()} == \
            {tuple(w) for w in code.codewords()}
 

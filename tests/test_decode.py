@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab.codes import random_code, rs_code
+from cosetlab.config import BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              TableDecoder, berlekamp_welch,
                              berlekamp_welch_batch, brute_force_list,
                              brute_force_nearest, gs_list_radius,
-                             per_message_success, success_probability)
+                             per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import build_profile, interval_profile, random_sets_profile
 from oracles import place_values, roll_per_message_success
@@ -136,6 +139,30 @@ def test_nearest_table_splits_beyond_the_count_block(code):
     for idx in rng.integers(0, code.q**code.n, size=400):
         y = vector_of_index(int(idx), code.q, code.n)
         assert table[idx] == int(brute_force_nearest(code, y) @ radix)
+
+
+@pytest.mark.parametrize("decoder_class, q, k", [
+    (BerlekampWelchDecoder, 5, 3), (BerlekampWelchDecoder, 7, 3),
+    (BerlekampWelchDecoder, 7, 5), (BruteForceNearestDecoder, 5, 3),
+    (BruteForceNearestDecoder, 5, 4)])
+def test_table_build_within_its_stated_peak(decoder_class, q, k):
+    # each decoder states its build's peak; one amplitude less is refused
+    # before anything is allocated, and the build traces at most the statement
+    decoder = decoder_class(rs_code(q, k))
+    need = -(-decoder._build_bytes() // 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            decoder.table(budget=need - 1)
+        refused = tracemalloc.get_traced_memory()[1]
+        assert decoder._table is None
+        tracemalloc.reset_peak()
+        decoder.table(budget=need)
+        built = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused < 2**14 and built <= decoder._build_bytes()
+    assert decoder._table.shape == (q**q,)
 
 
 def test_bw_requires_full_support_rs():
@@ -272,39 +299,6 @@ def test_per_message_success_equals_roll_oracle_on_random_tables(shape, seed):
                                   seed=int(rng.integers(2**31)))
     want = roll_per_message_success(decoder, profile)
     assert np.max(np.abs(per_message_success(decoder, profile) - want)) <= 1e-12
-    exact = success_probability(decoder, profile, mode="exact").p_dec
-    assert abs(exact - want[0]) <= 1e-12
-
-
-def test_success_probability_exact_is_message_zero():
-    code = rs_code(5, 2)
-    profile = interval_profile(5, 5, 1, 0.8)
-    decoder = BerlekampWelchDecoder(code)
-    report = success_probability(decoder, profile, mode="exact")
-    ps = per_message_success(decoder, profile)
-    assert report.p_dec == pytest.approx(ps[0], abs=1e-12)
-    assert report.mode == "exact"
-
-
-def test_success_probability_monte_carlo_confidence():
-    code = rs_code(3, 1)
-    profile = build_profile(3, 3, [(0,)] * 3, 0.6)
-    decoder = BruteForceNearestDecoder(code)
-    exact = success_probability(decoder, profile, mode="exact").p_dec
-    mc = success_probability(decoder, profile, mode="monte_carlo",
-                             samples=40_000, seed=5)
-    assert abs(mc.p_dec - exact) <= mc.ci_halfwidth
-    again = success_probability(decoder, profile, mode="monte_carlo",
-                                samples=40_000, seed=5)
-    assert mc.p_dec == again.p_dec  # seeded determinism
-
-
-def test_success_probability_mode_validation():
-    code = rs_code(3, 1)
-    profile = interval_profile(3, 3, 0, 0.7)
-    with pytest.raises(ValueError):
-        success_probability(BruteForceNearestDecoder(code), profile,
-                            mode="guess")
 
 
 def test_per_message_uniform_for_perfect_code():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,7 +90,7 @@ def test_generate_instance_deterministic():
 
 def test_json_round_trip():
     inst = generate_instance(5, 2, 2, 0.6, seed=3)
-    again = OPIInstance.from_json(inst.to_json())
+    again = OPIInstance.from_json(json.dumps(inst.to_dict()))
     assert again == inst
     d = inst.to_dict()
     assert set(d) == {"q", "k", "tau", "sets", "x", "seed"}

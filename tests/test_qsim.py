@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cosetlab.codes import LinearCode, random_code, rs_code
 from cosetlab.config import TOL, BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                             TableDecoder, _table_build_bytes, per_message_success)
+                             TableDecoder, per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
@@ -141,19 +141,16 @@ def test_success_lower_bound_decreases_with_eta():
 
 
 def _q3_setup():
-    code = rs_code(3, 1)
-    profile = interval_profile(3, 3, 0, 0.7)
-    decoder = BruteForceNearestDecoder(code)
-    return code, profile, decoder
+    return interval_profile(3, 3, 0, 0.7), BruteForceNearestDecoder(rs_code(3, 1))
 
 
 def test_sweep_matches_direct_engine_all_syndromes():
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     constraints = [ConstraintSet(profile, 0.4), ConstraintSet(profile, 0.6)]
-    swept = run_reduction_sweep(code, profile, decoder, constraints)
+    swept = run_reduction_sweep(decoder, constraints)
     for c_i, constraint in enumerate(constraints):
         for u_idx, u in enumerate(np.arange(3).reshape(3, 1)):
-            direct = run_reduction(code, profile, decoder, u, constraint)
+            direct = run_reduction(decoder, u, constraint)
             ref = swept[c_i][u_idx]
             assert ref.u == direct.u
             assert ref.p_u == pytest.approx(direct.p_u, abs=1e-12)
@@ -180,11 +177,11 @@ def test_sweep_matches_direct_engine_on_random_table_decoders(shape, seed):
     profile = random_sets_profile(q, n, int(rng.integers(1, q)), tau,
                                   seed=seed)
     constraint = ConstraintSet(profile, float(rng.uniform(0.0, tau)))
-    swept = run_reduction_sweep(code, profile, decoder, [constraint])[0]
+    swept = run_reduction_sweep(decoder, [constraint])[0]
     drawn = int(rng.integers(0, q**k))
     runs = [(u_idx, False) for u_idx in range(q**k)] + [(drawn, True)]
     for u_idx, force in runs:
-        direct = run_reduction(code, profile, decoder, vector_of_index(u_idx, q, k),
+        direct = run_reduction(decoder, vector_of_index(u_idx, q, k),
                                constraint, force_symmetrize=force)
         assert swept[u_idx].u == direct.u
         assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
@@ -198,8 +195,8 @@ def test_reference_matches_sweep_at_q5_k2(force):
     profile = random_sets_profile(5, 4, 2, 0.8, seed=11)
     decoder = BruteForceNearestDecoder(code)
     constraint = ConstraintSet(profile, 0.5)
-    swept = run_reduction_sweep(code, profile, decoder, [constraint])[0]
-    direct = run_reduction(code, profile, decoder, np.array([2, 3]), constraint,
+    swept = run_reduction_sweep(decoder, [constraint])[0]
+    direct = run_reduction(decoder, np.array([2, 3]), constraint,
                            force_symmetrize=force)
     ref = swept[2 * 5 + 3]
     assert ref.u == direct.u and direct.symmetrized == force
@@ -218,21 +215,21 @@ def _traced_peak(run) -> int:
 
 
 def test_stated_peak_bytes_bound_traced_peak():
-    # each engine's stated peak is an upper bound that is not loose by 2x
+    # each engine's stated peak is an upper bound that is not loose by 2x,
+    # also when the sweep builds a BW table, whose build checks its own peak
     code = random_code(5, 4, 2, seed=11)
     profile = random_sets_profile(5, 4, 2, 0.8, seed=11)
     decoder = BruteForceNearestDecoder(code)
     constraint = ConstraintSet(profile, 0.5)
-    peak = _traced_peak(lambda: run_reduction(code, profile, decoder, np.array([1, 4]),
+    peak = _traced_peak(lambda: run_reduction(decoder, np.array([1, 4]),
                                               constraint, force_symmetrize=True))
     stated = _reference_peak_bytes(5, 4, 2, symmetrized=True)
     assert stated / 2 <= peak <= stated
-    for q, k, z in ((5, 2, 1), (7, 3, 2)):
-        code = rs_code(q, k)
+    for q, k, z in ((5, 2, 1), (7, 3, 2), (5, 3, 1)):
+        decoder = BerlekampWelchDecoder(rs_code(q, k))
         profile = interval_profile(q, q, z, 0.7)
-        decoder = BerlekampWelchDecoder(code)
         peak = _traced_peak(lambda: run_reduction_sweep(
-            code, profile, decoder, [ConstraintSet(profile, 0.5)]))
+            decoder, [ConstraintSet(profile, 0.5)]))
         stated = _sweep_peak_bytes(q, q, k)
         assert stated / 2 <= peak <= stated, (q, k)
 
@@ -241,19 +238,18 @@ def test_stated_peak_bytes_bound_traced_peak():
 def test_fresh_nearest_build_within_stated_peak(k):
     # the nearest table's count blocks are built inside the call; at
     # rs(5,4) they, not the q^n arrays, set the peak
-    code = rs_code(5, k)
+    decoder = BruteForceNearestDecoder(rs_code(5, k))
     profile = interval_profile(5, 5, 1, 0.7)
-    peak = _traced_peak(lambda: run_reduction_sweep(
-        code, profile, BruteForceNearestDecoder(code), [ConstraintSet(profile, 0.5)]))
-    assert peak <= _sweep_peak_bytes(5, 5, k)
+    peak = _traced_peak(lambda: run_reduction_sweep(decoder, [ConstraintSet(profile, 0.5)]))
+    assert peak <= max(_sweep_peak_bytes(5, 5, k), decoder._build_bytes())
 
 
 def test_nearest_build_scratch_counts_against_budget():
-    # rs(5,4): the build's count blocks need far more than the q^n table
-    code = rs_code(5, 4)
-    decoder = BruteForceNearestDecoder(code)
-    need = -(-_table_build_bytes(5, 5, 4) // 16)
-    assert need > 50 * 5**5
+    # rs(5,4): the build's count blocks need far more than the q^n table,
+    # and more than the sweep's own stated peak
+    decoder = BruteForceNearestDecoder(rs_code(5, 4))
+    need = -(-decoder._build_bytes() // 16)
+    assert need > 50 * 5**5 and need - 1 >= -(-_sweep_peak_bytes(5, 5, 4) // 16)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
@@ -263,9 +259,8 @@ def test_nearest_build_scratch_counts_against_budget():
         tracemalloc.stop()
     assert peak < 2**14 and decoder._table is None  # nothing was allocated
     profile = interval_profile(5, 5, 1, 0.7)
-    with pytest.raises(BudgetError):
-        run_reduction_sweep(code, profile, decoder, [ConstraintSet(profile, 0.5)],
-                            budget=-(-_sweep_peak_bytes(5, 5, 4) // 16) - 1)
+    with pytest.raises(BudgetError):  # the sweep's own peak fits, the build's does not
+        run_reduction_sweep(decoder, [ConstraintSet(profile, 0.5)], budget=need - 1)
     assert decoder._table is None
     assert decoder.table(budget=need).shape == (5**5,)
 
@@ -273,9 +268,8 @@ def test_nearest_build_scratch_counts_against_budget():
 def test_no_postselection_acceptance_equals_p_dec():
     # tau_tilde = 0 accepts everything, so eta = 0 and bound = p_dec; the
     # step-3 measurement acceptance always equals p_dec regardless of u
-    code, profile, decoder = _q3_setup()
-    outcomes = run_reduction_sweep(code, profile, decoder,
-                                   [ConstraintSet(profile, 0.0)])[0]
+    profile, decoder = _q3_setup()
+    outcomes = run_reduction_sweep(decoder, [ConstraintSet(profile, 0.0)])[0]
     report = verify_bound(outcomes)
     assert report.eta == 0.0
     assert report.bound == pytest.approx(report.p_dec, abs=1e-15)
@@ -286,19 +280,18 @@ def test_no_postselection_acceptance_equals_p_dec():
 
 
 def test_bound_holds_on_small_sweep():
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     for tau_tilde in (0.4, 0.6):
-        outcomes = run_reduction_sweep(code, profile, decoder,
-                                       [ConstraintSet(profile, tau_tilde)])[0]
+        outcomes = run_reduction_sweep(decoder, [ConstraintSet(profile, tau_tilde)])[0]
         report = verify_bound(outcomes)
         assert report.ok
         assert all(o.slack >= -1e-9 for o in outcomes) or report.slack >= -1e-9
 
 
 def test_marginal_sums_to_one_and_contains_p_u():
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     constraint = ConstraintSet(profile, 0.6)
-    out = run_reduction(code, profile, decoder, np.array([2]), constraint,
+    out = run_reduction(decoder, np.array([2]), constraint,
                         keep_marginal=True)
     assert out.a_marginal is not None
     assert out.a_marginal.sum() == pytest.approx(1.0, abs=1e-10)
@@ -307,8 +300,8 @@ def test_marginal_sums_to_one_and_contains_p_u():
 
 
 def test_outcome_to_dict_keys():
-    code, profile, decoder = _q3_setup()
-    out = run_reduction(code, profile, decoder, np.array([0]),
+    profile, decoder = _q3_setup()
+    out = run_reduction(decoder, np.array([0]),
                         ConstraintSet(profile, 0.4))
     d = out.to_dict()
     assert set(d) == {"u", "p_u", "post_select_prob", "p_dec", "eta",
@@ -320,9 +313,8 @@ def test_outcome_to_dict_keys():
 
 
 def test_verify_bound_requires_exhaustive_coverage():
-    code, profile, decoder = _q3_setup()
-    outcomes = run_reduction_sweep(code, profile, decoder,
-                                   [ConstraintSet(profile, 0.4)])[0]
+    profile, decoder = _q3_setup()
+    outcomes = run_reduction_sweep(decoder, [ConstraintSet(profile, 0.4)])[0]
     with pytest.raises(ValueError, match="exhaustive"):
         verify_bound(outcomes[:-1])
     with pytest.raises(ValueError, match="exhaustive"):
@@ -334,15 +326,14 @@ def test_verify_bound_requires_exhaustive_coverage():
 def test_verify_bound_rejects_mixed_outcomes():
     # one syndrome's outcome taken from a sweep at another tau_tilde carries
     # another eta; one from another profile carries another p_dec as well
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     tight, loose = run_reduction_sweep(
-        code, profile, decoder,
-        [ConstraintSet(profile, 0.4), ConstraintSet(profile, 0.7)])
+        decoder, [ConstraintSet(profile, 0.4), ConstraintSet(profile, 0.7)])
     assert tight[0].eta != loose[0].eta
     with pytest.raises(ValueError, match="one p_dec and one eta"):
         verify_bound(loose[:1] + tight[1:])
     other = interval_profile(3, 3, 0, 0.9)
-    foreign = run_reduction_sweep(code, other, decoder, [ConstraintSet(other, 0.4)])[0]
+    foreign = run_reduction_sweep(decoder, [ConstraintSet(other, 0.4)])[0]
     assert foreign[0].p_dec != tight[0].p_dec
     with pytest.raises(ValueError, match="one p_dec and one eta"):
         verify_bound(foreign[:1] + tight[1:])
@@ -350,75 +341,62 @@ def test_verify_bound_rejects_mixed_outcomes():
 
 
 def test_run_reduction_rejects_bad_inputs():
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     constraint = ConstraintSet(profile, 0.4)
     with pytest.raises(ValueError, match="length"):
-        run_reduction(code, profile, decoder, np.array([0, 1]), constraint)
+        run_reduction(decoder, np.array([0, 1]), constraint)
     other = interval_profile(5, 5, 1, 0.7)
     with pytest.raises(ValueError, match="profile"):
-        run_reduction(code, other, decoder, np.array([0]),
-                      ConstraintSet(other, 0.4))
+        run_reduction(decoder, np.array([0]), ConstraintSet(other, 0.4))
     with pytest.raises(ValueError, match="profile"):
-        run_reduction_sweep(code, other, decoder, [ConstraintSet(other, 0.4)])
+        run_reduction_sweep(decoder, [ConstraintSet(other, 0.4)])
+    with pytest.raises(ValueError, match="no constraint"):
+        run_reduction_sweep(decoder, [])
     # same (q, n) but other sets: mask and eta would come from two profiles
     foreign = ConstraintSet(random_sets_profile(3, 3, 1, 0.7, seed=5), 0.4)
     assert foreign.profile.sets != profile.sets
     with pytest.raises(ValueError, match="different profile"):
-        run_reduction(code, profile, decoder, np.array([0]), foreign)
-    with pytest.raises(ValueError, match="different profile"):
-        run_reduction_sweep(code, profile, decoder, [constraint, foreign])
+        run_reduction_sweep(decoder, [constraint, foreign])
     # same sets but another tau
     retuned = ConstraintSet(interval_profile(3, 3, 0, 0.8), 0.4)
     with pytest.raises(ValueError, match="different profile"):
-        run_reduction(code, profile, decoder, np.array([0]), retuned)
-    with pytest.raises(ValueError, match="different profile"):
-        run_reduction_sweep(code, profile, decoder, [retuned])
-    # a decoder tabulated for another [3,1]_3 code has a table of the right shape
-    alien = BruteForceNearestDecoder(random_code(3, 3, 1, seed=4))
-    assert np.any(alien.code.G != code.G)
-    with pytest.raises(ValueError, match="different code"):
-        run_reduction(code, profile, alien, np.array([0]), constraint)
-    with pytest.raises(ValueError, match="different code"):
-        run_reduction_sweep(code, profile, alien, [constraint])
+        run_reduction_sweep(decoder, [constraint, retuned])
 
 
 def test_budget_enforced():
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     with pytest.raises(BudgetError):
-        run_reduction(code, profile, decoder, np.array([0]),
-                      ConstraintSet(profile, 0.4), budget=10)
+        run_reduction(decoder, np.array([0]), ConstraintSet(profile, 0.4), budget=10)
     assert decoder._table is None  # rejected before the table was built
     with pytest.raises(BudgetError):
-        run_reduction_sweep(code, profile, decoder,
-                            [ConstraintSet(profile, 0.4)], budget=10)
+        run_reduction_sweep(decoder, [ConstraintSet(profile, 0.4)], budget=10)
 
 
 def test_sweep_budget_is_stated_peak_and_checked_first():
     # the budget counts the 16-byte amplitudes of the stated peak, as for
-    # run_reduction, and one fewer is rejected before any table is built
-    code = rs_code(5, 2)
+    # run_reduction, and one fewer is rejected before any table is built;
+    # a fresh BW table's build fits the sweep's own peak, so the sweep runs at it
     profile = interval_profile(5, 5, 1, 0.7)
     constraint = ConstraintSet(profile, 0.5)
-    decoder = BerlekampWelchDecoder(code)
-    stated = -(-_sweep_peak_bytes(5, 5, 2) // 16)
-    assert stated > 5**5
-    with pytest.raises(BudgetError):
-        run_reduction_sweep(code, profile, decoder, [constraint],
-                            budget=stated - 1)
-    assert decoder._table is None  # rejected before the table was built
-    outcomes = run_reduction_sweep(code, profile, decoder, [constraint],
-                                   budget=stated)[0]
-    assert outcomes[0].symmetrized
-    assert verify_bound(outcomes).ok
+    for k in (2, 3, 4):
+        decoder = BerlekampWelchDecoder(rs_code(5, k))
+        stated = -(-_sweep_peak_bytes(5, 5, k) // 16)
+        assert stated > 5**5
+        with pytest.raises(BudgetError):
+            run_reduction_sweep(decoder, [constraint], budget=stated - 1)
+        assert decoder._table is None  # rejected before the table was built
+        outcomes = run_reduction_sweep(decoder, [constraint], budget=stated)[0]
+        assert outcomes[0].symmetrized
+        assert verify_bound(outcomes).ok
 
 
 def test_force_symmetrize_override():
     # nearest on the perfect code needs no symmetrization; force it anyway
-    code, profile, decoder = _q3_setup()
+    profile, decoder = _q3_setup()
     constraint = ConstraintSet(profile, 0.4)
-    plain = run_reduction(code, profile, decoder, np.array([1]), constraint,
+    plain = run_reduction(decoder, np.array([1]), constraint,
                           force_symmetrize=False)
-    forced = run_reduction(code, profile, decoder, np.array([1]), constraint,
+    forced = run_reduction(decoder, np.array([1]), constraint,
                            force_symmetrize=True)
     assert forced.symmetrized and not plain.symmetrized
     assert forced.p_u == pytest.approx(plain.p_u, abs=1e-10)
