@@ -20,6 +20,7 @@ __all__ = [
     "random_code",
     "syndrome",
     "coset_sample",
+    "coset_members",
     "rref",
     "rref_batch",
     "null_space",
@@ -160,7 +161,7 @@ class LinearCode:
         return (message @ self.G) % self.q
 
     def contains(self, y: np.ndarray) -> bool:
-        return not np.any(syndrome(self, y, "primal"))
+        return not np.any(syndrome(self, y))
 
     @cached_property
     def dual(self) -> "LinearCode":
@@ -198,45 +199,31 @@ def random_code(q: int, n: int, k: int, seed: int) -> LinearCode:
     return LinearCode(q, g)
 
 
-def syndrome(code: LinearCode, y: np.ndarray, side: str = "primal") -> np.ndarray:
-    """H y^T (primal) or G y^T (dual)."""
+def syndrome(code: LinearCode, y: np.ndarray) -> np.ndarray:
+    """H y^T, zero exactly on the code; the dual code's syndrome is G y^T."""
     y = np.asarray(y, dtype=np.int64)
     if y.shape[-1] != code.n:
         raise ValueError(f"vector length must be {code.n}")
-    if side == "primal":
-        return (y @ code.H.T) % code.q
-    if side == "dual":
-        return (y @ code.G.T) % code.q
-    raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+    return (y @ code.H.T) % code.q
 
 
-def _coset_parts(code: LinearCode, u: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """(particular solution, kernel generator) of the coset {y : syndrome(y, side) = u}:
-    the kernel code is the code itself for 'primal' and its dual for 'dual'."""
+def _particular(code: LinearCode, u: np.ndarray) -> np.ndarray:
+    """One y with H y^T = u; the coset {y : H y^T = u} is y + the code."""
     u = np.asarray(u, dtype=np.int64) % code.q
-    if side not in ("primal", "dual"):
-        raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
-    m, kernel_gen = (code.H, code.G) if side == "primal" else (code.G, code.H)
-    if u.shape != (m.shape[0],):
-        raise ValueError(f"syndrome length must be {m.shape[0]}")
-    particular = solve_particular(code.field, m, u)
+    if u.shape != (code.n - code.k,):
+        raise ValueError(f"syndrome length must be {code.n - code.k}")
+    particular = solve_particular(code.field, code.H, u)
     assert particular is not None, "full-rank system cannot be inconsistent"
-    return particular, kernel_gen
+    return particular
 
 
-def coset_sample(code: LinearCode, u: np.ndarray, side: str,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Uniform element of the coset {y : syndrome(y, side) = u}: one
-    particular solution plus a uniform random element of the kernel code."""
-    particular, kernel_gen = _coset_parts(code, u, side)
-    coeffs = rng.integers(0, code.q, size=kernel_gen.shape[0], dtype=np.int64)
-    return (particular + coeffs @ kernel_gen) % code.q
+def coset_sample(code: LinearCode, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform element of the coset {y : H y^T = u}: one particular
+    solution plus the codeword of k uniform message symbols."""
+    message = rng.integers(0, code.q, size=code.k, dtype=np.int64)
+    return (_particular(code, u) + code.encode(message)) % code.q
 
 
-def coset_members(code: LinearCode, u: np.ndarray, side: str,
-                  budget: int | None = None) -> np.ndarray:
-    """All coset elements, exhaustively (desk scale only)."""
-    particular, kernel_gen = _coset_parts(code, u, side)
-    require_budget(code.q ** kernel_gen.shape[0] * code.n, budget)
-    span = (all_vectors(code.q, kernel_gen.shape[0]) @ kernel_gen) % code.q
-    return (particular + span) % code.q
+def coset_members(code: LinearCode, u: np.ndarray, budget: int | None = None) -> np.ndarray:
+    """All coset elements in message-index order (desk scale only)."""
+    return (_particular(code, u) + code.codewords(budget)) % code.q

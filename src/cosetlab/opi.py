@@ -5,11 +5,13 @@ a target fraction tau, and a fixed offset string x indexed by F_q, find a
 polynomial P of degree < k such that P(i) + x_i lands in S_i for at least
 tau*q of the points.
 
-This is the same problem as finding a member of a Reed-Solomon coset that
-hits the constraint set: with u = H x^T, any y in the coset {y : H y = u}
-that satisfies #{i : y_i in S_i} >= tau*q interpolates (via y - x) to a
-winning polynomial, and vice versa. Both directions are implemented and
-the satisfied counts agree point for point, since P(i) + x_i = y_i.
+An instance is the coset x + RS_k of the full-support Reed-Solomon code
+`rs_code(q, k)`: codeword i is the evaluation table of the i-th
+coefficient vector, so P(i) + x_i is coordinate i of a coset member.
+Solving the instance is finding a member y of the syndrome-(H x^T) coset
+with #{i : y_i in S_i} >= tau*q, and y - x interpolates back to P. Both
+directions are implemented and the satisfied counts agree point for point.
+Evaluation, interpolation and enumeration all read the code's generator.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ import numpy as np
 
 from .codes import (LinearCode, coset_members, coset_sample, rs_code, solve_particular,
                     syndrome)
-from .config import count_threshold, require_budget
-from .galois import PrimeField, all_vectors
+from .config import count_threshold
+from .galois import PrimeField, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, build_profile, indicator_table
 
 __all__ = [
     "OPIInstance",
     "OPISolution",
     "generate_instance",
-    "poly_eval",
     "interpolate",
     "opi_to_icc",
     "icc_to_opi",
@@ -45,29 +46,19 @@ __all__ = [
 # ---- polynomials over F_q ---------------------------------------------------
 
 
-def poly_eval(q: int, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate a low-degree-first coefficient vector at given residues."""
-    coeffs = np.asarray(coeffs, dtype=np.int64) % q
-    points = np.asarray(points, dtype=np.int64) % q
-    out = np.zeros_like(points)
-    for c in coeffs[::-1]:  # Horner, highest degree first
-        out = (out * points + c) % q
-    return out
-
-
 def interpolate(q: int, values: np.ndarray, k: int) -> np.ndarray | None:
     """Coefficients of the unique P with deg < k through (i, values[i]).
 
     `values` must cover all residues 0..q-1; returns None when no
-    polynomial of degree < k fits every point. The q x k evaluation system
-    has full column rank, so it is consistent exactly when P exists and
-    then has one solution.
+    polynomial of degree < k fits every point. The evaluation system
+    G^T P^T = values of `rs_code(q, k)` has full column rank, so it is
+    consistent exactly when P exists and then has one solution.
     """
     values = np.asarray(values, dtype=np.int64) % q
     if values.shape != (q,):
         raise ValueError(f"need one value per residue, got shape {values.shape}")
-    vand = np.array([[pow(i, j, q) for j in range(k)] for i in range(q)], dtype=np.int64)
-    return solve_particular(PrimeField(q), vand, values)
+    code = rs_code(q, k)
+    return solve_particular(code.field, code.G.T, values)
 
 
 # ---- instances ---------------------------------------------------------------
@@ -85,6 +76,7 @@ class OPIInstance:
     seed: int | None = None
 
     def __post_init__(self):
+        PrimeField(self.q)
         if not 1 <= self.k < self.q:
             raise ValueError(f"need 1 <= k < q, got k={self.k}, q={self.q}")
         if len(self.x) != self.q:
@@ -108,6 +100,11 @@ class OPIInstance:
     def set_indicator(self) -> np.ndarray:
         """0/1 table ind[i, alpha] = 1 iff alpha in S_i, shape (q, q)."""
         return indicator_table(self.q, self.sets)
+
+    @cached_property
+    def code(self) -> LinearCode:
+        """RS_k over all of F_q; the instance is the coset x + RS_k."""
+        return rs_code(self.q, self.k)
 
     @cached_property
     def profile(self) -> ErrorProfile:
@@ -171,9 +168,8 @@ def satisfied_count(instance: OPIInstance, coeffs: np.ndarray) -> int:
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.shape != (instance.k,):
         raise ValueError(f"coefficient vector must have length {instance.k}")
-    q = instance.q
-    values = (poly_eval(q, coeffs, np.arange(q)) + instance.x_array()) % q
-    return int(instance.set_indicator[np.arange(q), values].sum())
+    values = (instance.code.encode(coeffs) + instance.x_array()) % instance.q
+    return int(instance.set_indicator[np.arange(instance.q), values].sum())
 
 
 def verify(instance: OPIInstance, solution: OPISolution) -> tuple[int, bool]:
@@ -191,8 +187,8 @@ def opi_to_icc(instance: OPIInstance) -> tuple[LinearCode, np.ndarray, Constrain
     Solving the instance is exactly finding a member of the syndrome-u
     coset of RS_k inside the constraint set.
     """
-    code = rs_code(instance.q, instance.k)
-    u = syndrome(code, instance.x_array(), side="primal")
+    code = instance.code
+    u = syndrome(code, instance.x_array())
     constraint = ConstraintSet(instance.profile, instance.tau)
     return code, u, constraint
 
@@ -221,14 +217,13 @@ def icc_from_opi_solver(code: LinearCode, u: np.ndarray,
     """Coset-search via an instance solver: random x in the coset, solve,
     shift the winning polynomial's evaluations back by x."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = coset_sample(code, u, side="primal", rng=rng)
+    x = coset_sample(code, u, rng=rng)
     profile = constraint.profile
     instance = OPIInstance(
         q=code.q, k=code.k, sets=profile.sets, tau=profile.tau,
         x=tuple(int(v) for v in x), seed=seed)
     solution = solver(instance)
-    evals = poly_eval(code.q, np.array(solution.coeffs), np.arange(code.q))
-    return (x + evals) % code.q
+    return (x + instance.code.encode(np.array(solution.coeffs))) % code.q
 
 
 # ---- brute-force oracles ------------------------------------------------------
@@ -236,29 +231,23 @@ def icc_from_opi_solver(code: LinearCode, u: np.ndarray,
 
 def brute_force_opi(instance: OPIInstance,
                     budget: int | None = None) -> OPISolution:
-    """Best polynomial by exhausting all q^k coefficient vectors.
+    """Best polynomial by scoring every member of the coset x + RS_k.
 
-    Ties break to the lowest coefficient index, so the result is
-    deterministic.
+    Coefficient vectors enumerate in message-index order and ties break
+    to the lowest index, so the result is deterministic.
     """
-    q, k = instance.q, instance.k
-    require_budget(q**k * q, budget)
-    coeff_vectors = all_vectors(q, k)
-    points = np.arange(q, dtype=np.int64)
-    vand = (np.vander(points, k, increasing=True).astype(np.int64)) % q
-    # evals[j, i] = P_j(i); coefficient vectors are low-degree-first
-    evals = (coeff_vectors @ vand.T) % q
-    shifted = (evals + instance.x_array()[None, :]) % q
-    counts = instance.set_indicator[np.arange(q)[None, :], shifted].sum(axis=1)
+    q, code = instance.q, instance.code
+    words = (code.codewords(budget) + instance.x_array()) % q
+    counts = instance.set_indicator[np.arange(q), words].sum(axis=1)
     best = int(np.argmax(counts))
-    return OPISolution(coeffs=tuple(int(c) for c in coeff_vectors[best]),
+    return OPISolution(coeffs=tuple(int(c) for c in vector_of_index(best, q, code.k)),
                        count=int(counts[best]))
 
 
 def brute_force_icc(code: LinearCode, u: np.ndarray, constraint: ConstraintSet,
                     budget: int | None = None) -> tuple[np.ndarray, int]:
     """Best coset member by exhausting the syndrome-u coset of the code."""
-    members = coset_members(code, u, side="primal", budget=budget)
+    members = coset_members(code, u, budget=budget)
     ind = constraint.profile.set_indicator
     counts = ind[np.arange(code.n)[None, :], members].sum(axis=1)
     best = int(np.argmax(counts))

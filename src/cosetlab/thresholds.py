@@ -10,9 +10,11 @@ error fractions tau up to the point where its feasibility condition fails:
 
 where c is the center probability (sqrt(tau rho) + sqrt((1-tau)(1-rho)))^2
 and U is the fourth-power lower bound from `noise`. The right-hand sides
-are decreasing in tau on [rho, 1] (verified before solving), so the
-maximal tau is found by bisection; a value of 1 means the condition holds
-even at tau = 1 ("saturated").
+are decreasing in tau on [rho, 1], so the maximal tau is found by one
+bisection; a value of 1 means the condition holds even at tau = 1
+("saturated"). With tau = sin^2 theta and rho = sin^2 phi, c is
+cos^2(theta - phi), which falls as theta grows past phi; a property test
+checks the decrease for all three conditions.
 
 The classical baseline formula is a reconstructed fit: it reproduces every
 reference table entry, but is not derived here.
@@ -94,14 +96,6 @@ def tau_max(query: ThresholdQuery) -> float:
             f"condition infeasible for {query.kind} at R={query.r}, rho={query.rho}")
     if feasible(hi):
         return 1.0
-    # the bisection relies on a decreasing right-hand side; if it is not,
-    # first bracket the last feasible point on a fine grid
-    grid = np.linspace(lo, hi, 9)
-    values = [_rhs(query, t) for t in grid]
-    if not all(b <= a + 1e-12 for a, b in zip(values, values[1:])):
-        fine = np.linspace(lo, hi, 4097)
-        last = max(i for i, t in enumerate(fine) if feasible(t))
-        lo, hi = fine[last], fine[min(last + 1, len(fine) - 1)]
     while hi - lo > TOL.bisection:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -160,24 +154,22 @@ def _kv_query(r: float, rho: float, kv_q: int | None) -> ThresholdQuery:
     return ThresholdQuery("kv", r, (2 * z + 1) / kv_q)
 
 
-def optimize_over_rho(kind: str, classical_target: float) -> tuple[float, float, float]:
-    """Best (R, rho, tau) for a kind along rho + R(1-rho) = classical_target.
+def optimize_over_rho(kind: str) -> tuple[float, float, float]:
+    """Best (R, rho, tau) for a kind along rho + R(1-rho) = CLASSICAL_TARGET.
 
     Grid search in rho at step RHO_STEP, then ternary refinement of the
     bracketing interval.
     """
-    if not 0.0 < classical_target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {classical_target}")
 
     def tau_at(rho: float) -> float:
-        r = (classical_target - rho) / (1.0 - rho)
+        r = (CLASSICAL_TARGET - rho) / (1.0 - rho)
         return tau_max(ThresholdQuery(kind, r, rho))
 
-    grid = np.arange(RHO_STEP, classical_target, RHO_STEP)
+    grid = np.arange(RHO_STEP, CLASSICAL_TARGET, RHO_STEP)
     taus = [tau_at(rho) for rho in grid]
     best = int(np.argmax(taus))
     lo = grid[max(best - 1, 0)]
-    hi = min(grid[min(best + 1, len(grid) - 1)], classical_target - 1e-9)
+    hi = min(grid[min(best + 1, len(grid) - 1)], CLASSICAL_TARGET - 1e-9)
     while hi - lo > 1e-9:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -186,7 +178,7 @@ def optimize_over_rho(kind: str, classical_target: float) -> tuple[float, float,
         else:
             hi = m2
     rho = float(0.5 * (lo + hi))
-    r = (classical_target - rho) / (1.0 - rho)
+    r = (CLASSICAL_TARGET - rho) / (1.0 - rho)
     return r, rho, float(tau_at(rho))
 
 
@@ -204,7 +196,7 @@ def table1(kv_q: int | None = None) -> list[ThresholdRow]:
         _make_row("R=2/3", 2.0 / 3.0, 0.5, kv_q),
     ]
     for kind in ("bw", "gs", "kv"):
-        r_opt, rho_opt, _ = optimize_over_rho(kind, CLASSICAL_TARGET)
+        r_opt, rho_opt, _ = optimize_over_rho(kind)
         rows.append(_make_row(f"opt-{kind}", r_opt, rho_opt, kv_q))
     return rows
 

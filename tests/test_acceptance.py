@@ -280,7 +280,7 @@ def test_criterion_09_opi_icc_equivalence():
         best = brute_force_opi(inst)
         y, icc_count = brute_force_icc(code, u, constraint)
         assert best.count == icc_count, (set_size, tau, seed)
-        assert np.array_equal(syndrome(code, y, side="primal"), u)
+        assert np.array_equal(syndrome(code, y), u)
         assert icc_to_opi(inst, y).count == best.count
 
 

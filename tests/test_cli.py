@@ -189,6 +189,24 @@ def test_opi_instance_or_solution_lacking_a_key_exits_2(tmp_path, capsys):
     assert "'coeffs'" in err and "Traceback" not in err
 
 
+def test_opi_non_prime_modulus_exits_2(tmp_path, capsys):
+    code, err = _exit_status(capsys, "opi", "gen", "--q", "4", "--k", "2",
+                             "--set-size", "2", "--tau", "0.5")
+    assert code == 2
+    assert "prime" in err and "Traceback" not in err
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"q": 4, "k": 2, "tau": 0.5, "seed": 0,
+                                "sets": [[0, 1]] * 4, "x": [0, 1, 2, 3]}))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"coeffs": [0, 0], "count": 4}))
+    for argv in (["solve-bruteforce", "--instance", str(inst)],
+                 ["verify", "--instance", str(inst), "--solution", str(sol)],
+                 ["convert", "--instance", str(inst)]):
+        code, err = _exit_status(capsys, "opi", *argv)
+        assert code == 2, argv
+        assert "prime" in err and "Traceback" not in err
+
+
 # ---- selfcheck -------------------------------------------------------------------
 
 

@@ -172,35 +172,36 @@ def test_dual_involution():
 def test_syndrome_sides():
     code = rs_code(5, 2)
     y = np.array([1, 4, 2, 0, 3])
-    assert np.array_equal(syndrome(code, y, "primal"), (y @ code.H.T) % 5)
-    assert np.array_equal(syndrome(code, y, "dual"), (y @ code.G.T) % 5)
+    assert np.array_equal(syndrome(code, y), (y @ code.H.T) % 5)
+    assert np.array_equal(syndrome(code.dual, y), (y @ code.G.T) % 5)
     with pytest.raises(ValueError):
-        syndrome(code, y, "sideways")
+        syndrome(code, y[:4])
     for w in code.codewords():
-        assert np.all(syndrome(code, w, "primal") == 0)
+        assert np.all(syndrome(code, w) == 0)
 
 
-@pytest.mark.parametrize("side", ["primal", "dual"])
-def test_coset_membership(side):
-    code = rs_code(5, 2)
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_coset_membership(dual):
+    code = rs_code(5, 2).dual if dual else rs_code(5, 2)
     rng = np.random.default_rng(8)
-    dim = code.n - code.k if side == "primal" else code.k
-    u = rng.integers(0, 5, size=dim)
-    members = coset_members(code, u, side)
-    expected = 5 ** (code.k if side == "primal" else code.n - code.k)
+    u = rng.integers(0, 5, size=code.n - code.k)
+    members = coset_members(code, u)
+    expected = 5 ** code.k
     assert len(members) == expected
     assert len({tuple(m) for m in members}) == expected
-    assert np.all(syndrome(code, members, side) % 5 == np.asarray(u) % 5)
+    assert np.all(syndrome(code, members) % 5 == np.asarray(u) % 5)
     for trial in range(10):
-        sample = coset_sample(code, u, side, np.random.default_rng(trial))
+        sample = coset_sample(code, u, np.random.default_rng(trial))
         assert tuple(sample) in {tuple(m) for m in members}
+    with pytest.raises(ValueError, match="syndrome length"):
+        coset_members(code, np.append(u, 0))
 
 
 def test_coset_sample_covers_coset():
     # small enough to see every member with a fat sample
     code = LinearCode(2, np.array([[1, 1, 0], [0, 1, 1]]))
     u = np.array([1])
-    members = {tuple(m) for m in coset_members(code, u, "primal")}
+    members = {tuple(m) for m in coset_members(code, u)}
     rng = np.random.default_rng(0)
-    seen = {tuple(coset_sample(code, u, "primal", rng)) for _ in range(200)}
+    seen = {tuple(coset_sample(code, u, rng)) for _ in range(200)}
     assert seen == members

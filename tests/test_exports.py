@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +19,19 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used_or_exported(name):
+    # no linter runs on the package: an import left behind when its last
+    # use moves elsewhere is caught here instead
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", []))) == []

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab.codes import syndrome
+from cosetlab.codes import rs_code, syndrome
+from cosetlab.config import BudgetError
 from cosetlab.opi import (OPIInstance, OPISolution, brute_force_icc,
                           brute_force_opi, generate_instance, icc_from_opi_solver,
-                          icc_to_opi, interpolate, opi_to_icc, poly_eval,
+                          icc_to_opi, interpolate, opi_to_icc,
                           satisfied_count, verify)
 
 
@@ -20,24 +21,24 @@ def _naive_eval(q, coeffs, x):
 
 
 def test_poly_eval_against_naive_power_sum():
+    # polynomial evaluation at every residue is RS encoding (RS needs k < q)
     rng = np.random.default_rng(0)
     for q in (2, 3, 5, 7):
         for _ in range(20):
-            k = int(rng.integers(1, 4))
+            k = int(rng.integers(1, min(4, q)))
             coeffs = rng.integers(0, q, size=k)
-            pts = np.arange(q)
-            got = poly_eval(q, coeffs, pts)
-            want = [_naive_eval(q, coeffs, int(x)) for x in pts]
+            got = rs_code(q, k).encode(coeffs)
+            want = [_naive_eval(q, coeffs, x) for x in range(q)]
             assert got.tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_interpolate_inverts_poly_eval(q, data):
-    k = data.draw(st.integers(1, min(3, q)))
+    k = data.draw(st.integers(1, min(3, q - 1)))
     coeffs = np.array(
         data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k)))
-    values = poly_eval(q, coeffs, np.arange(q))
+    values = rs_code(q, k).encode(coeffs)
     got = interpolate(q, values, k)
     assert got is not None and got.tolist() == (coeffs % q).tolist()
 
@@ -67,6 +68,8 @@ def test_instance_validation():
         OPIInstance(**{**good, "x": (0, 1)})
     with pytest.raises(ValueError):
         OPIInstance(**{**good, "tau": 1.5})
+    with pytest.raises(ValueError, match="prime"):
+        OPIInstance(**{**good, "q": 4, "sets": ((0,),) * 4, "x": (0,) * 4})
 
 
 def test_instance_accepts_full_sets():
@@ -132,6 +135,13 @@ def test_brute_force_opi_vs_double_loop():
         assert counts[key] < top
 
 
+def test_brute_force_opi_budget_is_q_to_the_k_times_q():
+    inst = generate_instance(5, 2, 2, 0.6, seed=6)
+    assert brute_force_opi(inst, budget=5**2 * 5) == brute_force_opi(inst)
+    with pytest.raises(BudgetError):
+        brute_force_opi(inst, budget=5**2 * 5 - 1)
+
+
 # ---- the coset-search equivalence -----------------------------------------------
 
 
@@ -139,7 +149,7 @@ def test_opi_to_icc_syndrome_matches_offsets():
     inst = generate_instance(5, 2, 2, 0.6, seed=6)
     code, u, constraint = opi_to_icc(inst)
     assert code.q == 5 and code.k == 2 and code.n == 5
-    assert np.array_equal(u, syndrome(code, inst.x_array(), side="primal"))
+    assert np.array_equal(u, syndrome(code, inst.x_array()))
     assert constraint.tau_tilde == inst.tau
 
 
@@ -164,7 +174,7 @@ def test_icc_from_opi_solver_lands_in_coset():
     inst = generate_instance(5, 2, 2, 0.8, seed=12)
     code, u, constraint = opi_to_icc(inst)
     y = icc_from_opi_solver(code, u, constraint, brute_force_opi, seed=3)
-    assert np.array_equal(syndrome(code, y, side="primal"), u)
+    assert np.array_equal(syndrome(code, y), u)
     # the adapter preserves optimality of the inner solver
     _, icc_count = brute_force_icc(code, u, constraint)
     assert constraint.count(y) == icc_count
@@ -173,6 +183,6 @@ def test_icc_from_opi_solver_lands_in_coset():
 def test_solution_roundtrip_through_interpolation():
     inst = generate_instance(7, 3, 3, 0.5, seed=8)
     best = brute_force_opi(inst)
-    evals = poly_eval(7, np.array(best.coeffs), np.arange(7))
+    evals = rs_code(7, 3).encode(np.array(best.coeffs))
     got = interpolate(7, evals, 3)
     assert got is not None and tuple(got.tolist()) == best.coeffs

@@ -1,12 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetlab.noise import center_probability_form, fourth_power_bound
 from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery,
                                  binary_threshold, curves_csv, figure1_curves,
                                  optimize_over_rho, table1, tau_max)
+from cosetlab.thresholds import _rhs
 
 
 def test_binary_threshold_values():
@@ -45,6 +49,18 @@ def test_tau_max_sits_on_the_feasibility_edge(kind, rhs_fn, r, rho):
         assert rhs_fn(tau + 1e-6, rho) < lhs  # and tight: a nudge breaks it
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["bw", "gs", "kv"]),
+       st.one_of(st.floats(1e-7, 1.0 - 1e-7),
+                 st.sampled_from([1e-7, 1e-6, 1.0 - 1e-6, 1.0 - 1e-7])))
+def test_rhs_decreases_in_tau_from_rho_to_1(kind, rho):
+    # tau_max's one bisection is exact only if every right-hand side falls
+    # on [rho, 1]; the rate does not enter the right-hand side
+    query = ThresholdQuery(kind, 0.5, rho)
+    values = np.array([_rhs(query, tau) for tau in np.linspace(rho, 1.0, 502)])
+    assert np.diff(values).max() <= 1e-12
+
+
 def test_tau_max_saturates_for_generous_rates():
     # at R = 2/3 the fourth-power bound meets 1 - R over the whole range
     assert tau_max(ThresholdQuery("kv", 2 / 3, 0.5)) == 1.0
@@ -79,7 +95,7 @@ def test_discrete_kv_close_to_scale_free_at_large_q():
 
 def test_optimizer_hits_classical_target_curve():
     for kind in ("bw", "gs", "kv"):
-        r, rho, best = optimize_over_rho(kind, classical_target=0.55)
+        r, rho, best = optimize_over_rho(kind)
         assert all(isinstance(v, float) for v in (r, rho, best))
         assert rho + r * (1.0 - rho) == pytest.approx(0.55, abs=1e-9)
         assert best == pytest.approx(tau_max(ThresholdQuery(kind, r, rho)),
