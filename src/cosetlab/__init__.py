@@ -24,16 +24,14 @@ from .codes import LinearCode, random_code, rs_code, syndrome
 from .config import TOL, BudgetError, Tolerances
 from .decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                      TableDecoder, berlekamp_welch, berlekamp_welch_batch,
-                     brute_force_list, brute_force_nearest,
-                     per_message_success)
-from .galois import (PrimeField, character, fourier_transform,
-                     inverse_fourier_transform)
+                     brute_force_nearest, per_message_success)
+from .galois import PrimeField, fourier_transform, inverse_fourier_transform
 from .noise import (ConstraintSet, ErrorProfile, build_profile,
                     center_probability, fourth_power_bound, fourth_power_sum,
                     interval_profile, tail_mass)
 from .opi import OPIInstance, OPISolution, icc_to_opi, opi_to_icc
-from .qsim import (ReductionOutcome, run_reduction, run_reduction_sweep,
-                   success_lower_bound, verify_bound)
+from .qsim import (ReductionOutcome, SweepResult, run_reduction,
+                   run_reduction_sweep, success_lower_bound, verify_bound)
 from .thresholds import ThresholdQuery, figure1_curves, table1, tau_max
 
 __version__ = "0.1.0"
@@ -43,13 +41,13 @@ __all__ = [
     "LinearCode", "rs_code", "random_code", "syndrome",
     "TOL", "Tolerances", "BudgetError",
     "BerlekampWelchDecoder", "BruteForceNearestDecoder", "TableDecoder",
-    "berlekamp_welch", "berlekamp_welch_batch", "brute_force_list", "brute_force_nearest",
+    "berlekamp_welch", "berlekamp_welch_batch", "brute_force_nearest",
     "per_message_success",
-    "PrimeField", "character", "fourier_transform", "inverse_fourier_transform",
+    "PrimeField", "fourier_transform", "inverse_fourier_transform",
     "ConstraintSet", "ErrorProfile", "build_profile", "center_probability",
     "fourth_power_bound", "fourth_power_sum", "interval_profile", "tail_mass",
     "OPIInstance", "OPISolution", "icc_to_opi", "opi_to_icc",
-    "ReductionOutcome", "run_reduction", "run_reduction_sweep",
+    "ReductionOutcome", "SweepResult", "run_reduction", "run_reduction_sweep",
     "success_lower_bound", "verify_bound",
     "ThresholdQuery", "tau_max", "table1", "figure1_curves",
     "__version__",

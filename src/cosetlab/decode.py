@@ -15,7 +15,6 @@ whole (q,)*n grid, is `galois.index_of_vector`.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -28,9 +27,7 @@ from .noise import ErrorProfile
 __all__ = [
     "berlekamp_welch",
     "berlekamp_welch_batch",
-    "brute_force_list",
     "brute_force_nearest",
-    "gs_list_radius",
     "BerlekampWelchDecoder",
     "BruteForceNearestDecoder",
     "TableDecoder",
@@ -116,27 +113,6 @@ def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
         raise ValueError(f"received word must have length {code.n}")
     messages, hits = berlekamp_welch_batch(code, y[None])
     return messages[0] if hits[0] else None
-
-
-def gs_list_radius(n: int, d: int) -> int:
-    """Largest radius with guaranteed polynomial list size for dimension d:
-    the integer realization of n - sqrt(n*d) with a strict boundary."""
-    return math.ceil(n - math.sqrt(n * d)) - 1
-
-
-def brute_force_list(code: LinearCode, y: np.ndarray, radius: int,
-                     budget: int | None = None) -> list[np.ndarray]:
-    """All messages within Hamming distance `radius` of y, sorted by
-    (distance, message index). Exhausts all q^k codewords."""
-    y = np.asarray(y, dtype=np.int64) % code.q
-    if y.shape != (code.n,):
-        raise ValueError(f"received word must have length {code.n}")
-    require_budget(code.q**code.k * code.n, budget)
-    messages = code.messages()
-    dists = np.count_nonzero((code.codewords() - y) % code.q, axis=1)
-    hits = np.nonzero(dists <= radius)[0]
-    order = hits[np.argsort(dists[hits], kind="stable")]
-    return [messages[i] for i in order]
 
 
 def brute_force_nearest(code: LinearCode, y: np.ndarray,

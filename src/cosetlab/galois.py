@@ -25,10 +25,8 @@ from .config import require_budget
 
 __all__ = [
     "PrimeField",
-    "character",
     "fourier_transform",
     "inverse_fourier_transform",
-    "code_character_sum",
     "index_of_vector",
     "vector_of_index",
     "all_vectors",
@@ -158,24 +156,6 @@ def all_vectors(q: int, n: int, budget: int | None = None) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, n)
 
 
-# ---- characters on vectors ----------------------------------------------
-
-
-def character(field: PrimeField, y: np.ndarray, x: np.ndarray) -> complex:
-    """chi_y(x) = exp(2*pi*i*<x,y>/q). Symmetric in x and y."""
-    y = np.asarray(y, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return complex(field.roots_of_unity[int(np.dot(x % field.q, y % field.q)) % field.q])
-
-
-def character_profile(field: PrimeField, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """chi_y(x) for every row x of xs (vectorized)."""
-    phases = (np.asarray(xs, dtype=np.int64) @ (np.asarray(y, dtype=np.int64) % field.q)) % field.q
-    return field.roots_of_unity[phases]
-
-
 # ---- Fourier transforms --------------------------------------------------
 
 
@@ -210,12 +190,3 @@ def inverse_fourier_transform(field: PrimeField, f: np.ndarray,
                               budget: int | None = None) -> np.ndarray:
     """Inverse of `fourier_transform` (conjugated characters)."""
     return _axiswise_transform(field, f, field.fourier_matrix.conj(), budget)
-
-
-def code_character_sum(code, y: np.ndarray) -> complex:
-    """sum over codewords c of chi_y(c): |C| on the dual, ~0 elsewhere."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (code.n,):
-        raise ValueError(f"y must have length {code.n}")
-    field = PrimeField(code.q)
-    return complex(character_profile(field, y, code.codewords()).sum())

@@ -34,7 +34,6 @@ __all__ = [
     "fourth_power_sum",
     "fourth_power_bound",
     "FourthPowerReport",
-    "offset_tau",
     "indicator_table",
 ]
 
@@ -153,11 +152,6 @@ def random_sets_profile(q: int, n: int, set_size: int, tau: float,
     sets = [tuple(np.sort(rng.choice(q, size=set_size, replace=False)))
             for _ in range(n)]
     return build_profile(q, n, sets, tau)
-
-
-def offset_tau(tau_tilde: float, n: int) -> float:
-    """tau_tilde + n^(-1/3), capped at 1 (the cap binds at desk-scale n)."""
-    return min(1.0, tau_tilde + n ** (-1.0 / 3.0))
 
 
 # ---- center probability ---------------------------------------------------

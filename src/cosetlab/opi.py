@@ -90,8 +90,9 @@ class OPIInstance:
         sizes = {len(set(s)) for s in self.sets}
         if any(len(set(s)) != len(s) for s in self.sets):
             raise ValueError("sets must not repeat residues")
-        if sizes != {len(self.sets[0])} or len(self.sets[0]) == 0:
-            raise ValueError("sets must have equal nonzero size")
+        # a full set is met by every polynomial, so the instance is trivial
+        if sizes != {len(self.sets[0])} or not 1 <= len(self.sets[0]) < self.q:
+            raise ValueError(f"sets must have one size in [1, {self.q - 1}]")
         for s in self.sets:
             if any(not 0 <= v < self.q for v in s):
                 raise ValueError("set entries must be residues mod q")
@@ -108,7 +109,7 @@ class OPIInstance:
 
     @cached_property
     def profile(self) -> ErrorProfile:
-        """Error profile over the sets; needs 1 <= |S_i| <= q-1."""
+        """Error profile over the sets."""
         return build_profile(self.q, self.q, self.sets, self.tau)
 
     @cached_property

@@ -40,7 +40,10 @@ Two engines compute identical outcomes:
   N(e) = #{y : y - D(y)G = e} the residual histogram of the decoder table:
   one q^n transform serves every syndrome, in O(q^n) memory.
   Symmetrization changes the diagonal gammas but not P_acc or the A
-  marginal (derivation in `run_reduction_sweep`).
+  marginal (derivation in `run_reduction_sweep`). Its result for each
+  constraint set is a `SweepResult`: every p_u as one array in
+  message-index order, and the values all syndromes share stored once.
+  `verify_bound` compares the mean of that array with the bound.
 
 Each fact of a run has one owner: the code is the decoder's, and the error
 profile is the constraint sets' (one profile, shared by every set). Each
@@ -59,12 +62,13 @@ import numpy as np
 from .codes import LinearCode
 from .config import TOL, require_budget
 from .decode import _BaseDecoder, _message_success, per_message_success, residual_index
-from .galois import PrimeField, fourier_transform, index_of_vector
+from .galois import PrimeField, fourier_transform, index_of_vector, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
 __all__ = [
     "ReductionOutcome",
     "BoundReport",
+    "SweepResult",
     "DecoderMap",
     "success_lower_bound",
     "run_reduction",
@@ -231,6 +235,36 @@ class BoundReport:
         }
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """Every dual syndrome's outcome for one constraint set. p_u[j] is the
+    success probability of syndrome j, u = vector_of_index(j, q, k), and
+    the rest, shared by every syndrome, is stored once. result[j] builds
+    syndrome j's `ReductionOutcome`, the form `run_reduction` returns."""
+    q: int
+    n: int
+    k: int
+    tau_tilde: float
+    p_u: np.ndarray = field(repr=False)
+    post_select_prob: float
+    p_dec: float
+    eta: float
+    bound: float
+    symmetrized: bool
+
+    def __len__(self) -> int:
+        return len(self.p_u)
+
+    def __getitem__(self, j: int) -> ReductionOutcome:
+        j = range(len(self))[j]  # IndexError past the end stops iteration
+        return ReductionOutcome(
+            q=self.q, n=self.n, k=self.k,
+            u=tuple(vector_of_index(j, self.q, self.k).tolist()),
+            tau_tilde=self.tau_tilde, p_u=float(self.p_u[j]),
+            post_select_prob=self.post_select_prob, p_dec=self.p_dec,
+            eta=self.eta, bound=self.bound, symmetrized=self.symmetrized)
+
+
 def _check_inputs(code: LinearCode, constraints: list[ConstraintSet]) -> ErrorProfile:
     """The constraints' one error profile, whose (q, n) must be the code's."""
     if not constraints:
@@ -341,24 +375,28 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
 
 
 def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
-    """Peak bytes of `run_reduction_sweep` with one constraint set. Per
-    received word, at the transform: the int64 table and residual histogram,
-    the complex amplitudes, four complex transform buffers and one int64 of
-    slack, 13 int64-sized entries. Per message: its codeword and message
-    rows and its outcome. The decoder checks its table build's peak itself."""
-    return q**n * INDEX_BYTES * 13 + q**k * (4 * n * INDEX_BYTES + 512) + 2**16
+    """Peak bytes of `run_reduction_sweep` with one constraint set: the
+    larger of its two phases, plus 64 KiB of overhead. At the transform, per
+    received word, the int64 table and residual histogram, the complex
+    amplitudes, four complex transform buffers and one int64 of slack, 13
+    int64-sized entries; per message, p_s and p_u. While the residual index
+    is built, per received word the table and four int64 arrays; per
+    message, two int64 codeword rows, which also cover the message rows they
+    are built from. The decoder checks its table build's peak itself."""
+    transform = q**n * 13 * INDEX_BYTES + q**k * 2 * INDEX_BYTES
+    residual = q**n * 5 * INDEX_BYTES + q**k * 2 * n * INDEX_BYTES
+    return max(transform, residual) + 2**16
 
 
 def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet], *,
-                        budget: int | None = None) -> list[list[ReductionOutcome]]:
-    """Outcomes for every dual syndrome and every constraint set, for the
-    decoder's code and the constraints' one profile.
+                        budget: int | None = None) -> list[SweepResult]:
+    """Every dual syndrome's outcome, one `SweepResult` per constraint set,
+    for the decoder's code and the constraints' one profile.
 
-    Returns outcomes[c][j] for constraint c and syndrome index j. One q^n
-    transform serves every syndrome. The budget counts the 16-byte
-    amplitudes of the stated peak (`_sweep_peak_bytes`, a few arrays of q^n
-    entries whatever k is), checked before any decoder table is built; a
-    fresh table is built only if its own stated peak fits the budget too.
+    One q^n transform serves every syndrome. The budget counts the 16-byte
+    amplitudes of the stated peak (`_sweep_peak_bytes`), checked before any
+    decoder table is built; a fresh table is built only if its own stated
+    peak fits the budget too.
 
     Derivation. With g_u(y) = chi_{-u}(D(y)) f(y - D(y)G): after step 2 the
     state is q^(-k/2) sum_{s,y} chi_{-u}(s) f(y - sG) |y>|D(y)>|s - D(y)>.
@@ -370,7 +408,7 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
     residual gives ghat_u(x) = FT(f N)(x) with N(e) = #{y : y - D(y)G = e};
     likewise q^k P_acc = sum_e N(e) |f(e)|^2. One transform of f N thus
     serves every u, and p_u sums |FT(f N)|^2 / (q^k P_acc) over one
-    dual-syndrome class of T.
+    dual-syndrome class of T: one `bincount` gives all of them.
 
     With symmetrization, acceptance selects s = D(y) - t for each shift t,
     which leaves P_acc unchanged; after the adjoint the (A, T) state is
@@ -401,37 +439,22 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
     del f, histogram
     dual_idx = _dual_index(code)
 
-    syndromes = [tuple(int(x) for x in u) for u in code.messages()]
-    out: list[list[ReductionOutcome]] = []
+    results = []
     for c in constraints:
         mask = c.membership_mask(budget)
-        p_us = np.bincount(dual_idx[mask], weights=marginal[mask], minlength=q**k)
         eta = tail_mass(profile, c.tau_tilde)[0]
-        out.append([ReductionOutcome(
-            q=q, n=n, k=k, u=u, tau_tilde=c.tau_tilde, p_u=float(p_u),
+        results.append(SweepResult(
+            q=q, n=n, k=k, tau_tilde=c.tau_tilde,
+            p_u=np.bincount(dual_idx[mask], weights=marginal[mask], minlength=q**k),
             post_select_prob=norm_sq / q**k, p_dec=p_dec, eta=eta,
-            bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized)
-            for u, p_u in zip(syndromes, p_us)])
-    return out
+            bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized))
+    return results
 
 
-def verify_bound(outcomes: list[ReductionOutcome]) -> BoundReport:
-    """Aggregate exhaustive per-syndrome outcomes against the lower bound."""
-    if not outcomes:
-        raise ValueError("no outcomes to verify")
-    first = outcomes[0]
-    expected = first.q**first.k
-    seen = {o.u for o in outcomes}
-    if len(outcomes) != expected or len(seen) != expected:
-        raise ValueError(
-            f"exhaustive verification needs all {expected} syndromes exactly "
-            f"once, got {len(outcomes)} outcomes over {len(seen)} distinct u")
-    if len({o.p_dec for o in outcomes}) > 1 or len({o.eta for o in outcomes}) > 1:
-        raise ValueError("outcomes do not share one p_dec and one eta")
-    p_dec, eta = first.p_dec, first.eta
-    mean_p = float(np.mean([o.p_u for o in outcomes]))
-    bound = success_lower_bound(p_dec, eta)
-    slack = mean_p - bound
-    return BoundReport(n_outcomes=len(outcomes), mean_p=mean_p, p_dec=p_dec,
-                       eta=eta, bound=bound, slack=slack,
+def verify_bound(result: SweepResult) -> BoundReport:
+    """The mean of p_u over every dual syndrome against the lower bound."""
+    mean_p = float(np.mean(result.p_u))
+    slack = mean_p - result.bound
+    return BoundReport(n_outcomes=len(result), mean_p=mean_p, p_dec=result.p_dec,
+                       eta=result.eta, bound=result.bound, slack=slack,
                        ok=slack >= -TOL.bound_slack)

@@ -231,10 +231,8 @@ def test_criterion_07_fourier_and_algebra_identities():
         for k in range(1, q):
             dual = rs_code(q, k).dual
             expected = rs_code(q, q - k)
-            lhs = np.sort(np.array(
-                [index_of_vector(c, q) for c in dual.codewords()]))
-            rhs = np.sort(np.array(
-                [index_of_vector(c, q) for c in expected.codewords()]))
+            lhs = np.sort(index_of_vector(dual.codewords().T, q))
+            rhs = np.sort(index_of_vector(expected.codewords().T, q))
             assert np.array_equal(lhs, rhs), f"duality failed at q={q} k={k}"
 
     # code character sums: sum_c chi_u(c) = |C| [u in dual]

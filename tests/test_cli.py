@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from cosetlab import qsim
 from cosetlab.cli import main
+from cosetlab.config import TOL
 
 
 def _run(capsys, *argv):
@@ -92,6 +95,32 @@ def test_simulate_single_u(capsys):
     doc = json.loads(out)
     assert len(doc["outcomes"]) == 1
     assert doc["outcomes"][0]["slack"] >= -1e-9
+
+
+def _simulate_random_u(capsys, seed):
+    return _run(capsys, "simulate", "--q", "5", "--n", "4", "--k", "2",
+                "--code", "random", "--decoder", "nearest", "--tau", "0.7",
+                "--ttilde", "0.5", "--sets", "random:3", "--u", "random",
+                "--seed", str(seed), "--format", "json")
+
+
+@pytest.mark.parametrize("seed", [21, 24, 34, 39])
+def test_simulate_single_u_below_bound_is_ok(capsys, seed):
+    # the bound holds for the mean over all syndromes: one syndrome may lie
+    # below it, and the run checks that both engines agree on it instead
+    code, out = _simulate_random_u(capsys, seed)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["slack"] < -TOL.bound_slack and report["ok"] is True
+
+
+def test_simulate_single_u_exits_1_when_engines_disagree(capsys, monkeypatch):
+    sweep = qsim.run_reduction_sweep
+    monkeypatch.setattr(qsim, "run_reduction_sweep", lambda *args, **kwargs: [
+        dataclasses.replace(r, p_u=r.p_u * (1 + 1e-6)) for r in sweep(*args, **kwargs)])
+    code, out = _simulate_random_u(capsys, 0)
+    assert code == 1
+    assert json.loads(out)["report"]["ok"] is False
 
 
 def test_simulate_sweeps_rs_7_5_within_default_budget(capsys):
@@ -205,6 +234,25 @@ def test_opi_non_prime_modulus_exits_2(tmp_path, capsys):
         code, err = _exit_status(capsys, "opi", *argv)
         assert code == 2, argv
         assert "prime" in err and "Traceback" not in err
+
+
+def test_opi_full_sets_exit_2(tmp_path, capsys):
+    # every polynomial meets a full set, so such an instance is trivial
+    code, err = _exit_status(capsys, "opi", "gen", "--q", "5", "--k", "2",
+                             "--set-size", "5", "--tau", "0.5")
+    assert code == 2
+    assert "size" in err and "Traceback" not in err
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"q": 5, "k": 2, "tau": 0.5, "seed": 0,
+                                "sets": [list(range(5))] * 5, "x": [0, 1, 2, 3, 4]}))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"coeffs": [0, 0], "count": 5}))
+    for argv in (["solve-bruteforce", "--instance", str(inst)],
+                 ["verify", "--instance", str(inst), "--solution", str(sol)],
+                 ["convert", "--instance", str(inst)]):
+        code, err = _exit_status(capsys, "opi", *argv)
+        assert code == 2, argv
+        assert "size" in err and "Traceback" not in err
 
 
 # ---- selfcheck -------------------------------------------------------------------

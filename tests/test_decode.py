@@ -9,8 +9,7 @@ from cosetlab.codes import random_code, rs_code
 from cosetlab.config import BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              TableDecoder, berlekamp_welch,
-                             berlekamp_welch_batch, brute_force_list,
-                             brute_force_nearest, gs_list_radius,
+                             berlekamp_welch_batch, brute_force_nearest,
                              per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import build_profile, interval_profile, random_sets_profile
@@ -173,20 +172,6 @@ def test_bw_requires_full_support_rs():
 # ---- brute-force oracles ----------------------------------------------------------
 
 
-def test_brute_force_list_complete_and_sorted():
-    code = rs_code(5, 2)
-    y = np.array([1, 1, 2, 0, 3])
-    dists = _distances(code, y)
-    radix = 5 ** np.arange(code.k - 1, -1, -1)
-    for radius in range(6):
-        got = brute_force_list(code, y, radius)
-        want = {i for i in range(len(dists)) if dists[i] <= radius}
-        got_ids = [int(m @ radix) for m in got]
-        assert set(got_ids) == want
-        got_d = [int(dists[i]) for i in got_ids]
-        assert got_d == sorted(got_d)  # ordered by distance
-
-
 def test_brute_force_nearest_ties_deterministic():
     code = rs_code(5, 2)
     y = np.array([0, 1, 2, 3, 4])  # equidistant from several codewords
@@ -194,15 +179,6 @@ def test_brute_force_nearest_ties_deterministic():
     dists = _distances(code, y)
     tied = np.flatnonzero(dists == dists.min())
     assert np.array_equal(first, code.messages()[tied[0]])
-
-
-def test_gs_list_radius_values():
-    assert gs_list_radius(7, 3) == 2
-    assert gs_list_radius(5, 2) == 1
-    assert gs_list_radius(5, 1) == 2
-    # never below the half-distance radius on these shapes
-    for n, k in [(5, 1), (5, 2), (7, 3), (7, 1)]:
-        assert gs_list_radius(n, k) >= (n - k) // 2
 
 
 # ---- decoder objects ----------------------------------------------------------------

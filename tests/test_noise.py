@@ -10,7 +10,7 @@ from cosetlab.config import TOL, count_threshold
 from cosetlab.galois import PrimeField, all_vectors, fourier_transform
 from cosetlab.noise import (ConstraintSet, build_profile, center_probability,
                             center_probability_form, fourth_power_bound,
-                            fourth_power_sum, interval_profile, offset_tau,
+                            fourth_power_sum, interval_profile,
                             random_sets_profile, tail_mass)
 
 
@@ -91,11 +91,6 @@ def test_center_probability_closed_form():
     assert center_probability_form(0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
     # saturated boundary is exact in floats: c(1, 0.5) = 0.5
     assert center_probability_form(1.0, 0.5) == 0.5
-
-
-def test_offset_tau():
-    assert offset_tau(0.5, 1000) == pytest.approx(0.6, abs=1e-12)
-    assert offset_tau(0.9, 8) == 1.0  # capped
 
 
 # ---- constraint sets and tails -----------------------------------------------------

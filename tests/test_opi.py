@@ -72,14 +72,13 @@ def test_instance_validation():
         OPIInstance(**{**good, "q": 4, "sets": ((0,),) * 4, "x": (0,) * 4})
 
 
-def test_instance_accepts_full_sets():
+def test_instance_rejects_full_sets():
     # every residue allowed everywhere: any polynomial satisfies all q points
     full = tuple(tuple(range(3)) for _ in range(3))
-    inst = OPIInstance(q=3, k=2, sets=full, tau=1.0, x=(1, 2, 0), seed=0)
-    for coeffs in ([0, 0], [1, 2], [2, 2]):
-        assert satisfied_count(inst, np.array(coeffs)) == 3
-    count, meets = verify(inst, OPISolution(coeffs=(0, 0), count=3))
-    assert count == 3 and meets
+    with pytest.raises(ValueError, match="size"):
+        OPIInstance(q=3, k=2, sets=full, tau=1.0, x=(1, 2, 0), seed=0)
+    with pytest.raises(ValueError, match="size"):
+        generate_instance(5, 2, 5, 0.5, seed=0)
 
 
 def test_generate_instance_deterministic():

@@ -13,8 +13,8 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
-from cosetlab.qsim import (DecoderMap, _reference_peak_bytes, _sweep_peak_bytes,
-                           run_reduction, run_reduction_sweep,
+from cosetlab.qsim import (DecoderMap, SweepResult, _reference_peak_bytes,
+                           _sweep_peak_bytes, run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
 from oracles import place_values
 
@@ -205,6 +205,29 @@ def test_reference_matches_sweep_at_q5_k2(force):
     assert direct.max_norm_drift <= TOL.unitarity
 
 
+def test_sweep_result_is_arrays_and_builds_outcomes_on_demand():
+    code = random_code(5, 4, 2, seed=11)
+    decoder = BruteForceNearestDecoder(code)
+    constraint = ConstraintSet(random_sets_profile(5, 4, 2, 0.8, seed=11), 0.5)
+    result = run_reduction_sweep(decoder, [constraint])[0]
+    assert isinstance(result, SweepResult)
+    assert len(result) == 5**2
+    assert result.p_u.dtype == np.float64 and result.p_u.shape == (5**2,)
+    assert verify_bound(result).mean_p == np.mean(result.p_u)
+    assert [o.p_u for o in result] == result.p_u.tolist()
+    j = int(np.random.default_rng(7).integers(0, 5**2))
+    swept = result[j]
+    direct = run_reduction(decoder, vector_of_index(j, 5, 2), constraint)
+    assert swept.u == direct.u
+    assert abs(swept.p_u - direct.p_u) <= 1e-12
+    assert abs(swept.post_select_prob - direct.post_select_prob) <= 1e-12
+    assert (swept.p_dec, swept.eta, swept.bound) == pytest.approx(
+        (direct.p_dec, direct.eta, direct.bound), abs=1e-14)
+    assert swept.symmetrized == direct.symmetrized
+    with pytest.raises(IndexError):
+        result[5**2]
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -225,13 +248,21 @@ def test_stated_peak_bytes_bound_traced_peak():
                                               constraint, force_symmetrize=True))
     stated = _reference_peak_bytes(5, 4, 2, symmetrized=True)
     assert stated / 2 <= peak <= stated
-    for q, k, z in ((5, 2, 1), (7, 3, 2), (5, 3, 1)):
+    for q, k, z in ((5, 2, 1), (7, 3, 2), (5, 3, 1), (7, 6, 2)):
         decoder = BerlekampWelchDecoder(rs_code(q, k))
         profile = interval_profile(q, q, z, 0.7)
         peak = _traced_peak(lambda: run_reduction_sweep(
             decoder, [ConstraintSet(profile, 0.5)]))
         stated = _sweep_peak_bytes(q, q, k)
         assert stated / 2 <= peak <= stated, (q, k)
+    # a high-rate code: the codeword rows the residual index reads, not the
+    # transform, set the peak
+    rng = np.random.default_rng(1)
+    decoder = TableDecoder(random_code(2, 16, 15, seed=1),
+                           rng.integers(0, 2**15, size=2**16))
+    profile = random_sets_profile(2, 16, 1, 0.8, seed=1)
+    peak = _traced_peak(lambda: run_reduction_sweep(decoder, [ConstraintSet(profile, 0.5)]))
+    assert peak <= _sweep_peak_bytes(2, 16, 15)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -310,34 +341,6 @@ def test_outcome_to_dict_keys():
 
 
 # ---- validation and guardrails ------------------------------------------------
-
-
-def test_verify_bound_requires_exhaustive_coverage():
-    profile, decoder = _q3_setup()
-    outcomes = run_reduction_sweep(decoder, [ConstraintSet(profile, 0.4)])[0]
-    with pytest.raises(ValueError, match="exhaustive"):
-        verify_bound(outcomes[:-1])
-    with pytest.raises(ValueError, match="exhaustive"):
-        verify_bound(outcomes[:-1] + [outcomes[0]])
-    with pytest.raises(ValueError):
-        verify_bound([])
-
-
-def test_verify_bound_rejects_mixed_outcomes():
-    # one syndrome's outcome taken from a sweep at another tau_tilde carries
-    # another eta; one from another profile carries another p_dec as well
-    profile, decoder = _q3_setup()
-    tight, loose = run_reduction_sweep(
-        decoder, [ConstraintSet(profile, 0.4), ConstraintSet(profile, 0.7)])
-    assert tight[0].eta != loose[0].eta
-    with pytest.raises(ValueError, match="one p_dec and one eta"):
-        verify_bound(loose[:1] + tight[1:])
-    other = interval_profile(3, 3, 0, 0.9)
-    foreign = run_reduction_sweep(decoder, [ConstraintSet(other, 0.4)])[0]
-    assert foreign[0].p_dec != tight[0].p_dec
-    with pytest.raises(ValueError, match="one p_dec and one eta"):
-        verify_bound(foreign[:1] + tight[1:])
-    assert verify_bound(tight).n_outcomes == len(tight)
 
 
 def test_run_reduction_rejects_bad_inputs():
