@@ -9,12 +9,18 @@ rejections; nothing is allocated first).
 All commands are deterministic functions of their arguments: a single
 64-bit seed is expanded with numpy's SeedSequence spawning, so repeated
 invocations produce byte-identical output.
+
+`main` parses with one parser per process, built on its first call and
+kept: building the argparse tree costs more than a small `simulate` run.
+Each call still gets a fresh namespace. `build_parser` returns a new parser
+on every call, so a caller may change it without affecting `main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -395,9 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetError as exc:

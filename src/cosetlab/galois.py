@@ -134,10 +134,19 @@ def index_of_vector(coords: np.ndarray | Iterable[np.ndarray], q: int) -> int | 
     integer arrays, one per coordinate (the index is their broadcast array).
     On the axes `np.ogrid[(slice(q),) * m]` it indexes every word of F_q^m,
     in index order; on a (m, ...) stack of words it indexes each of them.
+    Once the index has its full shape it is updated in place, and each
+    coordinate's array is freed before the next is built, so a grid's
+    index holds three grid-sized arrays at most: itself, c and c mod q.
     """
     idx = 0
     for c in coords:
-        idx = idx * q + np.asarray(c, dtype=np.int64) % q
+        c = np.asarray(c, dtype=np.int64) % q
+        if np.ndim(idx) and np.shape(idx) == np.broadcast_shapes(np.shape(idx), c.shape):
+            idx *= q
+            idx += c
+        else:
+            idx = idx * q + c
+        del c
     return int(idx) if np.ndim(idx) == 0 else idx
 
 
@@ -161,6 +170,16 @@ def all_vectors(q: int, n: int, budget: int | None = None) -> np.ndarray:
 
 def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray,
                         budget: int | None) -> np.ndarray:
+    """Apply the q x q `matrix` along each of the n coordinates of the
+    leading axis of f, of length q^n; trailing axes are carried along. f is
+    never written to.
+
+    Each coordinate takes one `np.matmul(matrix, a.reshape(q^i, q, -1),
+    out=b)` pass, O(q * q^n) per trailing entry. Coordinate 0 goes from f
+    into the result. The rest act within each of the q slices of the result
+    at a fixed coordinate 0, one slice at a time, so a slice and a scratch
+    buffer of one slice's size swap roles: besides f and the result, the
+    transform holds 1/q of the result."""
     q = field.q
     f = np.asarray(f, dtype=np.complex128)
     size = f.shape[0] if f.ndim else 0
@@ -172,11 +191,20 @@ def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray,
     if total != size:
         raise ValueError(f"function length {size} is not a power of q={q}")
     require_budget(f.size, budget)
-    arr = f.reshape((q,) * n + f.shape[1:])
-    # one size-q pass per coordinate: O(n * q * q^n) total per trailing entry
-    for axis in range(n):
-        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [axis])), 0, axis)
-    return arr.reshape(f.shape)
+    if n == 0:
+        return f.copy()
+    out = np.empty(f.shape, dtype=np.complex128)  # C order: its reshapes are views
+    np.matmul(matrix, f.reshape(1, q, -1), out=out.reshape(1, q, -1))
+    slices = out.reshape(q, -1)
+    scratch = np.empty(slices.shape[1], dtype=np.complex128)
+    for coord0 in slices:
+        a, b = coord0, scratch
+        for i in range(n - 1):
+            np.matmul(matrix, a.reshape(q**i, q, -1), out=b.reshape(q**i, q, -1))
+            a, b = b, a
+        if a is scratch:
+            coord0[...] = scratch
+    return out
 
 
 def fourier_transform(field: PrimeField, f: np.ndarray,

@@ -376,16 +376,20 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
 
 def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
     """Peak bytes of `run_reduction_sweep` with one constraint set: the
-    larger of its two phases, plus 64 KiB of overhead. At the transform, per
-    received word, the int64 table and residual histogram, the complex
-    amplitudes, four complex transform buffers and one int64 of slack, 13
-    int64-sized entries; per message, p_s and p_u. While the residual index
-    is built, per received word the table and four int64 arrays; per
-    message, two int64 codeword rows, which also cover the message rows they
-    are built from. The decoder checks its table build's peak itself."""
-    transform = q**n * 13 * INDEX_BYTES + q**k * 2 * INDEX_BYTES
+    larger of its two phases, plus 64 KiB of overhead and numpy's two
+    buffers for the broadcast product that builds f, of at most 8192
+    complex entries each. At the transform, per received word, the int64
+    table, f N, its transform and a scratch slice of 1/q of it, at most 48
+    bytes (f and the histogram are freed into f N, and the transform into
+    the float marginal before the dual index is built); per message, p_s
+    and p_u. While the residual index is built, per received word the table
+    and four int64 arrays; per message, two int64 codeword rows, which also
+    cover the message rows they are built from. The decoder checks its
+    table build's peak itself."""
+    transform = (q**n * (INDEX_BYTES + 2 * COMPLEX_BYTES) + q ** (n - 1) * COMPLEX_BYTES
+                 + q**k * 2 * INDEX_BYTES)
     residual = q**n * 5 * INDEX_BYTES + q**k * 2 * n * INDEX_BYTES
-    return max(transform, residual) + 2**16
+    return max(transform, residual) + 2**16 + 2 * min(q**n, 8192) * COMPLEX_BYTES
 
 
 def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet], *,
@@ -431,12 +435,21 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
     residual = residual_index(code, table)
     symmetrized, p_dec = _decide_symmetrization(
         _message_success(code, profile, table, residual), None)
-    histogram = np.bincount(residual, minlength=q**n)
+    histogram = np.bincount(residual, minlength=q**n).astype(np.float64)
     del residual  # each array is freed before the larger ones that follow it
     f = profile.amplitudes(budget)
-    norm_sq = float(histogram @ np.abs(f) ** 2)
-    marginal = np.abs(fourier_transform(PrimeField(q), f * histogram, budget)) ** 2 / norm_sq
-    del f, histogram
+    weights = np.abs(f)
+    weights *= weights
+    norm_sq = float(histogram @ weights)
+    del weights
+    f *= histogram  # f N, in f's buffer
+    del histogram
+    spectrum = fourier_transform(PrimeField(q), f, budget)
+    del f
+    marginal = np.abs(spectrum)
+    del spectrum
+    marginal *= marginal
+    marginal /= norm_sq
     dual_idx = _dual_index(code)
 
     results = []
@@ -445,7 +458,7 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
         eta = tail_mass(profile, c.tau_tilde)[0]
         results.append(SweepResult(
             q=q, n=n, k=k, tau_tilde=c.tau_tilde,
-            p_u=np.bincount(dual_idx[mask], weights=marginal[mask], minlength=q**k),
+            p_u=np.bincount(dual_idx, weights=np.where(mask, marginal, 0.0), minlength=q**k),
             post_select_prob=norm_sq / q**k, p_dec=p_dec, eta=eta,
             bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized))
     return results

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
+from .galois import PrimeField
 from .noise import center_probability_form, fourth_power_bound
 
 __all__ = [
@@ -146,12 +147,14 @@ def _make_row(label: str, r: float, rho: float,
 
 
 def _kv_query(r: float, rho: float, kv_q: int | None) -> ThresholdQuery:
-    """Scale-free by default; with kv_q, snap rho to the nearest odd 2z+1."""
+    """Scale-free by default; with kv_q, snap rho to the nearest odd
+    (2z+1)/q. kv_q must be prime (ValueError otherwise)."""
     if kv_q is None:
         return ThresholdQuery("kv", r, rho)
-    z = max(0, round((rho * kv_q - 1) / 2))
-    z = min(z, (kv_q - 3) // 2)  # keep 2z+1 < q
-    return ThresholdQuery("kv", r, (2 * z + 1) / kv_q)
+    q = PrimeField(kv_q).q
+    z = max(0, round((rho * q - 1) / 2))
+    z = min(z, (q - 2) // 2)  # keep 2z+1 < q
+    return ThresholdQuery("kv", r, (2 * z + 1) / q)
 
 
 def optimize_over_rho(kind: str) -> tuple[float, float, float]:

@@ -182,8 +182,11 @@ def test_criterion_06_bw_equals_nearest_within_radius():
     messages = code.messages()
     for s_idx in range(len(codewords)):
         received = (codewords[s_idx] + patterns) % 7
-        # nearest-codeword oracle, vectorized; radius 2 < d/2 so no ties
-        dists = (received[:, None, :] != codewords[None, :, :]).sum(axis=2)
+        # nearest-codeword oracle, vectorized; radius 2 < d/2 so no ties.
+        # Every distance, summed one coordinate at a time in uint8
+        dists = np.zeros((len(received), len(codewords)), dtype=np.uint8)
+        for i in range(code.n):
+            dists += received[:, i, None] != codewords[None, :, i]
         nearest = dists.argmin(axis=1)
         assert np.all(nearest == s_idx)  # sanity: within unique radius
         # every one of the 799 words goes through Berlekamp-Welch itself

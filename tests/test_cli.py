@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cosetlab import qsim
-from cosetlab.cli import main
+from cosetlab.cli import build_parser, main
 from cosetlab.config import TOL
 
 
@@ -61,6 +61,14 @@ def test_thresholds_output_deterministic(capsys):
     _, first = _run(capsys, "thresholds", "table1", "--format", "json")
     _, second = _run(capsys, "thresholds", "table1", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize("kv_q", ["4", "9", "1", "0", "-7"])
+@pytest.mark.parametrize("what", [["table1"], ["curves", "--rho", "0.5", "--grid", "0.1:0.2:0.1"]])
+def test_thresholds_kv_q_not_prime_exits_2(capsys, what, kv_q):
+    code, err = _exit_status(capsys, "thresholds", *what, "--kv-q", kv_q)
+    assert code == 2
+    assert "prime" in err and "Traceback" not in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -278,6 +286,28 @@ def test_selfcheck_negative_control(capsys):
 
 
 # ---- argparse behaviour ------------------------------------------------------------
+
+
+README_SIMULATE = ["simulate", "--q", "5", "--n", "5", "--k", "2", "--code", "rs",
+                   "--decoder", "bw", "--tau", "0.7", "--ttilde", "0.5",
+                   "--sets", "interval:1", "--u", "all", "--format", "json"]
+
+
+def test_one_parser_per_process_gives_each_call_its_own_result(capsys):
+    # main keeps one parser; each call still parses into a fresh namespace
+    code, first = _run(capsys, *README_SIMULATE)
+    assert code == 0 and json.loads(first)["report"]["ok"]
+    assert _run(capsys, *README_SIMULATE, "--budget", "1")[0] == 2
+    code, out = _run(capsys, "thresholds", "curves", "--rho", "0.5",
+                     "--grid", "0.1:0.2:0.1")
+    assert code == 0 and out.startswith("R,rho,tau_classical")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--q", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again = _run(capsys, *README_SIMULATE)
+    assert code == 0 and again == first
+    assert build_parser() is not build_parser()
 
 
 def test_usage_error_raises_systemexit_2():

@@ -184,6 +184,30 @@ def test_transform_shift_phase_law():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=3),
+       st.sampled_from(["none", "vector", "square"]), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_transform_equals_character_matrix_along_axis_0(q, n, trailing, m, seed):
+    # oracle: the explicit q^n x q^n character matrix on the leading axis,
+    # with trailing axes (), (m,) or (q^k, q^k), k = 1 or 2 as m is odd or even
+    field = PrimeField(q)
+    shape = {"none": (), "vector": (m,), "square": (q ** (2 - m % 2),) * 2}[trailing]
+    vecs = np.array([vector_of_index(i, q, n) for i in range(q**n)]).reshape(q**n, n)
+    full = field.roots_of_unity[(vecs @ vecs.T) % q] / q ** (n / 2)
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(q**n,) + shape) + 1j * rng.normal(size=(q**n,) + shape)
+    before = f.copy()
+    for transform, matrix in ((fourier_transform, full),
+                              (inverse_fourier_transform, full.conj())):
+        want = (matrix @ f.reshape(q**n, -1)).reshape(f.shape)
+        for arg in (f, np.asfortranarray(f)):  # any memory layout
+            got = transform(field, arg)
+            assert got.shape == f.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.array_equal(arg, before)  # the argument is never written to
+
+
 def test_transform_rejects_bad_length():
     field = PrimeField(3)
     with pytest.raises(ValueError):

@@ -265,6 +265,13 @@ def test_stated_peak_bytes_bound_traced_peak():
     assert peak <= _sweep_peak_bytes(2, 16, 15)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sweep_peak_is_at_most_48_bytes_per_received_word(k):
+    # plus the larger per-message term, the residual phase's codeword rows
+    per_message = 7**k * 2 * 7 * 8
+    assert _sweep_peak_bytes(7, 7, k) <= 48 * 7**7 + per_message + 2**16
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_fresh_nearest_build_within_stated_peak(k):
     # the nearest table's count blocks are built inside the call; at

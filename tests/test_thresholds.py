@@ -10,7 +10,7 @@ from cosetlab.noise import center_probability_form, fourth_power_bound
 from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery,
                                  binary_threshold, curves_csv, figure1_curves,
                                  optimize_over_rho, table1, tau_max)
-from cosetlab.thresholds import _rhs
+from cosetlab.thresholds import _kv_query, _rhs
 
 
 def test_binary_threshold_values():
@@ -82,6 +82,25 @@ def test_query_validation():
         ThresholdQuery("bw", 0.0, 0.5)  # rate must be positive
     with pytest.raises(ValueError):
         ThresholdQuery("bw", 0.5, 0.0)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 13, 101])
+def test_kv_q_clamp_unchanged_at_odd_primes(q):
+    # (q - 2) // 2 is the old odd-q bound (q - 3) // 2 on 2z+1 < q
+    for r, rho in ((0.1, 0.5), (0.4, 0.9), (0.75, 0.999), (0.2, 0.01)):
+        z = min(max(0, round((rho * q - 1) / 2)), (q - 3) // 2)
+        assert _kv_query(r, rho, q) == ThresholdQuery("kv", r, (2 * z + 1) / q)
+
+
+def test_kv_q_two_snaps_to_one_half():
+    assert _kv_query(0.1, 0.5, 2).rho == 0.5
+    assert _kv_query(0.1, 0.9, 2).rho == 0.5
+
+
+@pytest.mark.parametrize("q", [4, 9, 1, 0, -7])
+def test_kv_q_must_be_prime(q):
+    with pytest.raises(ValueError, match="prime"):
+        figure1_curves(0.5, [0.1], kv_q=q)
 
 
 def test_discrete_kv_close_to_scale_free_at_large_q():
