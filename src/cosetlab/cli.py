@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 
@@ -55,15 +56,26 @@ def _budget(args: argparse.Namespace) -> int:
 # ---- thresholds ---------------------------------------------------------------
 
 
+# the most rates one curve may hold; each costs one row of output
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list[float]:
-    """start:stop:step, endpoints inclusive up to float fuzz."""
+    """start:stop:step, endpoints inclusive up to float fuzz. Non-finite
+    parts, an empty range and more than MAX_GRID_POINTS rates are rejected
+    from (stop - start) / step, before any list is built."""
     try:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"grid parts must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid range {spec!r}")
+    if (stop - start) / step > MAX_GRID_POINTS - 1:
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} has more than {MAX_GRID_POINTS} rates")
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
 

@@ -306,5 +306,6 @@ def _message_success(code: LinearCode, profile: ErrorProfile, table: np.ndarray,
                      residual: np.ndarray) -> np.ndarray:
     """p_s from the decoder table and its residual index: the channel
     probability at y - D(y)G, summed by D(y)."""
-    probs = reduce(np.kron, profile.error_probabilities(), np.ones(1))  # P[e] = |f(e)|^2
+    # P[e] = |f(e)|^2
+    probs = reduce(np.multiply.outer, profile.error_probabilities(), np.ones(())).reshape(-1)
     return np.bincount(table, weights=probs[residual], minlength=code.q**code.k)

@@ -156,8 +156,9 @@ def _evolved_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarra
     u_map.gather  # built before any block, so its temporaries add no peak
     q = profile.q
     for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
-        psi = reduce(np.kron, [row[(np.arange(q) - c) % q]
-                               for row, c in zip(profile.u, codeword)], np.ones(1))
+        psi = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
+                                         for row, c in zip(profile.u, codeword)],
+                     np.ones(())).reshape(-1)
         block = np.zeros(u_map.shape, dtype=np.complex128)
         block.reshape(u_map.shape[0], -1)[:, 0] = weight * psi
         yield s_idx, block, u_map.apply(block)

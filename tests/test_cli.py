@@ -57,6 +57,18 @@ def test_thresholds_bad_grid_exits_2(capsys):
     assert "grid" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("0.1:0.2:inf", "finite"), ("0.1:inf:0.1", "finite"), ("nan:0.2:0.1", "finite"),
+    ("0.3:0.1:0.1", "bad grid range"),  # empty
+    ("0.1:0.2:1e-300", "more than"), ("0.0:0.5:1e-6", "more than"),
+])
+def test_thresholds_unusable_grid_exits_2_at_once(capsys, grid, message):
+    # checked from (stop - start) / step: a 1e299-point grid is never built
+    code, err = _exit_status(capsys, "thresholds", "curves", "--rho", "0.5", "--grid", grid)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_thresholds_output_deterministic(capsys):
     _, first = _run(capsys, "thresholds", "table1", "--format", "json")
     _, second = _run(capsys, "thresholds", "table1", "--format", "json")

@@ -216,6 +216,41 @@ def test_fourth_power_bound_tau_one():
     assert fourth_power_bound(1.0, 0.5) == 1 / 3  # exact in floats
 
 
+_fraction = st.one_of(st.floats(1e-9, 1.0 - 1e-9),
+                      st.sampled_from([1e-9, 1e-3, 0.5, 0.999, 1.0 - 1e-9]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_fraction, _fraction, st.booleans()), min_size=1, max_size=16))
+def test_closed_forms_on_arrays_equal_their_float_calls(points):
+    # bit for bit, entry by entry, on both sides of rho = 1/2 and at tau = 1
+    tau = np.array([1.0 if saturated else t for t, _, saturated in points])
+    rho = np.array([r for _, r, _ in points])
+    for form in (center_probability_form, fourth_power_bound):
+        want = [form(t, r) for t, r in zip(tau.tolist(), rho.tolist())]
+        assert form(tau, rho).tolist() == want
+        # one float against an array, either way round, broadcasts
+        assert form(tau, rho[0]).tolist() == [form(t, rho[0]) for t in tau.tolist()]
+        assert form(tau[0], rho).tolist() == [form(tau[0], r) for r in rho.tolist()]
+
+
+@pytest.mark.parametrize("tau,rho,message", [
+    ([0.6, 1.5, 0.7], 0.4, r"tau must be in \(0, 1\], got 1.5"),
+    ([0.6, 0.7], [0.4, 0.0], r"rho must be in \(0, 1\), got 0.0"),
+    (0.6, [0.4, float("nan")], r"rho must be in \(0, 1\), got nan"),
+])
+def test_fourth_power_bound_rejects_an_array_with_one_bad_entry(tau, rho, message):
+    tau, rho = np.asarray(tau, dtype=float), np.asarray(rho, dtype=float)
+    with pytest.raises(ValueError, match=message):
+        fourth_power_bound(tau, rho)
+    # the message is the float call's for that entry
+    bad = np.broadcast_arrays(tau, rho)
+    i = next(i for i in range(bad[0].size)
+             if not (0.0 < bad[0][i] <= 1.0 and 0.0 < bad[1][i] < 1.0))
+    with pytest.raises(ValueError, match=message):
+        fourth_power_bound(float(bad[0][i]), float(bad[1][i]))
+
+
 def _fourth_power_bound_discrete(q, z, tau):
     """The (q, z)-explicit form of the fourth-power bound for [-z, z]."""
     width = 2 * z + 1

@@ -10,7 +10,8 @@ from cosetlab.noise import center_probability_form, fourth_power_bound
 from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery,
                                  binary_threshold, curves_csv, figure1_curves,
                                  optimize_over_rho, table1, tau_max)
-from cosetlab.thresholds import _kv_query, _rhs
+from cosetlab.thresholds import (CLASSICAL_TARGET, RHO_STEP, _kv_query,
+                                 _make_row, _rhs, _tau_max_grid)
 
 
 def test_binary_threshold_values():
@@ -56,9 +57,48 @@ def test_tau_max_sits_on_the_feasibility_edge(kind, rhs_fn, r, rho):
 def test_rhs_decreases_in_tau_from_rho_to_1(kind, rho):
     # tau_max's one bisection is exact only if every right-hand side falls
     # on [rho, 1]; the rate does not enter the right-hand side
-    query = ThresholdQuery(kind, 0.5, rho)
-    values = np.array([_rhs(query, tau) for tau in np.linspace(rho, 1.0, 502)])
+    values = np.array([_rhs(kind, tau, rho) for tau in np.linspace(rho, 1.0, 502)])
     assert np.diff(values).max() <= 1e-12
+
+
+_fraction = st.one_of(st.floats(1e-7, 1.0 - 1e-7),
+                      st.sampled_from([1e-7, 1e-3, 2 / 3, 0.75, 0.999, 1.0 - 1e-7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DECODER_KINDS),
+       st.lists(st.tuples(_fraction, _fraction), min_size=1, max_size=12), _fraction)
+def test_grid_bisection_equals_tau_max_bit_for_bit(kind, points, shared_rho):
+    # tau_max is the oracle: every entry takes its scalar loop's steps,
+    # saturated entries (large rates) and rho near 0 or 1 included
+    r = np.array([a for a, _ in points])
+    rho = np.array([b for _, b in points])
+    want = [tau_max(ThresholdQuery(kind, a, b)) for a, b in points]
+    assert _tau_max_grid(kind, r, rho).tolist() == want
+    # one float rho for every rate, as a curve bisects
+    want = [tau_max(ThresholdQuery(kind, a, shared_rho)) for a, _ in points]
+    assert _tau_max_grid(kind, r, shared_rho).tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["bw", "gs", "kv"])
+def test_rhs_on_arrays_equals_float_calls_at_random_points(kind):
+    # numpy's vector power can round differently from Python's (on about
+    # 0.1% of squares and 5% of cubes with an AVX-512 build); 20,000 random
+    # points show such a difference
+    rng = np.random.default_rng(13)
+    rho = rng.uniform(1e-6, 1.0 - 1e-6, 20_000)
+    tau = rho + (1.0 - rho) * rng.random(20_000)
+    want = [_rhs(kind, t, r) for t, r in zip(tau.tolist(), rho.tolist())]
+    assert _rhs(kind, tau, rho).tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["bw", "gs", "kv"])
+def test_optimizer_grid_equals_scalar_loop(kind):
+    # the rho grid optimize_over_rho bisects in one call
+    grid = np.arange(RHO_STEP, CLASSICAL_TARGET, RHO_STEP)
+    rates = (CLASSICAL_TARGET - grid) / (1.0 - grid)
+    want = [tau_max(ThresholdQuery(kind, r, rho)) for r, rho in zip(rates, grid)]
+    assert _tau_max_grid(kind, rates, grid).tolist() == want
 
 
 def test_tau_max_saturates_for_generous_rates():
@@ -158,6 +198,25 @@ def test_figure1_curves_and_csv():
     assert float(first[0]) == pytest.approx(0.1)
     assert all(len(cell.split(".")[-1]) == 6 for cell in first[2:])
     assert not text.endswith("\r\n")
+
+
+@pytest.mark.parametrize("kv_q", [None, 3, 11, 101])
+@pytest.mark.parametrize("rho", [0.001, 0.3, 0.5, 0.999])
+def test_figure1_rows_equal_rows_built_one_by_one(rho, kv_q):
+    grid = [0.05 * i for i in range(1, 20)]
+    rows = figure1_curves(rho, grid, kv_q=kv_q)
+    assert rows == [_make_row(f"R={r:g}", r, rho, kv_q) for r in grid]
+
+
+def test_figure1_checks_inputs_in_row_order():
+    # as a row-by-row build would: a row's rate, then kv_q, then rho
+    with pytest.raises(ValueError, match="grid rates"):
+        figure1_curves(1.5, [0.0, 0.1], kv_q=4)
+    with pytest.raises(ValueError, match="prime"):
+        figure1_curves(1.5, [0.1, 0.0], kv_q=4)
+    with pytest.raises(ValueError, match="rho must be"):
+        figure1_curves(1.5, [0.1, 0.0], kv_q=11)
+    assert figure1_curves(1.5, [], kv_q=4) == []
 
 
 def test_rows_json_round_trip():
