@@ -303,6 +303,12 @@ def fourth_power_bound(tau, rho):
     bound exactly 2*rho/3 for rho <= 1/2). The lead term is chosen per
     entry of rho.
     """
+    return _fourth_power_bound(tau, rho)
+
+
+def _fourth_power_bound(tau, rho, rho_terms=None):
+    """`fourth_power_bound`, given `_rho_terms(rho)` by a solver that
+    evaluates many tau at one rho, or computing them."""
     arrays = isinstance(tau, np.ndarray) or isinstance(rho, np.ndarray)
     if arrays or not (0.0 < tau <= 1.0 and 0.0 < rho < 1.0):
         _require_fractions(tau, rho)
@@ -313,11 +319,17 @@ def fourth_power_bound(tau, rho):
     a_minus_b = sqrt(tau / rho) - b
     gamma = 2.0 * rho * a_minus_b * b + b * b
     quartic = a_sq * a_sq
+    rho_sq, lead = rho_terms or _rho_terms(rho)
+    return quartic * lead + 2.0 * a_sq * gamma * rho_sq + gamma * gamma
+
+
+def _rho_terms(rho):
+    """The terms of `fourth_power_bound` in rho alone: rho^2 and the lead."""
     rho_sq, rho_cube = _power(rho, 2), _power(rho, 3)
     low = 2.0 * rho_cube / 3.0
     high = 10.0 * rho_cube / 3.0 - 4.0 * rho_sq + 2.0 * rho - 1.0 / 3.0
-    lead = np.where(rho <= 0.5, low, high) if arrays else (low if rho <= 0.5 else high)
-    return quartic * lead + 2.0 * a_sq * gamma * rho_sq + gamma * gamma
+    return rho_sq, (np.where(rho <= 0.5, low, high) if isinstance(rho, np.ndarray)
+                    else low if rho <= 0.5 else high)
 
 
 def fourth_power_sum(q: int, z: int, tau: float) -> FourthPowerReport:

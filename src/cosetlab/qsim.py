@@ -30,8 +30,9 @@ Two engines compute identical outcomes:
 - `run_reduction` walks the five steps literally for one syndrome (the
   reference engine), checking norms at every step. U' never touches the
   message copy C, so each C = s block evolves alone and keeping C = 0 keeps
-  its B = s slice: the engine streams over s in O(q^(n+2k)) memory, not
-  the O(q^(n+3k)) of the whole (A, B, C, T) tensor. Each |psi_s> is the
+  its B = s slice. A prepared block is zero off B = 0, so U' is fed that
+  slice and read on B = s alone: O(q^(n+2k)) work and memory, where
+  mapping whole blocks would take O(q^(n+3k)) work. Each |psi_s> is the
   Kronecker product of the profile's rows shifted by the codeword sG.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
@@ -54,7 +55,7 @@ and the decoder checks its table build's before it builds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -106,9 +107,16 @@ class DecoderMap:
 
     @cached_property
     def gather(self) -> np.ndarray:
-        """Flat source index of every basis state: U's amplitude at |a, b>
-        comes from |a, b - D(a)>, and U''s at |a, b, t> from
-        |a - tG, b - D(a) + t, t>."""
+        """Flat source index of every basis state, checked once to be a
+        permutation, so that the map keeps every norm (ValueError if not)."""
+        index = self._source_index()
+        if not np.all(np.bincount(index, minlength=index.size) == 1):
+            raise ValueError("decoder map is not a permutation of basis states")
+        return index
+
+    def _source_index(self) -> np.ndarray:
+        """U's amplitude at |a, b> comes from |a, b - D(a)>, and U''s at
+        |a, b, t> from |a - tG, b - D(a) + t, t>."""
         code = self.code
         q, n, k = code.q, code.n, code.k
         axes = np.ogrid[(slice(q),) * (n + k * (len(self.shape) - 1))]
@@ -144,24 +152,31 @@ class DecoderMap:
 
     def diagonal_gammas(self, profile: ErrorProfile) -> np.ndarray:
         """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s."""
-        return np.array([float(np.linalg.norm(mapped[:, s_idx])) for s_idx, _, mapped
-                         in _evolved_blocks(self, profile, np.ones(self.shape[1]))])
+        return np.array([float(np.linalg.norm(kept)) for *_, kept
+                         in _kept_slices(self, profile, np.ones(self.shape[1]))])
 
 
-def _evolved_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
-    """Yield (s, prepared, mapped) for every message s, one block at a time:
-    prepared = w_s |psi_s>_A |0>_B [|0>_T] and mapped = u_map(prepared). The
+def _kept_slices(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
+    """Yield (s, prepared, fed, kept) for every message s, one block at a
+    time. The block w_s |psi_s>_A |0>_B [|0>_T] is zero off B = 0: prepared
+    is its (A[, T]) slice there and fed that slice past the transform on T.
+    kept, the B = s slice of u_map(block), reads fed through the gather
+    where the source has B = 0 and is 0 elsewhere, bit for bit. The
     amplitude of |psi_s> at y is f(y - sG), the Kronecker product of the
     profile's rows u_i shifted by the codeword coordinates c_{s,i}."""
-    u_map.gather  # built before any block, so its temporaries add no peak
-    q = profile.q
+    q, (size_a, size_b), width = profile.q, u_map.shape[:2], math.prod(u_map.shape[2:])
+    sources = u_map.gather.reshape(size_a, size_b, width)
     for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
         psi = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
                                          for row, c in zip(profile.u, codeword)],
                      np.ones(())).reshape(-1)
-        block = np.zeros(u_map.shape, dtype=np.complex128)
-        block.reshape(u_map.shape[0], -1)[:, 0] = weight * psi
-        yield s_idx, block, u_map.apply(block)
+        prepared = np.zeros((size_a, width), dtype=np.complex128)
+        prepared[:, 0] = weight * psi
+        fed = prepared @ u_map._fourier_t.T if u_map.symmetrized else prepared
+        source = sources[:, s_idx]  # (a', b', t') as one flat index
+        kept = fed.reshape(-1)[source // (size_b * width) * width + source % width]
+        kept[source // width % size_b != 0] = 0
+        yield s_idx, prepared, fed, kept
 
 
 def _dual_index(code: LinearCode) -> np.ndarray:
@@ -203,15 +218,8 @@ class ReductionOutcome:
         return self.p_u - self.bound
 
     def to_dict(self) -> dict:
-        return {
-            "u": list(self.u),
-            "p_u": self.p_u,
-            "post_select_prob": self.post_select_prob,
-            "p_dec": self.p_dec,
-            "eta": self.eta,
-            "bound": self.bound,
-            "slack": self.slack,
-        }
+        names = ("p_u", "post_select_prob", "p_dec", "eta", "bound", "slack")
+        return {"u": list(self.u), **{name: getattr(self, name) for name in names}}
 
 
 @dataclass(frozen=True)
@@ -225,15 +233,7 @@ class BoundReport:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_outcomes": self.n_outcomes,
-            "mean_p": self.mean_p,
-            "p_dec": self.p_dec,
-            "eta": self.eta,
-            "bound": self.bound,
-            "slack": self.slack,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -292,13 +292,16 @@ def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, f
 
 
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
-    """Peak bytes of `run_reduction`: in step 2, four complex (A, B[, T])
-    blocks (prepared, T-transformed, mapped, accepted) and the int64 gather
-    index; beside them at most 64 bytes per entry of q^n- and q^(2k)-entry
-    tables; and 64 KiB of overhead. The decoder checks its table build's
-    peak itself."""
+    """Peak bytes of `run_reduction`, the larger of its two phases. While
+    blocks stream: the accepted complex (A, B[, T]) state, the int64 gather
+    and 8 complex values per entry of a block's (A[, T]) slice (prepared,
+    fed and kept of two blocks, and kept's index). At step 4: three complex
+    states (accepted, scattered, T-transformed) and the gather. Beside them
+    64 bytes per entry of q^n- and q^(2k)-entry tables, and 64 KiB."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
-    return entries * (4 * COMPLEX_BYTES + INDEX_BYTES) + (q**n + q ** (2 * k)) * 64 + 2**16
+    streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + entries // q**k * 8 * COMPLEX_BYTES
+    adjoint = entries * (3 * COMPLEX_BYTES + INDEX_BYTES)
+    return max(streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**16
 
 
 def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
@@ -310,12 +313,13 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
 
     Steps 1-2 stream over the message copy C. U' acts on (A, B[, T]) only,
     so each C = s block of the prepared state evolves alone; C -= B moves
-    its B = b slice to C = s - b, so keeping C = 0 keeps b = s. Each block
-    is prepared, mapped and cut to accepted[:, s] = mapped[:, s] before the
-    next is built, and the step-1 and step-2 squared norms are summed over
-    blocks: the same numbers as walking the whole (A, B, C[, T]) tensor, in
-    O(q^(n+2k)) memory instead of O(q^(n+3k)). Steps 3-5 run on the
-    accepted (A, B[, T]) state.
+    its B = b slice to C = s - b, so keeping C = 0 keeps b = s. U' is fed
+    each block's B = 0 slice, where it is nonzero, and read on the B = s
+    slice it keeps (`_kept_slices`): the amplitudes of mapping the whole
+    block, in O(q^(n+2k)) work and memory, where whole blocks would take
+    O(q^(n+3k)) work. The step-1 and step-2 squared norms sum the prepared
+    slices and the slices U' is fed, whose norm its permutation keeps.
+    Steps 3-5 run on the accepted (A, B[, T]) state.
 
     The budget counts 16-byte amplitudes of the stated peak
     (`_reference_peak_bytes`, for the symmetrized map unless
@@ -338,11 +342,11 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     weights = phases / math.sqrt(q**k)
     accepted = np.empty(u_map.shape, dtype=np.complex128)
     norms_sq = [0.0, 0.0]
-    for s_idx, prepared, mapped in _evolved_blocks(u_map, profile, weights):
+    for s_idx, prepared, fed, kept in _kept_slices(u_map, profile, weights):
         norms_sq[0] += float(np.vdot(prepared, prepared).real)
-        norms_sq[1] += float(np.vdot(mapped, mapped).real)
-        accepted[:, s_idx] = mapped[:, s_idx]
-        del prepared, mapped  # keep one block alive at a time
+        norms_sq[1] += float(np.vdot(fed, fed).real)
+        accepted.reshape(q**n, q**k, -1)[:, s_idx] = kept
+    del prepared, fed, kept  # the last block's slices, freed before step 4's peak
     norms = [math.sqrt(x) for x in norms_sq]
 
     # step 3: measure the message copy, keep outcome 0, renormalize

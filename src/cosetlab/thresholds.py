@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import TOL
 from .galois import PrimeField
-from .noise import _power, center_probability_form, fourth_power_bound
+from .noise import _fourth_power_bound, _power, _rho_terms, center_probability_form
 
 __all__ = [
     "ThresholdQuery",
@@ -80,13 +80,13 @@ def _lhs(kind: str, r: float) -> float:
     return 1.0 - r / 2.0 if kind == "bw" else 1.0 - r
 
 
-def _rhs(kind: str, tau, rho):
+def _rhs(kind: str, tau, rho, rho_terms=None):
     """The condition's right-hand side; floats or arrays, entrywise."""
     if kind == "bw":
         return center_probability_form(tau, rho)
     if kind == "gs":
         return _power(center_probability_form(tau, rho), 2)
-    return fourth_power_bound(tau, rho)
+    return _fourth_power_bound(tau, rho, rho_terms)
 
 
 def tau_max(query: ThresholdQuery) -> float:
@@ -116,13 +116,16 @@ def tau_max(query: ThresholdQuery) -> float:
 def _tau_max_grid(kind: str, r: np.ndarray, rho) -> np.ndarray:
     """`tau_max` at every entry of the rate array r, with rho a float or an
     array of r's shape: the bisection of `tau_max` on every entry at once.
-    Converged entries are set aside; the rest take the scalar loop's steps."""
+    Converged entries are set aside; the rest take the scalar loop's steps,
+    with kv's terms in rho alone computed once."""
     if kind == "classical":
         return rho + r * (1.0 - rho)
     threshold = _lhs(kind, r) - TOL.bisection
+    per_rho = (rho, *(_rho_terms(rho) if kind == "kv" else ()))
 
     def feasible(tau: np.ndarray, at) -> np.ndarray:
-        return _rhs(kind, tau, rho if np.ndim(rho) == 0 else rho[at]) >= threshold[at]
+        rho_at, *terms = (x if np.ndim(x) == 0 else x[at] for x in per_rho)
+        return _rhs(kind, tau, rho_at, terms) >= threshold[at]
 
     every = np.arange(len(r))
     lo = np.broadcast_to(rho, r.shape).astype(np.float64)
@@ -251,14 +254,14 @@ def figure1_curves(rho: float, r_grid: list[float],
     """Threshold columns along a rate grid at fixed rho (CSV-ready rows),
     each column one array bisection over the grid."""
     kv_rho = rho
-    for r in r_grid:  # the checks, in the order a row-by-row build makes them
+    for r in list(r_grid) or [0.5]:  # in row order; no rows: kv_q and rho at a stand-in
         if not 0.0 < r < 1.0:
             raise ValueError(f"grid rates must be in (0, 1), got {r}")
         kv_rho = _kv_query(r, rho, kv_q).rho  # the same for every rate
         ThresholdQuery("classical", r, rho)
     rates = np.array(r_grid, dtype=np.float64)
     if not rates.size:
-        return []  # no row, so nothing to check
+        return []
     columns = [_tau_max_grid(kind, rates, kv_rho if kind == "kv" else rho)
                for kind in ("classical", "bw", "gs", "kv")]
     return [ThresholdRow(f"R={r:g}", float(r), float(rho),

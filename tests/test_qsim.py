@@ -13,7 +13,7 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
-from cosetlab.qsim import (DecoderMap, SweepResult, _reference_peak_bytes,
+from cosetlab.qsim import (DecoderMap, SweepResult, _kept_slices, _reference_peak_bytes,
                            _sweep_peak_bytes, run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
 from oracles import place_values
@@ -87,6 +87,54 @@ def test_gather_follows_definition_on_basis_states(shape, seed):
         b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ place_values(q, k)
         target = np.ravel_multi_index((a_new, b_new, t), shape)
         assert np.array_equal(u_map.gather[target], np.arange(a.size))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 3, 1), (2, 4, 2), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 3, 2)]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
+    # oracle: the B = s slice of the forward map applied to the whole
+    # prepared block w_s |psi_s>|0>_B[|0>_T], which is zero off B = 0
+    q, n, k = shape
+    rng = np.random.default_rng(seed)
+    code = random_code(q, n, k, seed=seed)
+    decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
+    profile = random_sets_profile(q, n, int(rng.integers(1, q)), 0.8, seed=seed)
+    weights = np.exp(2j * np.pi * rng.random(q**k)) / math.sqrt(q**k)
+    for sym in (False, True):
+        u_map = DecoderMap(decoder, symmetrized=sym)
+        for s_idx, prepared, fed, kept in _kept_slices(u_map, profile, weights):
+            block = np.zeros(u_map.shape, dtype=np.complex128)
+            block.reshape(q**n, q**k, -1)[:, 0] = prepared
+            mapped = u_map.apply(block).reshape(q**n, q**k, -1)
+            assert np.array_equal(kept, mapped[:, s_idx])
+            assert np.count_nonzero(prepared[:, 1:]) == 0
+            assert fed is prepared or np.array_equal(
+                fed, (block.reshape(-1, q**k) @ u_map._fourier_t.T)[::q**k])
+
+
+def test_non_permutation_gather_is_rejected(monkeypatch):
+    # two states fed from one source: U' would not keep the norm, so the
+    # gather is refused before any block is read through it
+    decoder = BruteForceNearestDecoder(rs_code(3, 1))
+    profile = interval_profile(3, 3, 0, 0.7)
+    assert DecoderMap(decoder, symmetrized=True).gather.size == 3**5
+    true_index = DecoderMap._source_index
+
+    def clashing(self):
+        index = true_index(self)
+        index[1] = index[0]
+        return index
+
+    monkeypatch.setattr(DecoderMap, "_source_index", clashing)
+    for sym in (False, True):
+        with pytest.raises(ValueError, match="permutation"):
+            DecoderMap(decoder, symmetrized=sym).gather
+        with pytest.raises(ValueError, match="permutation"):
+            DecoderMap(decoder, symmetrized=sym).diagonal_gammas(profile)
+        with pytest.raises(ValueError, match="permutation"):
+            run_reduction(decoder, np.array([1]), ConstraintSet(profile, 0.4),
+                          force_symmetrize=sym)
 
 
 def test_gamma_diagonal_matches_success_probability():
@@ -205,6 +253,19 @@ def test_reference_matches_sweep_at_q5_k2(force):
     assert direct.max_norm_drift <= TOL.unitarity
 
 
+def test_reference_matches_sweep_on_readme_example():
+    # rs(5,2), BW, interval:1, tau 0.7, ttilde 0.5: symmetrized, 5^9 amplitudes
+    decoder = BerlekampWelchDecoder(rs_code(5, 2))
+    constraint = ConstraintSet(interval_profile(5, 5, 1, 0.7), 0.5)
+    swept = run_reduction_sweep(decoder, [constraint])[0]
+    for u_idx in np.random.default_rng(2026).choice(5**2, size=3, replace=False):
+        direct = run_reduction(decoder, vector_of_index(int(u_idx), 5, 2), constraint)
+        assert direct.symmetrized and swept[u_idx].u == direct.u
+        assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
+        assert abs(swept[u_idx].post_select_prob - direct.post_select_prob) <= 1e-12
+        assert direct.max_norm_drift <= TOL.unitarity
+
+
 def test_sweep_result_is_arrays_and_builds_outcomes_on_demand():
     code = random_code(5, 4, 2, seed=11)
     decoder = BruteForceNearestDecoder(code)
@@ -263,6 +324,20 @@ def test_stated_peak_bytes_bound_traced_peak():
     profile = random_sets_profile(2, 16, 1, 0.8, seed=1)
     peak = _traced_peak(lambda: run_reduction_sweep(decoder, [ConstraintSet(profile, 0.5)]))
     assert peak <= _sweep_peak_bytes(2, 16, 15)
+
+
+@pytest.mark.parametrize("shape", [(2, 12, 1), (3, 7, 1), (2, 7, 3), (5, 4, 1)])
+def test_reference_stated_peak_bounds_traced_peak_at_other_shapes(shape):
+    # at small q^k the block slices, not step 4's three states, set the peak
+    q, n, k = shape
+    rng = np.random.default_rng(3)
+    decoder = TableDecoder(random_code(q, n, k, seed=3), rng.integers(0, q**k, size=q**n))
+    constraint = ConstraintSet(random_sets_profile(q, n, 1, 0.8, seed=3), 0.5)
+    for sym in (False, True):
+        peak = _traced_peak(lambda: run_reduction(decoder, np.zeros(k, dtype=np.int64),
+                                                  constraint, force_symmetrize=sym))
+        stated = _reference_peak_bytes(q, n, k, symmetrized=sym)
+        assert stated / 2 <= peak <= stated, sym
 
 
 @pytest.mark.parametrize("k", range(1, 7))

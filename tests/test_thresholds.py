@@ -216,7 +216,14 @@ def test_figure1_checks_inputs_in_row_order():
         figure1_curves(1.5, [0.1, 0.0], kv_q=4)
     with pytest.raises(ValueError, match="rho must be"):
         figure1_curves(1.5, [0.1, 0.0], kv_q=11)
-    assert figure1_curves(1.5, [], kv_q=4) == []
+    # an empty grid has no row, but kv_q and rho are checked all the same
+    with pytest.raises(ValueError, match="prime"):
+        figure1_curves(1.5, [], kv_q=4)
+    with pytest.raises(ValueError, match="rho must be"):
+        figure1_curves(1.5, [], kv_q=11)
+    with pytest.raises(ValueError, match="rho must be"):
+        figure1_curves(1.5, [])
+    assert figure1_curves(0.5, [], kv_q=11) == []
 
 
 def test_rows_json_round_trip():
