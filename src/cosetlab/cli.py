@@ -23,13 +23,12 @@ import contextlib
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import codes, decode, galois, noise, opi, qsim, thresholds
-from .config import DEFAULT_AMPLITUDE_BUDGET, TOL, BudgetError
+from .config import TOL, BudgetError
 
 __all__ = ["main", "build_parser"]
 
@@ -44,13 +43,6 @@ def _emit(content: str | dict | list, out: str | None) -> None:
         else:
             json.dump(content, fh, indent=2)
             fh.write("\n")
-
-
-def _budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        return int(args.budget)
-    env = os.environ.get("COSETLAB_BUDGET")
-    return int(env) if env else DEFAULT_AMPLITUDE_BUDGET
 
 
 # ---- thresholds ---------------------------------------------------------------
@@ -113,14 +105,21 @@ def _parse_sets(spec: str) -> tuple[str, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    budget = _budget(args)
+    # check (q, n, k), then the stated peak of each engine to run, before any build
+    if args.code == "rs" and args.n != args.q:
+        raise ValueError("the rs code here is full support: need n = q")
+    galois.PrimeField(args.q)
+    if not 1 <= args.k < args.n:
+        raise ValueError(f"need 1 <= k < n, got k={args.k}, n={args.n}")
+    if args.u == "random":
+        qsim.require_peak(args.q, args.n, args.k, args.budget, reference=True)
+    qsim.require_peak(args.q, args.n, args.k, args.budget)
+
     seed_root = np.random.SeedSequence(args.seed)
     code_seed, sets_seed, u_seed = (
         int(s.generate_state(1)[0]) for s in seed_root.spawn(3))
 
     if args.code == "rs":
-        if args.n != args.q:
-            raise ValueError("the rs code here is full support: need n = q")
         code = codes.rs_code(args.q, args.k)
     else:
         code = codes.random_code(args.q, args.n, args.k, seed=code_seed)
@@ -139,16 +138,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         decoder = decode.BruteForceNearestDecoder(code)
 
     if args.u == "all":
-        outcomes = qsim.run_reduction_sweep(decoder, [constraint], budget=budget)[0]
+        outcomes = qsim.run_reduction_sweep(decoder, [constraint], budget=args.budget)[0]
         report = qsim.verify_bound(outcomes)
     else:
         # the bound holds for the mean over all syndromes, not for one: the
         # check is that both engines give this syndrome the same outcome
         rng = np.random.default_rng(np.random.SeedSequence(u_seed))
         u = rng.integers(0, args.q, size=args.k)
-        evolved = qsim.run_reduction(decoder, u, constraint, budget=budget)
+        evolved = qsim.run_reduction(decoder, u, constraint, budget=args.budget)
         outcomes = [evolved]
-        swept = qsim.run_reduction_sweep(decoder, [constraint], budget=budget)[0][
+        swept = qsim.run_reduction_sweep(decoder, [constraint], budget=args.budget)[0][
             galois.index_of_vector(u, args.q)]
         drift = max(abs(swept.p_u - evolved.p_u),
                     abs(swept.post_select_prob - evolved.post_select_prob))
@@ -219,7 +218,7 @@ def cmd_opi(args: argparse.Namespace) -> int:
         return 0
     instance = _load_json(args.instance, "instance", opi.OPIInstance.from_dict)
     if args.what == "solve-bruteforce":
-        solution = opi.brute_force_opi(instance, budget=_budget(args))
+        solution = opi.brute_force_opi(instance, budget=args.budget)
         _emit(solution.to_dict(), args.out)
         return 0
     if args.what == "verify":

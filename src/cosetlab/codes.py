@@ -11,7 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import require_budget
 from .galois import PrimeField, all_vectors
 
 __all__ = [
@@ -145,14 +144,13 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, n={self.n}, k={self.k})"
 
-    def messages(self, budget: int | None = None) -> np.ndarray:
+    def messages(self) -> np.ndarray:
         """All q^k messages in index order, shape (q^k, k)."""
-        return all_vectors(self.q, self.k, budget)
+        return all_vectors(self.q, self.k)
 
-    def codewords(self, budget: int | None = None) -> np.ndarray:
+    def codewords(self) -> np.ndarray:
         """All q^k codewords in message-index order, shape (q^k, n)."""
-        require_budget(self.q**self.k * self.n, budget)
-        return (self.messages(budget) @ self.G) % self.q
+        return (self.messages() @ self.G) % self.q
 
     def encode(self, message: np.ndarray) -> np.ndarray:
         message = np.asarray(message, dtype=np.int64)
@@ -224,6 +222,6 @@ def coset_sample(code: LinearCode, u: np.ndarray, rng: np.random.Generator) -> n
     return (_particular(code, u) + code.encode(message)) % code.q
 
 
-def coset_members(code: LinearCode, u: np.ndarray, budget: int | None = None) -> np.ndarray:
+def coset_members(code: LinearCode, u: np.ndarray) -> np.ndarray:
     """All coset elements in message-index order (desk scale only)."""
-    return (_particular(code, u) + code.codewords(budget)) % code.q
+    return (_particular(code, u) + code.codewords()) % code.q

@@ -1,7 +1,9 @@
-"""Centralized numeric tolerances, memory budgets, and shared guards.
+"""Centralized numeric tolerances, the memory budget, and shared guards.
 
 Every tolerance used by the library lives in one frozen record so tests and
-the self-check command compare against a single source of truth.
+the self-check command compare against a single source of truth. Only code
+that states a run's peak checks the budget, before it builds anything: the
+engines (`qsim.require_peak`), a decoder's table build and the OPI searches.
 """
 
 from __future__ import annotations
@@ -49,12 +51,14 @@ class BudgetError(MemoryError):
 
 
 def require_budget(amplitudes: int, budget: int | None = None) -> None:
-    """Fail fast if a dense array of `amplitudes` entries exceeds the budget."""
+    """Fail fast if a dense array of `amplitudes` entries exceeds the budget.
+    A count of 2^64 or more is written by its bit length: Python writes no
+    int of over 4300 digits (q^n has 6,614 at q = n = 2003)."""
     cap = DEFAULT_AMPLITUDE_BUDGET if budget is None else budget
     if amplitudes > cap:
-        raise BudgetError(
-            f"requested {amplitudes} amplitudes exceeds budget {cap}"
-        )
+        size = (amplitudes if amplitudes < 2**64
+                else f"at least 2^{amplitudes.bit_length() - 1}")
+        raise BudgetError(f"requested {size} amplitudes exceeds budget {cap}")
 
 
 def count_threshold(fraction: float, n: int) -> int:

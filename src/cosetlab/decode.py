@@ -7,9 +7,10 @@ constructions stay permutations. `decode` and the per-message success
 p_s = sum_{y : D(y) = s} P(y - D(y)G) are read off the table, the latter
 through the residual index of y - D(y)G that the sweep engine shares; p_s
 is the one success probability, exact and in one pass. Each decoder
-states the peak bytes of its own table build and checks them against the
-budget before it allocates. Every word index, of one word, a batch or the
-whole (q,)*n grid, is `galois.index_of_vector`.
+states the peak bytes of its own table build, which `table` checks against
+the budget before it allocates; nothing else here takes a budget. Every
+word index, of one word, a batch or the whole (q,)*n grid, is
+`galois.index_of_vector`.
 """
 
 from __future__ import annotations
@@ -115,14 +116,12 @@ def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
     return messages[0] if hits[0] else None
 
 
-def brute_force_nearest(code: LinearCode, y: np.ndarray,
-                        budget: int | None = None) -> np.ndarray:
+def brute_force_nearest(code: LinearCode, y: np.ndarray) -> np.ndarray:
     """Message of the nearest codeword; distance ties break to the smallest
     message index (lexicographically smallest message)."""
     y = np.asarray(y, dtype=np.int64) % code.q
     if y.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}")
-    require_budget(code.q**code.k * code.n, budget)
     dists = np.count_nonzero((code.codewords() - y) % code.q, axis=1)
     return code.messages()[int(np.argmin(dists))]
 
@@ -283,8 +282,7 @@ def residual_index(code: LinearCode, table: np.ndarray) -> np.ndarray:
         np.ogrid[(slice(q),) * n], code.codewords().T)), q).reshape(-1)
 
 
-def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
-                        budget: int | None = None) -> np.ndarray:
+def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile) -> np.ndarray:
     """p_s = P[decoder(sG + e) = s] for every message s, exactly.
 
     The word y = sG + e decodes to s exactly when e = y - D(y)G, so
@@ -297,8 +295,7 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile,
     code = decoder.code
     if profile.n != code.n or profile.q != code.q:
         raise ValueError("profile and code must share q and n")
-    require_budget(code.q**code.n, budget)
-    table = decoder.table(budget)
+    table = decoder.table()
     return _message_success(code, profile, table, residual_index(code, table))
 
 

@@ -21,8 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import require_budget
-
 __all__ = [
     "PrimeField",
     "fourier_transform",
@@ -158,9 +156,8 @@ def vector_of_index(idx: int, q: int, n: int) -> np.ndarray:
     return out
 
 
-def all_vectors(q: int, n: int, budget: int | None = None) -> np.ndarray:
+def all_vectors(q: int, n: int) -> np.ndarray:
     """All of F_q^n as a (q^n, n) array in index order."""
-    require_budget(q**n, budget)
     grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * n), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, n)
 
@@ -168,8 +165,7 @@ def all_vectors(q: int, n: int, budget: int | None = None) -> np.ndarray:
 # ---- Fourier transforms --------------------------------------------------
 
 
-def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray,
-                        budget: int | None) -> np.ndarray:
+def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Apply the q x q `matrix` along each of the n coordinates of the
     leading axis of f, of length q^n; trailing axes are carried along. f is
     never written to.
@@ -190,7 +186,6 @@ def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray,
         n += 1
     if total != size:
         raise ValueError(f"function length {size} is not a power of q={q}")
-    require_budget(f.size, budget)
     if n == 0:
         return f.copy()
     out = np.empty(f.shape, dtype=np.complex128)  # C order: its reshapes are views
@@ -207,14 +202,12 @@ def _axiswise_transform(field: PrimeField, f: np.ndarray, matrix: np.ndarray,
     return out
 
 
-def fourier_transform(field: PrimeField, f: np.ndarray,
-                      budget: int | None = None) -> np.ndarray:
+def fourier_transform(field: PrimeField, f: np.ndarray) -> np.ndarray:
     """fhat(x) = q^(-n/2) sum_y chi_x(y) f(y), computed coordinate-wise on
     the leading axis of f, of length q^n; trailing axes are carried along."""
-    return _axiswise_transform(field, f, field.fourier_matrix, budget)
+    return _axiswise_transform(field, f, field.fourier_matrix)
 
 
-def inverse_fourier_transform(field: PrimeField, f: np.ndarray,
-                              budget: int | None = None) -> np.ndarray:
+def inverse_fourier_transform(field: PrimeField, f: np.ndarray) -> np.ndarray:
     """Inverse of `fourier_transform` (conjugated characters)."""
-    return _axiswise_transform(field, f, field.fourier_matrix.conj(), budget)
+    return _axiswise_transform(field, f, field.fourier_matrix.conj())

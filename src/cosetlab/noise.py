@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import TOL, count_threshold, require_budget
+from .config import TOL, count_threshold
 from .galois import PrimeField, inverse_fourier_transform
 
 __all__ = [
@@ -82,14 +82,12 @@ class ErrorProfile:
         """|u_i(e)|^2 per coordinate, shape (n, q): the classical channel."""
         return np.abs(self.u) ** 2
 
-    def amplitudes(self, budget: int | None = None) -> np.ndarray:
+    def amplitudes(self) -> np.ndarray:
         """Dense joint amplitude f = tensor product of the u_i, length q^n."""
-        require_budget(self.q**self.n, budget)
         return reduce(np.multiply.outer, self.u, np.ones(())).reshape(-1)
 
-    def fourier_amplitudes(self, budget: int | None = None) -> np.ndarray:
+    def fourier_amplitudes(self) -> np.ndarray:
         """Dense fhat = tensor product of the uhat_i, length q^n, real."""
-        require_budget(self.q**self.n, budget)
         return reduce(np.multiply.outer, self.uhat, np.ones(())).reshape(-1)
 
     def to_dict(self) -> dict:
@@ -229,19 +227,16 @@ class ConstraintSet:
     def contains(self, y: np.ndarray) -> bool:
         return self.count(y) >= self.min_count
 
-    def membership_mask(self, budget: int | None = None) -> np.ndarray:
+    def membership_mask(self) -> np.ndarray:
         """Boolean mask over all of F_q^n in index order; the hit counts are
         the outer sum of the indicator rows, ordered as in `amplitudes`."""
-        p = self.profile
-        require_budget(p.q**p.n, budget)
-        counts = reduce(np.add.outer, p.set_indicator.astype(np.uint8))
+        counts = reduce(np.add.outer, self.profile.set_indicator.astype(np.uint8))
         return counts.reshape(-1) >= self.min_count
 
-    def fourier_mass(self, budget: int | None = None) -> float:
+    def fourier_mass(self) -> float:
         """sum_{y in T} |fhat(y)|^2 by exhaustive enumeration."""
-        p = self.profile
-        fhat2 = p.fourier_amplitudes(budget) ** 2
-        return float(fhat2[self.membership_mask(budget)].sum())
+        fhat2 = self.profile.fourier_amplitudes() ** 2
+        return float(fhat2[self.membership_mask()].sum())
 
     def to_dict(self) -> dict:
         return {"tau_tilde": self.tau_tilde, "min_count": self.min_count}

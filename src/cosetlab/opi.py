@@ -25,7 +25,7 @@ import numpy as np
 
 from .codes import (LinearCode, coset_members, coset_sample, rs_code, solve_particular,
                     syndrome)
-from .config import count_threshold
+from .config import count_threshold, require_budget
 from .galois import PrimeField, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, build_profile, indicator_table
 
@@ -235,10 +235,12 @@ def brute_force_opi(instance: OPIInstance,
     """Best polynomial by scoring every member of the coset x + RS_k.
 
     Coefficient vectors enumerate in message-index order and ties break
-    to the lowest index, so the result is deterministic.
+    to the lowest index, so the result is deterministic. The budget counts
+    q^k members of q points, checked before the code is built.
     """
+    require_budget(instance.q ** (instance.k + 1), budget)
     q, code = instance.q, instance.code
-    words = (code.codewords(budget) + instance.x_array()) % q
+    words = (code.codewords() + instance.x_array()) % q
     counts = instance.set_indicator[np.arange(q), words].sum(axis=1)
     best = int(np.argmax(counts))
     return OPISolution(coeffs=tuple(int(c) for c in vector_of_index(best, q, code.k)),
@@ -248,7 +250,8 @@ def brute_force_opi(instance: OPIInstance,
 def brute_force_icc(code: LinearCode, u: np.ndarray, constraint: ConstraintSet,
                     budget: int | None = None) -> tuple[np.ndarray, int]:
     """Best coset member by exhausting the syndrome-u coset of the code."""
-    members = coset_members(code, u, budget=budget)
+    require_budget(code.q**code.k * code.n, budget)
+    members = coset_members(code, u)
     ind = constraint.profile.set_indicator
     counts = ind[np.arange(code.n)[None, :], members].sum(axis=1)
     best = int(np.argmax(counts))

@@ -48,8 +48,8 @@ Two engines compute identical outcomes:
 
 Each fact of a run has one owner: the code is the decoder's, and the error
 profile is the constraint sets' (one profile, shared by every set). Each
-engine checks its own stated peak against the budget before it allocates,
-and the decoder checks its table build's before it builds.
+engine checks its stated peak (`require_peak`) and then builds the decoder
+table, which checks its build's; the helpers they call take no budget.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ __all__ = [
     "BoundReport",
     "SweepResult",
     "DecoderMap",
+    "require_peak",
     "success_lower_bound",
     "run_reduction",
     "run_reduction_sweep",
@@ -95,13 +96,11 @@ class DecoderMap:
     index read off the register grid once; the adjoint scatters by it.
     """
 
-    def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False,
-                 budget: int | None = None):
+    def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False):
         code = decoder.code
         self.code, self.symmetrized = code, symmetrized
         self.shape = (code.q**code.n,) + (code.q**code.k,) * (2 if symmetrized else 1)
-        require_budget(math.prod(self.shape), budget)
-        self.table = decoder.table(budget)
+        self.table = decoder.table()
         if self.table.shape != self.shape[:1]:
             raise ValueError("decoder table must cover every received word")
 
@@ -323,7 +322,7 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
 
     The budget counts 16-byte amplitudes of the stated peak
     (`_reference_peak_bytes`, for the symmetrized map unless
-    force_symmetrize is False), checked before any decoder table is built.
+    force_symmetrize is False), checked before the decoder table is built.
     """
     code = decoder.code
     q, n, k = code.q, code.n, code.k
@@ -331,11 +330,11 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     if u.shape != (k,):
         raise ValueError(f"u must have length {k}")
     profile = _check_inputs(code, [constraint])
-    peak = _reference_peak_bytes(q, n, k, force_symmetrize is not False)
-    require_budget(-(-peak // COMPLEX_BYTES), budget)
+    require_peak(q, n, k, budget, reference=True, symmetrized=force_symmetrize is not False)
+    decoder.table(budget)  # built under this budget; the readers below reuse it
     symmetrized, p_dec = _decide_symmetrization(
-        per_message_success(decoder, profile, budget), force_symmetrize)
-    u_map = DecoderMap(decoder, symmetrized, budget)
+        per_message_success(decoder, profile), force_symmetrize)
+    u_map = DecoderMap(decoder, symmetrized)
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
     phases = np.conj(PrimeField(q).roots_of_unity[(code.messages() @ u) % q])
@@ -358,13 +357,13 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
-    accepted = fourier_transform(PrimeField(q), accepted, budget)
+    accepted = fourier_transform(PrimeField(q), accepted)
     norms.append(float(np.linalg.norm(accepted)))
     marginal = np.abs(accepted) ** 2
     marginal = marginal.reshape(q**n, -1).sum(axis=1)
 
     on_coset = _dual_index(code) == index_of_vector(u, q)
-    p_u = float(marginal[constraint.membership_mask(budget) & on_coset].sum())
+    p_u = float(marginal[constraint.membership_mask() & on_coset].sum())
 
     eta, _ = tail_mass(profile, constraint.tau_tilde)
     return ReductionOutcome(
@@ -395,6 +394,16 @@ def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
                  + q**k * 2 * INDEX_BYTES)
     residual = q**n * 5 * INDEX_BYTES + q**k * 2 * n * INDEX_BYTES
     return max(transform, residual) + 2**16 + 2 * min(q**n, 8192) * COMPLEX_BYTES
+
+
+def require_peak(q: int, n: int, k: int, budget: int | None = None, *,
+                 reference: bool = False, symmetrized: bool = True) -> None:
+    """Raise BudgetError unless an engine's stated peak in 16-byte amplitudes
+    fits the budget: `run_reduction`'s (plain or symmetrized) if reference,
+    else `run_reduction_sweep`'s. The CLI calls it before it builds a code."""
+    peak = (_reference_peak_bytes(q, n, k, symmetrized) if reference
+            else _sweep_peak_bytes(q, n, k))
+    require_budget(-(-peak // COMPLEX_BYTES), budget)
 
 
 def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet], *,
@@ -435,21 +444,21 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
     code = decoder.code
     profile = _check_inputs(code, constraints)
     q, n, k = code.q, code.n, code.k
-    require_budget(-(-_sweep_peak_bytes(q, n, k) // COMPLEX_BYTES), budget)
+    require_peak(q, n, k, budget)
     table = decoder.table(budget)
     residual = residual_index(code, table)
     symmetrized, p_dec = _decide_symmetrization(
         _message_success(code, profile, table, residual), None)
     histogram = np.bincount(residual, minlength=q**n).astype(np.float64)
     del residual  # each array is freed before the larger ones that follow it
-    f = profile.amplitudes(budget)
+    f = profile.amplitudes()
     weights = np.abs(f)
     weights *= weights
     norm_sq = float(histogram @ weights)
     del weights
     f *= histogram  # f N, in f's buffer
     del histogram
-    spectrum = fourier_transform(PrimeField(q), f, budget)
+    spectrum = fourier_transform(PrimeField(q), f)
     del f
     marginal = np.abs(spectrum)
     del spectrum
@@ -459,7 +468,7 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
 
     results = []
     for c in constraints:
-        mask = c.membership_mask(budget)
+        mask = c.membership_mask()
         eta = tail_mass(profile, c.tau_tilde)[0]
         results.append(SweepResult(
             q=q, n=n, k=k, tau_tilde=c.tau_tilde,

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from cosetlab import qsim
+from cosetlab import codes, qsim
 from cosetlab.cli import build_parser, main
-from cosetlab.config import TOL
+from cosetlab.config import DEFAULT_AMPLITUDE_BUDGET, TOL
 
 
 def _run(capsys, *argv):
@@ -160,6 +160,38 @@ def test_simulate_budget_exceeded_exits_2(capsys):
                      "--tau", "0.7", "--ttilde", "0.5", "--sets", "interval:1",
                      "--budget", "1000", "--u", "all")
     assert code == 2
+
+
+def _refuse_codes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a code was built")
+    monkeypatch.setattr(codes.LinearCode, "__init__", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "1009", "--n", "1009", "--k", "2", "--decoder", "bw"),
+    ("--q", "2003", "--n", "2003", "--k", "2", "--decoder", "bw"),
+    ("--q", "3", "--n", "600", "--k", "1", "--code", "random", "--u", "random"),
+])
+def test_oversized_simulate_exits_2_before_building_a_code(capsys, monkeypatch, argv):
+    # the engines' stated peaks are checked from (q, n, k) alone, before
+    # the O(q^3) rank checks of building the code
+    _refuse_codes(monkeypatch)
+    code, err = _exit_status(capsys, "simulate", *argv, "--tau", "0.7", "--ttilde", "0.5")
+    assert code == 2
+    assert err.startswith("error: requested at least 2^") and len(err) < 200
+    assert err.endswith(f"exceeds budget {DEFAULT_AMPLITUDE_BUDGET}\n")
+
+
+def test_oversized_opi_search_exits_2_before_building_a_code(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    assert _run(capsys, "opi", "gen", "--q", "1009", "--k", "2", "--set-size", "1",
+                "--tau", "0.5", "--out", str(inst))[0] == 0
+    _refuse_codes(monkeypatch)
+    code, err = _exit_status(capsys, "opi", "solve-bruteforce", "--instance", str(inst))
+    assert code == 2
+    assert err == (f"error: requested {1009**3} amplitudes exceeds budget "
+                   f"{DEFAULT_AMPLITUDE_BUDGET}\n")
 
 
 def test_simulate_bw_needs_full_support(capsys):

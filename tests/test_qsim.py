@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab.codes import LinearCode, random_code, rs_code
-from cosetlab.config import TOL, BudgetError
+from cosetlab import config
+from cosetlab.config import TOL, BudgetError, require_budget
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              TableDecoder, per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
@@ -473,6 +474,33 @@ def test_sweep_budget_is_stated_peak_and_checked_first():
         outcomes = run_reduction_sweep(decoder, [constraint], budget=stated)[0]
         assert outcomes[0].symmetrized
         assert verify_bound(outcomes).ok
+
+
+def test_a_run_checks_its_own_budget_not_the_default(monkeypatch):
+    # every check inside a run is against the run's budget: with the default
+    # cap at 1, both engines still run at rs(5,2) BW with a budget of 2^26
+    profile = interval_profile(5, 5, 1, 0.7)
+    constraint = ConstraintSet(profile, 0.5)
+    monkeypatch.setattr(config, "DEFAULT_AMPLITUDE_BUDGET", 1)
+    code = rs_code(5, 2)
+    swept = run_reduction_sweep(BerlekampWelchDecoder(code), [constraint], budget=2**26)[0]
+    u = vector_of_index(8, 5, 2)
+    evolved = run_reduction(BerlekampWelchDecoder(code), u, constraint, budget=2**26)
+    assert evolved.p_u == pytest.approx(swept[8].p_u, abs=1e-12)
+    with pytest.raises(BudgetError):
+        run_reduction_sweep(BerlekampWelchDecoder(code), [constraint])
+
+
+def test_budget_message_writes_a_huge_count_by_its_bit_length():
+    # 2003^2003 has 6,614 digits, more than Python writes for an int
+    with pytest.raises(BudgetError) as exc:
+        require_budget(2003**2003)
+    message = str(exc.value)
+    assert len(message) < 200
+    assert f"2^{(2003**2003).bit_length() - 1}" in message
+    assert message.endswith(f"budget {config.DEFAULT_AMPLITUDE_BUDGET}")
+    with pytest.raises(BudgetError, match="requested 11 amplitudes exceeds budget 10"):
+        require_budget(11, 10)
 
 
 def test_force_symmetrize_override():
