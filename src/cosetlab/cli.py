@@ -249,17 +249,17 @@ def _suite_field() -> tuple[bool, str]:
     f = field.fourier_matrix
     ok &= np.allclose(f @ f.conj().T, np.eye(5), atol=TOL.unitarity)
     for a in range(1, 5):
-        ok &= field.mul(a, field.inv(a)) == 1
+        ok &= a * field.inv(a) % 5 == 1
     return bool(ok), "roots, unitarity, inverses at q=5"
 
 
-def _suite_parseval(seed: int, tol: float) -> tuple[bool, str]:
+def _suite_parseval(seed: int) -> tuple[bool, str]:
     field = galois.PrimeField(3)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v = rng.normal(size=27) + 1j * rng.normal(size=27)
     w = galois.fourier_transform(field, v)
     drift = abs(np.linalg.norm(w) - np.linalg.norm(v))
-    return drift <= tol, f"norm drift {drift:.3e} vs tol {tol:.3e}"
+    return drift <= TOL.unitarity, f"norm drift {drift:.3e} vs tol {TOL.unitarity:.3e}"
 
 
 def _suite_round_trip(seed: int) -> tuple[bool, str]:
@@ -323,7 +323,7 @@ def _suite_reduction(seed: int) -> tuple[bool, str]:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     suites = [
         ("field", lambda: _suite_field()),
-        ("parseval", lambda: _suite_parseval(args.seed, args.parseval_tol)),
+        ("parseval", lambda: _suite_parseval(args.seed)),
         ("round-trip", lambda: _suite_round_trip(args.seed)),
         ("profile", lambda: _suite_profile()),
         ("tail", lambda: _suite_tail()),
@@ -398,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = opi_sub.add_parser(name)
         p.add_argument("--instance", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--budget", type=int, default=None)
+        if name == "solve-bruteforce":
+            p.add_argument("--budget", type=int, default=None)
         if name == "verify":
             p.add_argument("--solution", required=True)
         p.set_defaults(fn=cmd_opi)
 
     p_check = sub.add_parser("selfcheck", help="run built-in invariant suites")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--parseval-tol", type=float, default=TOL.unitarity)
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(fn=cmd_selfcheck)
 

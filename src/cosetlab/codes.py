@@ -18,7 +18,6 @@ __all__ = [
     "rs_code",
     "random_code",
     "syndrome",
-    "coset_sample",
     "coset_members",
     "rref",
     "rref_batch",
@@ -130,12 +129,11 @@ class LinearCode:
         if len(pivots) != self.k:
             raise ValueError("generator matrix is not full rank")
         self.G = g
-        if h is None:
-            h = null_space(self.field, g)
-        else:
-            h = np.array(h, dtype=np.int64) % q
-        _, hpiv = rref(self.field, h)
-        if h.shape != (self.n - self.k, self.n) or len(hpiv) != self.n - self.k:
+        # null_space's identity block on G's free columns gives rank n - k
+        derived = h is None
+        h = null_space(self.field, g) if derived else np.array(h, dtype=np.int64) % q
+        rank_ok = derived or len(rref(self.field, h)[1]) == self.n - self.k
+        if h.shape != (self.n - self.k, self.n) or not rank_ok:
             raise ValueError("parity-check matrix has wrong shape or rank")
         if np.any((self.G @ h.T) % q):
             raise ValueError("G H^T != 0")
@@ -158,12 +156,10 @@ class LinearCode:
             raise ValueError(f"message length must be {self.k}")
         return (message @ self.G) % self.q
 
-    def contains(self, y: np.ndarray) -> bool:
-        return not np.any(syndrome(self, y))
-
     @cached_property
     def dual(self) -> "LinearCode":
-        """Code with G and H roles swapped."""
+        """Code with G and H roles swapped. Only tests read it: criterion 07
+        (`test_acceptance.py`) states that the dual of RS_k is RS_{q-k}."""
         return LinearCode(self.q, self.H, self.G)
 
 
@@ -213,13 +209,6 @@ def _particular(code: LinearCode, u: np.ndarray) -> np.ndarray:
     particular = solve_particular(code.field, code.H, u)
     assert particular is not None, "full-rank system cannot be inconsistent"
     return particular
-
-
-def coset_sample(code: LinearCode, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform element of the coset {y : H y^T = u}: one particular
-    solution plus the codeword of k uniform message symbols."""
-    message = rng.integers(0, code.q, size=code.k, dtype=np.int64)
-    return (_particular(code, u) + code.encode(message)) % code.q
 
 
 def coset_members(code: LinearCode, u: np.ndarray) -> np.ndarray:

@@ -33,8 +33,6 @@ class Tolerances:
     bound_slack: float = 1e-9
     # fourth-power sum vs closed-form lower bound.
     fourth_power: float = 1e-10
-    # relative tolerance of the convolution identity.
-    convolution_rel: float = 1e-9
     # threshold bisection convergence.
     bisection: float = 1e-9
     # tabulated threshold values vs 3-decimal references.

@@ -118,7 +118,8 @@ def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
 
 def brute_force_nearest(code: LinearCode, y: np.ndarray) -> np.ndarray:
     """Message of the nearest codeword; distance ties break to the smallest
-    message index (lexicographically smallest message)."""
+    message index. Only the tests and the bench's `oracles` workload call
+    it, as the decoder tables' scalar oracle."""
     y = np.asarray(y, dtype=np.int64) % code.q
     if y.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}")

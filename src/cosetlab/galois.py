@@ -1,10 +1,11 @@
-"""Prime-field arithmetic, additive characters, and Fourier transforms.
+"""Prime fields, additive characters, and Fourier transforms.
 
 Conventions fixed here and shared by the whole package:
 
 - A field element is a plain integer residue in [0, q); a vector is a numpy
   int64 array whose entries all live in one field (the field object is passed
-  alongside, there is no per-element wrapper type).
+  alongside, there is no per-element wrapper type). Sums and products are
+  integer arithmetic mod q; the field caches inverses and transform matrices.
 - Dense functions on F_q^n are 1-D complex arrays of length q^n indexed in
   mixed radix with coordinate 0 most significant:
   index(v) = v[0]*q^(n-1) + ... + v[n-1]. `index_of_vector` computes every
@@ -67,16 +68,7 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.q))
 
-    # ---- scalar/array arithmetic -------------------------------------
-
-    def add(self, a, b):
-        return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.q
-
-    def sub(self, a, b):
-        return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % self.q
-
-    def mul(self, a, b):
-        return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.q
+    # ---- inverses and subsets -----------------------------------------
 
     @cached_property
     def _inverse_table(self) -> np.ndarray:
@@ -93,13 +85,6 @@ class PrimeField:
             raise ZeroDivisionError("division by zero in F_q")
         out = self._inverse_table[arr]
         return int(out) if np.isscalar(a) or np.asarray(a).ndim == 0 else out
-
-    # ---- representatives and subsets ---------------------------------
-
-    def signed(self, a: int) -> int:
-        """Signed representative in [-(q-1)//2, ceil((q-1)/2)]."""
-        a = int(a) % self.q
-        return a if a <= (self.q - 1 + 1) // 2 else a - self.q
 
     def centered_interval(self, z: int) -> tuple[int, ...]:
         """Residues whose signed representatives lie in [-z, z], sorted."""
@@ -119,6 +104,10 @@ class PrimeField:
         """Unitary q x q matrix F[x, y] = q^(-1/2) exp(2*pi*i*x*y/q)."""
         powers = np.outer(np.arange(self.q), np.arange(self.q)) % self.q
         return self.roots_of_unity[powers] / math.sqrt(self.q)
+
+    @cached_property
+    def _inverse_fourier_matrix(self) -> np.ndarray:
+        return self.fourier_matrix.conj()
 
 
 # ---- mixed-radix indexing ----------------------------------------------
@@ -210,4 +199,4 @@ def fourier_transform(field: PrimeField, f: np.ndarray) -> np.ndarray:
 
 def inverse_fourier_transform(field: PrimeField, f: np.ndarray) -> np.ndarray:
     """Inverse of `fourier_transform` (conjugated characters)."""
-    return _axiswise_transform(field, f, field.fourier_matrix.conj())
+    return _axiswise_transform(field, f, field._inverse_fourier_matrix)

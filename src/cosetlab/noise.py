@@ -218,6 +218,8 @@ class ConstraintSet:
         self.min_count = count_threshold(self.tau_tilde, profile.n)
 
     def count(self, y: np.ndarray) -> int:
+        """#{i : y_i in S_i}. Only tests read it and `contains`, as the per-word
+        oracle for `membership_mask` (`test_noise.py::test_constraint_membership`)."""
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (self.profile.n,):
             raise ValueError(f"vector length must be {self.profile.n}")
@@ -279,10 +281,6 @@ class FourthPowerReport:
     exact: float
     bound: float
 
-    @property
-    def gap(self) -> float:
-        return self.exact - self.bound
-
 
 def fourth_power_bound(tau, rho):
     """Closed-form lower bound on sum_alpha |u(alpha)|^4 for interval sets.
@@ -330,7 +328,7 @@ def _rho_terms(rho):
 def fourth_power_sum(q: int, z: int, tau: float) -> FourthPowerReport:
     """Exact sum_alpha |u(alpha)|^4 for the centered-interval set [-z, z],
     together with its closed-form lower bound (never asserted equal: the
-    report carries the measured gap)."""
+    report carries both)."""
     if 2 * z + 1 >= q:
         raise ValueError(f"interval 2z+1={2 * z + 1} must be smaller than q={q}")
     profile = interval_profile(q, 1, z, tau)

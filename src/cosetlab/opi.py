@@ -9,9 +9,10 @@ An instance is the coset x + RS_k of the full-support Reed-Solomon code
 `rs_code(q, k)`: codeword i is the evaluation table of the i-th
 coefficient vector, so P(i) + x_i is coordinate i of a coset member.
 Solving the instance is finding a member y of the syndrome-(H x^T) coset
-with #{i : y_i in S_i} >= tau*q, and y - x interpolates back to P. Both
-directions are implemented and the satisfied counts agree point for point.
-Evaluation, interpolation and enumeration all read the code's generator.
+with #{i : y_i in S_i} >= tau*q, and y - x interpolates back to P.
+`opi_to_icc` and `icc_to_opi` map each way, and the satisfied counts agree
+point for point. Evaluation, interpolation and enumeration all read the
+code's generator; the syndrome H x^T and coset members read its parity check.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
-
 import numpy as np
 
-from .codes import (LinearCode, coset_members, coset_sample, rs_code, solve_particular,
-                    syndrome)
+from .codes import LinearCode, coset_members, rs_code, solve_particular, syndrome
 from .config import count_threshold, require_budget
 from .galois import PrimeField, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, build_profile, indicator_table
@@ -36,7 +34,6 @@ __all__ = [
     "interpolate",
     "opi_to_icc",
     "icc_to_opi",
-    "icc_from_opi_solver",
     "brute_force_opi",
     "brute_force_icc",
     "verify",
@@ -209,22 +206,6 @@ def icc_to_opi(instance: OPIInstance, y: np.ndarray) -> OPISolution:
         raise ValueError("not a coset solution: y - x is not a codeword")
     return OPISolution(coeffs=tuple(int(c) for c in coeffs),
                        count=satisfied_count(instance, coeffs))
-
-
-def icc_from_opi_solver(code: LinearCode, u: np.ndarray,
-                        constraint: ConstraintSet,
-                        solver: Callable[[OPIInstance], OPISolution],
-                        seed: int = 0) -> np.ndarray:
-    """Coset-search via an instance solver: random x in the coset, solve,
-    shift the winning polynomial's evaluations back by x."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = coset_sample(code, u, rng=rng)
-    profile = constraint.profile
-    instance = OPIInstance(
-        q=code.q, k=code.k, sets=profile.sets, tau=profile.tau,
-        x=tuple(int(v) for v in x), seed=seed)
-    solution = solver(instance)
-    return (x + instance.code.encode(np.array(solution.coeffs))) % code.q
 
 
 # ---- brute-force oracles ------------------------------------------------------

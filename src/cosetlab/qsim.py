@@ -150,7 +150,9 @@ class DecoderMap:
         return out.reshape(state.shape)
 
     def diagonal_gammas(self, profile: ErrorProfile) -> np.ndarray:
-        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s."""
+        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s.
+        Only tests read it, as the oracle for p_s = gamma_s^2 and for the
+        symmetrized U's uniform diagonal (`test_qsim.py`, criterion 05)."""
         return np.array([float(np.linalg.norm(kept)) for *_, kept
                          in _kept_slices(self, profile, np.ones(self.shape[1]))])
 

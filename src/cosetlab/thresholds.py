@@ -72,7 +72,8 @@ class ThresholdQuery:
 
 
 def binary_threshold(tau: float) -> float:
-    """Center probability at rho = 1/2 in closed form: 1/2 + sqrt(tau(1-tau))."""
+    """Center probability at rho = 1/2 in closed form: 1/2 + sqrt(tau(1-tau)).
+    Only tests read it: criterion 03 (`test_acceptance.py`) checks q = 2 with it."""
     return 0.5 + math.sqrt(tau * (1.0 - tau))
 
 
@@ -253,12 +254,13 @@ def figure1_curves(rho: float, r_grid: list[float],
                    kv_q: int | None = None) -> list[ThresholdRow]:
     """Threshold columns along a rate grid at fixed rho (CSV-ready rows),
     each column one array bisection over the grid."""
-    kv_rho = rho
+    kv_rho = None
     for r in list(r_grid) or [0.5]:  # in row order; no rows: kv_q and rho at a stand-in
         if not 0.0 < r < 1.0:
             raise ValueError(f"grid rates must be in (0, 1), got {r}")
-        kv_rho = _kv_query(r, rho, kv_q).rho  # the same for every rate
-        ThresholdQuery("classical", r, rho)
+        if kv_rho is None:  # kv_q and rho pass or fail alike at every rate
+            kv_rho = _kv_query(r, rho, kv_q).rho
+            ThresholdQuery("classical", r, rho)
     rates = np.array(r_grid, dtype=np.float64)
     if not rates.size:
         return []

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cosetlab import codes, qsim
+from cosetlab import cli, codes, qsim
 from cosetlab.cli import build_parser, main
 from cosetlab.config import DEFAULT_AMPLITUDE_BUDGET, TOL
 
@@ -319,10 +319,10 @@ def test_selfcheck_passes(capsys):
     assert "8/8 suites passed" in out
 
 
-def test_selfcheck_negative_control(capsys):
-    # an impossible tolerance must fail exactly the transform suite
-    code, out = _run(capsys, "selfcheck", "--seed", "1",
-                     "--parseval-tol", "1e-20")
+def test_selfcheck_negative_control(capsys, monkeypatch):
+    # one failing suite fails the run, and only its line reads FAIL
+    monkeypatch.setattr(cli, "_suite_parseval", lambda seed: (False, "forced"))
+    code, out = _run(capsys, "selfcheck", "--seed", "1")
     assert code == 1
     fails = [l for l in out.splitlines() if l.startswith("FAIL")]
     assert len(fails) == 1
@@ -352,6 +352,17 @@ def test_one_parser_per_process_gives_each_call_its_own_result(capsys):
     code, again = _run(capsys, *README_SIMULATE)
     assert code == 0 and again == first
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("opi", "verify", "--instance", "i.json", "--solution", "s.json", "--budget", "1"),
+    ("opi", "convert", "--instance", "i.json", "--budget", "1"),
+    ("selfcheck", "--parseval-tol", "1"),
+])
+def test_options_no_command_reads_are_usage_errors(capsys, argv):
+    # only solve-bruteforce states a peak, and selfcheck's tolerances are fixed
+    code, err = _exit_status(capsys, *argv)
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_usage_error_raises_systemexit_2():

@@ -1,7 +1,9 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +37,15 @@ def test_every_imported_name_is_used_or_exported(name):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
+
+
+def test_every_traced_bench_layer_resolves():
+    # only `bench/run.py --trace 1` looks these up, and Tier-1 runs the bench
+    # untraced: a target deleted or renamed in cosetlab would pass unnoticed
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [name for name, (owner, attr, _) in layers.TARGETS.items()
+               if not callable(getattr(owner, attr, None))]
+    assert layers.TARGETS and missing == []

@@ -200,7 +200,6 @@ def test_fourth_power_sum_exact_and_bound(q, z, tau):
     assert report.exact == pytest.approx(_fourth_power_oracle(q, z, tau),
                                          rel=1e-12)
     assert report.exact >= report.bound - TOL.fourth_power
-    assert report.gap >= -TOL.fourth_power
 
 
 def test_fourth_power_rejects_degenerate():
@@ -291,4 +290,4 @@ def test_convolution_identity():
         ])
         lhs = float(np.sum(conv**2))
         rhs = q * float(np.sum(np.abs(p.u[0]) ** 4))
-        assert lhs == pytest.approx(rhs, rel=TOL.convolution_rel)
+        assert lhs == pytest.approx(rhs, rel=1e-9)

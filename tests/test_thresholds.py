@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetlab import galois
 from cosetlab.noise import center_probability_form, fourth_power_bound
 from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery,
                                  binary_threshold, curves_csv, figure1_curves,
@@ -224,6 +225,15 @@ def test_figure1_checks_inputs_in_row_order():
     with pytest.raises(ValueError, match="rho must be"):
         figure1_curves(1.5, [])
     assert figure1_curves(0.5, [], kv_q=11) == []
+
+
+def test_figure1_checks_kv_q_once(monkeypatch):
+    # one kv_q serves the whole grid: a 1000-rate curve tests it for primality once
+    calls = []
+    real = galois._is_prime
+    monkeypatch.setattr(galois, "_is_prime", lambda q: calls.append(q) or real(q))
+    figure1_curves(0.5, [(i + 1) / 1001 for i in range(1000)], kv_q=11)
+    assert len(calls) <= 2
 
 
 def test_rows_json_round_trip():
