@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -33,16 +35,18 @@ from .config import TOL, BudgetError
 __all__ = ["main", "build_parser"]
 
 
-def _emit(content: str | dict | list, out: str | None) -> None:
-    """Write text as it is, or anything else as indented JSON and a
-    newline, to the file `out` or to stdout. JSON is streamed by
-    `json.dump`, never held as one string."""
+def _emit(content: str | Iterator[str] | dict | list, out: str | None) -> None:
+    """Write text as it is, an iterator's text pieces as they are made, or
+    a dict or list as indented JSON and a newline, to the file `out` or to
+    stdout. JSON is streamed by `json.dump`, never held as one string."""
     with open(out, "w") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
         if isinstance(content, str):
             fh.write(content)
-        else:
+        elif isinstance(content, (dict, list)):
             json.dump(content, fh, indent=2)
             fh.write("\n")
+        else:
+            fh.writelines(content)
 
 
 # ---- thresholds ---------------------------------------------------------------
@@ -138,22 +142,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         decoder = decode.BruteForceNearestDecoder(code)
 
     if args.u == "all":
-        outcomes = qsim.run_reduction_sweep(decoder, [constraint], budget=args.budget)[0]
-        report = qsim.verify_bound(outcomes)
+        shared = qsim.run_reduction_sweep(decoder, [constraint], budget=args.budget)[0]
+        report = qsim.verify_bound(shared)
+        # u in message-index order, the order of the sweep's p_u array
+        rows = zip(itertools.product(range(args.q), repeat=args.k), map(float, shared.p_u))
     else:
         # the bound holds for the mean over all syndromes, not for one: the
         # check is that both engines give this syndrome the same outcome
         rng = np.random.default_rng(np.random.SeedSequence(u_seed))
         u = rng.integers(0, args.q, size=args.k)
-        evolved = qsim.run_reduction(decoder, u, constraint, budget=args.budget)
-        outcomes = [evolved]
-        swept = qsim.run_reduction_sweep(decoder, [constraint], budget=args.budget)[0][
-            galois.index_of_vector(u, args.q)]
-        drift = max(abs(swept.p_u - evolved.p_u),
-                    abs(swept.post_select_prob - evolved.post_select_prob))
+        shared = qsim.run_reduction(decoder, u, constraint, budget=args.budget)
+        rows = [(shared.u, shared.p_u)]
+        swept = qsim.run_reduction_sweep(decoder, [constraint], budget=args.budget)[0]
+        swept_p_u = float(swept.p_u[galois.index_of_vector(u, args.q)])
+        drift = max(abs(swept_p_u - shared.p_u),
+                    abs(swept.post_select_prob - shared.post_select_prob))
         report = qsim.BoundReport(
-            n_outcomes=1, mean_p=evolved.p_u, p_dec=evolved.p_dec,
-            eta=evolved.eta, bound=evolved.bound, slack=evolved.slack,
+            n_outcomes=1, mean_p=shared.p_u, p_dec=shared.p_dec,
+            eta=shared.eta, bound=shared.bound, slack=shared.slack,
             ok=drift <= TOL.bound_slack)
 
     if args.format == "json":
@@ -164,21 +170,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "tau_tilde": args.ttilde, "sets": args.sets,
                 "u": args.u, "seed": args.seed,
             },
-            "outcomes": [o.to_dict() for o in outcomes],
+            "outcomes": [{"u": list(u), "p_u": p_u,
+                          "post_select_prob": shared.post_select_prob,
+                          "p_dec": shared.p_dec, "eta": shared.eta,
+                          "bound": shared.bound, "slack": p_u - shared.bound}
+                         for u, p_u in rows],
             "report": report.to_dict(),
         }
         _emit(payload, args.out)
     else:
-        lines = [
+        head = [
             f"q={args.q} n={args.n} k={args.k} code={args.code} "
             f"decoder={args.decoder} tau={args.tau} ttilde={args.ttilde} "
             f"sets={args.sets} seed={args.seed}",
-            f"symmetrized={outcomes[0].symmetrized} "
-            f"post_select_prob={outcomes[0].post_select_prob:.12f}",
+            f"symmetrized={shared.symmetrized} "
+            f"post_select_prob={shared.post_select_prob:.12f}",
         ]
-        for o in outcomes:
-            lines.append(f"u={','.join(str(v) for v in o.u)} p_u={o.p_u:.12f}")
-        lines += [
+        body = (f"u={','.join(map(str, u))} p_u={p_u:.12f}" for u, p_u in rows)
+        tail = [
             f"mean_p={report.mean_p:.12f}",
             f"p_dec={report.p_dec:.12f}",
             f"eta={report.eta:.12f}",
@@ -186,7 +195,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"slack={report.slack:.12f}",
             f"ok={report.ok}",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        # each row is formatted only as it is written
+        _emit((line + "\n" for line in itertools.chain(head, body, tail)), args.out)
     return 0 if report.ok else 1
 
 

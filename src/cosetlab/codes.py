@@ -125,14 +125,14 @@ class LinearCode:
         self.k, self.n = g.shape
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        _, pivots = rref(self.field, g)
-        if len(pivots) != self.k:
+        # G has rank k exactly when its null space has n - k rows, and
+        # null_space's identity block on G's free columns gives that H rank n - k
+        derived = null_space(self.field, g)
+        if len(derived) != self.n - self.k:
             raise ValueError("generator matrix is not full rank")
         self.G = g
-        # null_space's identity block on G's free columns gives rank n - k
-        derived = h is None
-        h = null_space(self.field, g) if derived else np.array(h, dtype=np.int64) % q
-        rank_ok = derived or len(rref(self.field, h)[1]) == self.n - self.k
+        h = derived if h is None else np.array(h, dtype=np.int64) % q
+        rank_ok = h is derived or len(rref(self.field, h)[1]) == self.n - self.k
         if h.shape != (self.n - self.k, self.n) or not rank_ok:
             raise ValueError("parity-check matrix has wrong shape or rank")
         if np.any((self.G @ h.T) % q):

@@ -131,8 +131,6 @@ def brute_force_nearest(code: LinearCode, y: np.ndarray) -> np.ndarray:
 
 
 class _BaseDecoder:
-    kind = "base"
-
     def __init__(self, code: LinearCode):
         self.code = code
         self._table: np.ndarray | None = None
@@ -157,8 +155,6 @@ class _BaseDecoder:
 
 class BerlekampWelchDecoder(_BaseDecoder):
     """Total unique decoder: algebraic decode, all-zeros sentinel on failure."""
-
-    kind = "berlekamp_welch"
 
     def __init__(self, code: LinearCode):
         _require_full_support_rs(code)
@@ -226,8 +222,6 @@ def _nearest_low(q: int, n: int, k: int) -> int:
 class BruteForceNearestDecoder(_BaseDecoder):
     """Nearest-codeword decoder by exhaustive enumeration (always succeeds)."""
 
-    kind = "brute_force_nearest"
-
     def _build_bytes(self) -> int:
         """Peak bytes of the table build: the table as q^n 16-byte
         amplitudes, two q^low x q^k uint8 count blocks, (25 + q)n bytes per
@@ -258,8 +252,6 @@ class BruteForceNearestDecoder(_BaseDecoder):
 class TableDecoder(_BaseDecoder):
     """Decoder defined by an explicit message-index table (for constructed
     counterexamples and artificial message-dependent behavior)."""
-
-    kind = "table"
 
     def __init__(self, code: LinearCode, table: np.ndarray):
         super().__init__(code)

@@ -62,12 +62,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
     # ---- inverses and subsets -----------------------------------------
 
     @cached_property

@@ -90,14 +90,6 @@ class ErrorProfile:
         """Dense fhat = tensor product of the uhat_i, length q^n, real."""
         return reduce(np.multiply.outer, self.uhat, np.ones(())).reshape(-1)
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "tau": self.tau,
-            "sets": [list(s) for s in self.sets],
-        }
-
     def __repr__(self) -> str:
         return (f"ErrorProfile(q={self.q}, n={self.n}, tau={self.tau}, "
                 f"set_size={self.set_size})")

@@ -63,7 +63,7 @@ import numpy as np
 from .codes import LinearCode
 from .config import TOL, require_budget
 from .decode import _BaseDecoder, _message_success, per_message_success, residual_index
-from .galois import PrimeField, fourier_transform, index_of_vector, vector_of_index
+from .galois import fourier_transform, index_of_vector, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
 __all__ = [
@@ -131,7 +131,7 @@ class DecoderMap:
     @cached_property
     def _fourier_t(self) -> np.ndarray:
         """Unitary transform matrix on the k-coordinate shift register T."""
-        return reduce(np.kron, [PrimeField(self.code.q).fourier_matrix] * self.code.k,
+        return reduce(np.kron, [self.code.field.fourier_matrix] * self.code.k,
                       np.ones((1, 1)))
 
     def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -211,16 +211,13 @@ class ReductionOutcome:
     eta: float
     bound: float
     symmetrized: bool
+    # the reference engine's residuals; a sweep outcome holds their exact values
     max_norm_drift: float = 0.0
-    a_marginal: np.ndarray | None = field(default=None, repr=False)
+    marginal_mass: float = 1.0
 
     @property
     def slack(self) -> float:
         return self.p_u - self.bound
-
-    def to_dict(self) -> dict:
-        names = ("p_u", "post_select_prob", "p_dec", "eta", "bound", "slack")
-        return {"u": list(self.u), **{name: getattr(self, name) for name in names}}
 
 
 @dataclass(frozen=True)
@@ -242,7 +239,8 @@ class SweepResult:
     """Every dual syndrome's outcome for one constraint set. p_u[j] is the
     success probability of syndrome j, u = vector_of_index(j, q, k), and
     the rest, shared by every syndrome, is stored once. result[j] builds
-    syndrome j's `ReductionOutcome`, the form `run_reduction` returns."""
+    syndrome j's `ReductionOutcome`, the form `run_reduction` returns;
+    `simulate` writes its rows from p_u and the shared values instead."""
     q: int
     n: int
     k: int
@@ -307,8 +305,7 @@ def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
 
 def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
                   constraint: ConstraintSet, *, budget: int | None = None,
-                  force_symmetrize: bool | None = None,
-                  keep_marginal: bool = False) -> ReductionOutcome:
+                  force_symmetrize: bool | None = None) -> ReductionOutcome:
     """Run the five-step reduction for one dual syndrome u, densely, for
     the decoder's code and the constraint's profile.
 
@@ -339,7 +336,7 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     u_map = DecoderMap(decoder, symmetrized)
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
-    phases = np.conj(PrimeField(q).roots_of_unity[(code.messages() @ u) % q])
+    phases = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q])
     weights = phases / math.sqrt(q**k)
     accepted = np.empty(u_map.shape, dtype=np.complex128)
     norms_sq = [0.0, 0.0]
@@ -359,7 +356,7 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
-    accepted = fourier_transform(PrimeField(q), accepted)
+    accepted = fourier_transform(code.field, accepted)
     norms.append(float(np.linalg.norm(accepted)))
     marginal = np.abs(accepted) ** 2
     marginal = marginal.reshape(q**n, -1).sum(axis=1)
@@ -374,7 +371,7 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
         post_select_prob=post_select_prob, p_dec=p_dec, eta=eta,
         bound=success_lower_bound(p_dec, eta), symmetrized=symmetrized,
         max_norm_drift=max(abs(x - 1.0) for x in norms),
-        a_marginal=marginal if keep_marginal else None)
+        marginal_mass=float(marginal.sum()))
 
 
 # ---- sweep engine: all syndromes from the closed form --------------------------
@@ -460,7 +457,7 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
     del weights
     f *= histogram  # f N, in f's buffer
     del histogram
-    spectrum = fourier_transform(PrimeField(q), f)
+    spectrum = fourier_transform(code.field, f)
     del f
     marginal = np.abs(spectrum)
     del spectrum

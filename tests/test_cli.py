@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cosetlab import cli, codes, qsim
+from cosetlab import cli, codes, decode, noise, qsim
 from cosetlab.cli import build_parser, main
 from cosetlab.config import DEFAULT_AMPLITUDE_BUDGET, TOL
 
@@ -115,6 +115,35 @@ def test_simulate_single_u(capsys):
     doc = json.loads(out)
     assert len(doc["outcomes"]) == 1
     assert doc["outcomes"][0]["slack"] >= -1e-9
+
+
+def test_simulate_outcome_rows_keys_and_slack(capsys):
+    # rows from the sweep's array and from the reference outcome share a layout
+    for u in ("all", "random"):
+        code, out = _run(capsys, "simulate", "--q", "3", "--n", "3", "--k", "1",
+                         "--tau", "0.8", "--ttilde", "0.4", "--sets", "interval:0",
+                         "--decoder", "nearest", "--u", u, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["outcomes"]
+        assert len(rows) == (3 if u == "all" else 1)
+        for row in rows:
+            assert list(row) == ["u", "p_u", "post_select_prob", "p_dec", "eta",
+                                 "bound", "slack"]
+            assert row["slack"] == row["p_u"] - row["bound"]
+
+
+def test_simulate_text_lists_u_in_message_index_order(capsys):
+    code, out = _run(capsys, "simulate", "--q", "3", "--n", "3", "--k", "2",
+                     "--tau", "0.7", "--ttilde", "0.5", "--sets", "interval:0",
+                     "--decoder", "nearest", "--u", "all")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.startswith("u=")]
+    assert [u for u, _ in rows] == [f"u={a},{b}" for a in range(3) for b in range(3)]
+    # row j carries the sweep's p_u[j]
+    decoder = decode.BruteForceNearestDecoder(codes.rs_code(3, 2))
+    constraint = noise.ConstraintSet(noise.interval_profile(3, 3, 0, 0.7), 0.5)
+    p_u = qsim.run_reduction_sweep(decoder, [constraint])[0].p_u
+    assert [p for _, p in rows] == [f"p_u={p:.12f}" for p in p_u]
 
 
 def _simulate_random_u(capsys, seed):

@@ -96,6 +96,8 @@ def test_solve_particular():
 def test_linear_code_validation():
     with pytest.raises(ValueError):
         LinearCode(5, np.array([[1, 2, 3], [2, 4, 6]]))  # rank 1, not 2
+    with pytest.raises(ValueError, match="not full rank"):  # even with H given
+        LinearCode(5, np.array([[1, 2, 3], [2, 4, 6]]), np.array([[1, 2, 0]]))
     with pytest.raises(ValueError):
         LinearCode(5, np.eye(3, dtype=np.int64))  # k = n
     code = LinearCode(5, np.array([[1, 1, 1]]))
@@ -103,14 +105,14 @@ def test_linear_code_validation():
 
 
 def test_derived_parity_check_is_not_eliminated_again(monkeypatch):
-    # null_space puts an identity block on G's free columns, so a derived H
-    # has rank n - k: building rs(7, 3) eliminates 3-row matrices, never H
+    # one null_space call checks G's rank and derives H, whose identity block
+    # on G's free columns gives rank n - k: building rs(7, 3) eliminates G once
     shapes = []
     real = codes.rref
     monkeypatch.setattr(codes, "rref",
                         lambda field, m: shapes.append(np.shape(m)) or real(field, m))
     rs_code(7, 3)
-    assert shapes and all(rows == 3 for rows, _ in shapes)
+    assert shapes == [(3, 7)]
     # a parity check the caller gives is still checked for its rank
     with pytest.raises(ValueError, match="rank"):
         LinearCode(5, np.array([[1, 1, 1]]), np.array([[1, 4, 0], [2, 3, 0]]))

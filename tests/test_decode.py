@@ -259,7 +259,7 @@ def test_per_message_success_equals_roll_oracle_on_every_rs(q):
             for profile in profiles:
                 want = roll_per_message_success(decoder, profile)
                 got = per_message_success(decoder, profile)
-                assert np.max(np.abs(got - want)) <= 1e-12, (q, k, decoder.kind)
+                assert np.max(np.abs(got - want)) <= 1e-12, (q, k, type(decoder).__name__)
 
 
 @settings(max_examples=40, deadline=None)
