@@ -30,14 +30,12 @@ __all__ = [
 # ---- dense Gaussian elimination over F_q ---------------------------------
 
 
-def rref_batch(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of every matrix in a (batch, rows, cols) stack.
-
-    The one F_q elimination kernel: all matrices share one column sweep of
-    whole-stack numpy operations, with pivots scaled by `_inverse_table`
-    lookups. Returns (reduced stack, pivots), pivots[b, r] being the pivot
-    column of row r of matrix b or -1 for a zero row. The RREF is
-    canonical, so the pivot search order cannot change the result.
+def _eliminate(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one F_q elimination kernel: the RREF rows of every matrix in a
+    (batch, rows, cols) stack, in the order one shared column sweep of
+    whole-stack numpy operations found them (pivots are scaled by
+    `_inverse_table` lookups). Returns (rows, pivots): row r of matrix b is
+    the pivot row of column pivots[b, r], or a zero row if that is cols.
     """
     q = field.q
     m = np.asarray(m, dtype=np.int64)
@@ -65,11 +63,21 @@ def rref_batch(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
         a %= q
         free.reshape(-1)[p] = 0
         pivot_of_row.reshape(-1)[p] = c
-    # pivot rows in pivot-column order, then the zero rows
-    at = np.arange(batch)[:, None]
-    order = 1 + np.argsort(pivot_of_row[:, 1:], axis=1, kind="stable")
+    return a[:, 1:], pivot_of_row[:, 1:]
+
+
+def rref_batch(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix in a (batch, rows, cols)
+    stack: `_eliminate`'s rows sorted by pivot column, zero rows last.
+    Returns (reduced stack, pivots), pivots[b, r] being the pivot column of
+    row r of matrix b or -1 for a zero row. The RREF is canonical, so the
+    pivot search order cannot change it."""
+    rows, pivot_of_row = _eliminate(field, m)
+    cols = rows.shape[2]
+    at = np.arange(len(rows))[:, None]
+    order = np.argsort(pivot_of_row, axis=1, kind="stable")
     pivots = pivot_of_row[at, order]
-    return a[at, order], np.where(pivots < cols, pivots, -1)
+    return rows[at, order], np.where(pivots < cols, pivots, -1)
 
 
 def solve_batch(field: PrimeField, m: np.ndarray,
@@ -78,13 +86,15 @@ def solve_batch(field: PrimeField, m: np.ndarray,
 
     m is (batch, rows, cols), b is (batch, rows). Returns (x, ok): free
     unknowns are 0, and x[i] is meaningless where system i is inconsistent.
+    Each pivot row of the augmented RREF gives its pivot column's unknown,
+    so `_eliminate`'s rows are read unsorted.
     """
     m = np.asarray(m, dtype=np.int64)
     batch, _, cols = m.shape
-    red, pivots = rref_batch(field, np.concatenate([m, np.asarray(b)[..., None]], axis=2))
-    # zero rows (-1) and an inconsistent row (pivot cols) write to spare slots
+    rows, pivots = _eliminate(field, np.concatenate([m, np.asarray(b)[..., None]], axis=2))
+    # zero rows (pivot cols + 1) and an inconsistent row (pivot cols) write to spare slots
     x = np.zeros((batch, cols + 2), dtype=np.int64)
-    x[np.arange(batch)[:, None], pivots] = red[:, :, cols]
+    x[np.arange(batch)[:, None], pivots] = rows[:, :, cols]
     return x[:, :cols], ~np.any(pivots == cols, axis=1)
 
 

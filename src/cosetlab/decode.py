@@ -44,17 +44,13 @@ __all__ = [
 def _bw_constants(q: int, d: int) -> tuple[np.ndarray, ...]:
     """Read-only per-(q, d) constants of full-support Berlekamp-Welch: the
     evaluation generator; powers[i, j] = i^j for j <= t0; the parity check
-    of the dimension-(d + t0) code; the map from a polynomial Q of degree
-    < d + t0, given by its values, to its coefficients t0..t0+d-1 (over all
-    of F_q, Q_j = -sum_x Q(x) x^(q-1-j)); and the gather index that lays
-    out (E_0, ..., E_{t0-1}, 1, 0) for a monic degree-t0 E as the d x d
-    matrix taking P to the top d coefficients of P*E."""
+    of the dimension-(d + t0) code; and the map from a polynomial Q of
+    degree < d + t0, given by its values, to its coefficients t0..t0+d-1
+    (over all of F_q, Q_j = -sum_x Q(x) x^(q-1-j))."""
     t0 = (q - d) // 2
     wide = rs_code(q, d + t0)
     top = np.array([[-pow(x, q - 1 - j, q) % q for j in range(t0, t0 + d)] for x in range(q)])
-    shift = t0 + np.subtract.outer(np.arange(d), np.arange(d))
-    tables = (rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, top,
-              np.where((shift >= 0) & (shift <= t0), shift, t0 + 1))
+    tables = (rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, top)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -75,12 +71,13 @@ def berlekamp_welch_batch(code: LinearCode,
     Returns (messages, hits). Where hits[b] is True, messages[b] is the
     coefficient vector of the unique P with deg P < d whose evaluations
     lie within t0 = floor((n-d)/2) of ys[b]; where it is False no such
-    codeword exists and messages[b] is meaningless. Two batched kernel
-    solves: the key equation E(x_i) y_i = Q(x_i) with E monic of degree
+    codeword exists and messages[b] is meaningless. One batched kernel
+    solve, of the key equation E(x_i) y_i = Q(x_i) with E monic of degree
     t0 and deg Q < d + t0, which says that E(x) y lies in the
     dimension-(d + t0) code, so its parity check leaves t0 unknowns; then
-    P from the unit upper-triangular system that the top d coefficients
-    of Q = P*E form. Whenever a codeword lies within t0, every such E has
+    P = Q / E by synthetic division of the top d coefficients of Q, from
+    the top down: E is monic, so each step reads one coefficient of P and
+    needs no inverse. Whenever a codeword lies within t0, every such E has
     Q = P*E for its P. Every hit is re-encoded and its distance checked,
     so a spurious algebraic solution can never be returned.
     """
@@ -90,13 +87,18 @@ def berlekamp_welch_batch(code: LinearCode,
     if ys.ndim != 2 or ys.shape[1] != n:
         raise ValueError(f"received words must be rows of length {n}")
     t0 = (n - d) // 2
-    gen, powers, check, top, shift = _bw_constants(q, d)
+    gen, powers, check, top = _bw_constants(q, d)
     # check @ (E(x_i) y_i)_i = 0 in the unknowns E_0..E_{t0-1}
     syndromes = (check * ys[:, None, :]) @ powers
     e_low, ok = solve_batch(code.field, syndromes[:, :, :t0], -syndromes[:, :, t0])
-    e_monic = np.concatenate([e_low, np.tile([1, 0], (len(ys), 1))], axis=1)
-    q_top = (e_monic[:, :t0 + 1] @ powers.T % q * ys) @ top
-    messages, _ = solve_batch(code.field, e_monic[:, shift], q_top)
+    locator = (e_low @ powers[:, :t0].T + powers[:, t0]) % q
+    # coefficients t0..t0+d-1 of Q, divided by E in place: coefficient
+    # t0 + i of Q, less what P's higher coefficients contributed, is P_i
+    messages = (locator * ys) @ top
+    for i in range(d - 1, -1, -1):
+        messages[:, i] %= q
+        low = max(i - t0, 0)
+        messages[:, low:i] -= messages[:, i, None] * e_low[:, t0 + low - i:]
     far = ((messages @ gen - ys) % q != 0).sum(axis=1) > t0
     return messages, ok & ~far
 

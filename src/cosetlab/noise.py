@@ -122,7 +122,8 @@ def build_profile(q: int, n: int, sets, tau: float) -> ErrorProfile:
     profile = ErrorProfile(q, n, tuple(normalized), tau)
     # construction invariants: unit mass on both sides of the transform
     assert abs(float(np.sum(profile.uhat[0] ** 2)) - 1.0) < TOL.norm
-    assert abs(float(np.sum(np.abs(profile.u[0]) ** 2)) - 1.0) < TOL.norm
+    u_0 = inverse_fourier_transform(field, profile.uhat[0])  # profile.u[0], bit for bit
+    assert abs(float(np.sum(np.abs(u_0) ** 2)) - 1.0) < TOL.norm
     return profile
 
 

@@ -135,14 +135,17 @@ class DecoderMap:
                       np.ones((1, 1)))
 
     def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Apply to a state of shape `shape`, or any reshape of it. The
-        transform on T is symmetric, so the adjoint's is its conjugate."""
+        """Apply to a state of shape `shape`, or any reshape of it, never
+        written to. The transform on T is symmetric, so the adjoint's is its
+        conjugate, applied in place to one q^k-th of the result at a time."""
         flat = state.reshape(-1)
         if adjoint:
             out = np.empty_like(flat)
             out[self.gather] = flat
             if self.symmetrized:
-                out = out.reshape(-1, self.shape[-1]) @ self._fourier_t.conj()
+                inverse_t = self._fourier_t.conj()
+                for block in out.reshape(self.shape[1], -1, self.shape[-1]):
+                    block[...] = block @ inverse_t
         else:
             if self.symmetrized:
                 flat = (state.reshape(-1, self.shape[-1]) @ self._fourier_t.T).reshape(-1)
@@ -294,12 +297,14 @@ def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
     """Peak bytes of `run_reduction`, the larger of its two phases. While
     blocks stream: the accepted complex (A, B[, T]) state, the int64 gather
     and 8 complex values per entry of a block's (A[, T]) slice (prepared,
-    fed and kept of two blocks, and kept's index). At step 4: three complex
-    states (accepted, scattered, T-transformed) and the gather. Beside them
-    64 bytes per entry of q^n- and q^(2k)-entry tables, and 64 KiB."""
+    fed and kept of two blocks, and kept's index). At steps 4 and 5: two
+    complex states (the input and the result of the adjoint, then of the
+    transform), the gather and a complex slice of 1/q of a state (the
+    adjoint's slice on T or the transform's scratch). Beside them 64 bytes
+    per entry of q^n- and q^(2k)-entry tables, and 64 KiB."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
     streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + entries // q**k * 8 * COMPLEX_BYTES
-    adjoint = entries * (3 * COMPLEX_BYTES + INDEX_BYTES)
+    adjoint = entries * (2 * COMPLEX_BYTES + INDEX_BYTES) + entries // q * COMPLEX_BYTES
     return max(streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**16
 
 

@@ -3,7 +3,11 @@
 `roll_per_message_success` enumerates the errors of every message by
 rolling the decoder table, so it shares nothing with the residual index
 that `per_message_success` and the sweep engine both read.
+`interpolation_nearest` finds the codeword within half the distance of a
+Reed-Solomon word by Lagrange interpolation, with no F_q elimination.
 """
+
+import itertools
 
 import numpy as np
 
@@ -26,3 +30,36 @@ def place_values(q: int, m: int) -> np.ndarray:
     """(q^(m-1), ..., q, 1): `words @ place_values(q, m)` indexes each row
     of a (..., m) array of residues, independently of `index_of_vector`."""
     return q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def _lagrange_basis(q: int, points) -> np.ndarray:
+    """Row j: coefficients, low-degree-first, of the Lagrange polynomial
+    that is 1 at points[j] and 0 at the other points, over F_q."""
+    rows = []
+    for j, x_j in enumerate(points):
+        poly, denominator = np.ones(1, dtype=np.int64), 1
+        for x_m in points[:j] + points[j + 1:]:
+            poly = np.convolve(poly, [-x_m, 1]) % q
+            denominator = denominator * (x_j - x_m) % q
+        rows.append(poly * pow(denominator, q - 2, q) % q)
+    return np.array(rows)
+
+
+def interpolation_nearest(code, words) -> tuple[np.ndarray, np.ndarray]:
+    """(messages, found) for a (B, q) stack of words of the full-support
+    Reed-Solomon code `rs_code(q, d)`: found[b] says that a codeword lies
+    within t0 = (q - d) // 2 of words[b], and messages[b] is its message.
+    Such a codeword agrees with the word on at least d of the first d + t0
+    coordinates, so it interpolates the word on one d-subset of them; the
+    code's distance exceeds 2 t0, so it is the nearest codeword."""
+    q, d = code.q, code.k
+    t0 = (q - d) // 2
+    words = np.asarray(words, dtype=np.int64) % q
+    messages = np.zeros((len(words), d), dtype=np.int64)
+    found = np.zeros(len(words), dtype=bool)
+    for subset in itertools.combinations(range(d + t0), d):
+        candidate = words[:, subset] @ _lagrange_basis(q, subset) % q
+        close = np.count_nonzero((candidate @ code.G - words) % q, axis=1) <= t0
+        messages[close] = candidate[close]
+        found |= close
+    return messages, found

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from cosetlab import codes
 from cosetlab.codes import (LinearCode, coset_members, null_space, random_code,
-                            rref, rref_batch, rs_code, solve_particular, syndrome)
+                            rref, rref_batch, rs_code, solve_batch, solve_particular,
+                            syndrome)
 from cosetlab.galois import PrimeField, all_vectors
 from oracles import place_values
 
@@ -77,6 +78,36 @@ def test_null_space_oracle(seed, q):
     kernel = [v for v in all_vectors(q, cols) if np.all((m @ v) % q == 0)]
     assert len(kernel) == q ** (cols - _rank_by_span(q, m))
     assert len(basis) == cols - _rank_by_span(q, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([2, 3, 5, 7]))
+def test_solve_batch_equals_back_substitution_from_rref(seed, q):
+    # consistent systems (b = m x), inconsistent ones (random b) and
+    # rank-deficient ones (a zero or repeated row) in one stack
+    rng = np.random.default_rng(seed)
+    batch = int(rng.integers(3, 8))
+    rows, cols = (int(v) for v in rng.integers(1, 6, size=2))
+    m = rng.integers(0, q, size=(batch, rows, cols))
+    m[rng.random(batch) < 0.3, 0] = 0
+    if rows > 1:
+        m[rng.random(batch) < 0.3, -1] = m[0, 0]
+    b = np.einsum("brc,bc->br", m, rng.integers(0, q, size=(batch, cols))) % q
+    unrelated = rng.random(batch) < 0.5
+    b[unrelated] = rng.integers(0, q, size=(int(unrelated.sum()), rows))
+    field = PrimeField(q)
+    x, ok = solve_batch(field, m, b)
+    for i in range(batch):
+        _, pivots = rref(field, m[i])
+        augmented, augmented_pivots = rref(field, np.column_stack([m[i], b[i]]))
+        assert ok[i] == (len(augmented_pivots) == len(pivots))
+        if ok[i]:
+            # each pivot row reads its unknown, the free unknowns are 0
+            want = np.zeros(cols, dtype=np.int64)
+            want[pivots] = augmented[:len(pivots), cols]
+            assert np.array_equal(x[i], want)
+            assert np.array_equal((m[i] @ x[i]) % q, b[i])
 
 
 def test_solve_particular():

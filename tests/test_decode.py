@@ -13,7 +13,7 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
                              per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import build_profile, interval_profile, random_sets_profile
-from oracles import place_values, roll_per_message_success
+from oracles import interpolation_nearest, place_values, roll_per_message_success
 
 
 def _distances(code, y):
@@ -82,10 +82,13 @@ def test_bw_matches_nearest_within_radius_exhaustive():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 4)]))
+       st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 4),
+                        (13, 6)]))
 def test_bw_batch_equals_scalar(seed, qk):
     # half the words sit near a codeword, half are uniform: many of those lie
-    # outside the radius, where both forms must report no codeword
+    # outside the radius, where both forms must report no codeword. Batch
+    # and scalar share one division, so every hit is also checked against
+    # the nearest codeword found by interpolation, with no elimination
     q, k = qk
     code = rs_code(q, k)
     rng = np.random.default_rng(seed)
@@ -94,13 +97,30 @@ def test_bw_batch_equals_scalar(seed, qk):
     flips = rng.integers(0, q, size=near.shape) * (rng.random(near.shape) < 0.3)
     words[:20] = (near + flips) % q
     messages, hits = berlekamp_welch_batch(code, words)
-    dists = (words[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
-    assert np.array_equal(hits, dists.min(axis=1) <= (q - k) // 2)
+    nearest, found = interpolation_nearest(code, words)
+    assert np.array_equal(hits, found)
+    assert np.array_equal(messages[hits], nearest[hits])
     for y, message, hit in zip(words, messages, hits):
         want = berlekamp_welch(code, y)
         assert hit == (want is not None)
         if hit:
             assert np.array_equal(message, want)
+
+
+@pytest.mark.parametrize("q,k", [(5, 1), (5, 2), (7, 3), (7, 4)])
+def test_interpolation_oracle_equals_brute_force_nearest(q, k):
+    # the oracle above, checked against the nearest codeword by enumeration
+    # on every word of a sample, half of them near a codeword
+    code = rs_code(q, k)
+    rng = np.random.default_rng(q + k)
+    words = rng.integers(0, q, size=(60, q))
+    words[:30] = (rng.integers(0, q, size=(30, k)) @ code.G
+                  + rng.integers(0, q, size=(30, q)) * (rng.random((30, q)) < 0.3)) % q
+    nearest, found = interpolation_nearest(code, words)
+    for y, message, hit in zip(words, nearest, found):
+        assert hit == (_distances(code, y).min() <= (q - k) // 2)
+        if hit:
+            assert np.array_equal(message, brute_force_nearest(code, y))
 
 
 @pytest.mark.parametrize("q", [3, 5])
