@@ -44,13 +44,14 @@ __all__ = [
 def _bw_constants(q: int, d: int) -> tuple[np.ndarray, ...]:
     """Read-only per-(q, d) constants of full-support Berlekamp-Welch: the
     evaluation generator; powers[i, j] = i^j for j <= t0; the parity check
-    of the dimension-(d + t0) code; and the map from a polynomial Q of
-    degree < d + t0, given by its values, to its coefficients t0..t0+d-1
-    (over all of F_q, Q_j = -sum_x Q(x) x^(q-1-j))."""
+    of the dimension-(d + t0) code; and the interpolation map from the
+    values of a polynomial of degree < q on all of F_q to its coefficients,
+    coefficient j being [j = 0] sum_x v(x) - sum_x v(x) x^(q-1-j)."""
     t0 = (q - d) // 2
     wide = rs_code(q, d + t0)
-    top = np.array([[-pow(x, q - 1 - j, q) % q for j in range(t0, t0 + d)] for x in range(q)])
-    tables = (rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, top)
+    interpolation = np.array([[(j == 0) - pow(x, q - 1 - j, q) for j in range(q)]
+                              for x in range(q)]) % q
+    tables = (rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, interpolation)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -78,8 +79,14 @@ def berlekamp_welch_batch(code: LinearCode,
     P = Q / E by synthetic division of the top d coefficients of Q, from
     the top down: E is monic, so each step reads one coefficient of P and
     needs no inverse. Whenever a codeword lies within t0, every such E has
-    Q = P*E for its P. Every hit is re-encoded and its distance checked,
-    so a spurious algebraic solution can never be returned.
+    Q = P*E for its P; the top coefficients of Q are read off its values
+    by the interpolation map. Every hit is re-encoded and its distance
+    checked, so a spurious algebraic solution can never be returned.
+
+    Only tests call it: criterion 06 (`test_acceptance.py`) puts 274k
+    words through it, and `test_bw_batch_equals_scalar` (`test_decode.py`)
+    checks `berlekamp_welch`, which solves the key equation by another
+    route, against it.
     """
     _require_full_support_rs(code)
     q, n, d = code.q, code.n, code.k
@@ -87,14 +94,14 @@ def berlekamp_welch_batch(code: LinearCode,
     if ys.ndim != 2 or ys.shape[1] != n:
         raise ValueError(f"received words must be rows of length {n}")
     t0 = (n - d) // 2
-    gen, powers, check, top = _bw_constants(q, d)
+    gen, powers, check, interpolation = _bw_constants(q, d)
     # check @ (E(x_i) y_i)_i = 0 in the unknowns E_0..E_{t0-1}
     syndromes = (check * ys[:, None, :]) @ powers
     e_low, ok = solve_batch(code.field, syndromes[:, :, :t0], -syndromes[:, :, t0])
     locator = (e_low @ powers[:, :t0].T + powers[:, t0]) % q
     # coefficients t0..t0+d-1 of Q, divided by E in place: coefficient
     # t0 + i of Q, less what P's higher coefficients contributed, is P_i
-    messages = (locator * ys) @ top
+    messages = (locator * ys) @ interpolation[:, t0:t0 + d]
     for i in range(d - 1, -1, -1):
         messages[:, i] %= q
         low = max(i - t0, 0)
@@ -109,13 +116,62 @@ def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
     Returns the coefficient vector (low-degree-first) of the unique
     polynomial P with deg P < d whose evaluations lie within Hamming
     distance t0 = floor((n-d)/2) of y, or None when no such codeword
-    exists: `berlekamp_welch_batch` on a batch of one.
+    exists. Gao's form of the key equation, in Python ints: the interpolant
+    R of y over all of F_q, then the extended Euclidean algorithm on
+    (x^q - x, R) until the remainder r = u (x^q - x) + v R has
+    deg r < (n + d)/2; P = r / v when v divides r and deg P < d. The hit is
+    re-encoded and its distance checked, so a spurious solution is never
+    returned. That is O(q^2) Python work per word, with no numpy call per
+    step; many words are decoded faster by `berlekamp_welch_batch`.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}")
-    messages, hits = berlekamp_welch_batch(code, y[None])
-    return messages[0] if hits[0] else None
+    _require_full_support_rs(code)
+    q, n, d = code.q, code.n, code.k
+    gen, *_, interpolation = _bw_constants(q, d)
+    word = y.astype(np.int64) % q
+    # remainders r and cofactors v of the Euclidean algorithm on x^q - x and R
+    r0, v0 = [0, q - 1] + [0] * (q - 2) + [1], []
+    r1, v1 = _trimmed((word @ interpolation % q).tolist()), [1]
+    while 2 * (len(r1) - 1) >= n + d:  # deg r1 >= (n + d)/2
+        quotient, remainder = _poly_divmod(r0, r1, q)
+        r0, r1 = r1, remainder
+        v0, v1 = v1, _trimmed(_subtract_product(v0, quotient, v1, q))
+    message, remainder = _poly_divmod(r1, v1, q)
+    if remainder or len(message) > d:
+        return None
+    message = np.array(message + [0] * (d - len(message)), dtype=np.int64)
+    far = np.count_nonzero((message @ gen - word) % q) > (n - d) // 2
+    return None if far else message
+
+
+def _trimmed(p: list[int]) -> list[int]:
+    """p without its zero top coefficients, so that deg p = len(p) - 1."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, both trimmed, of trimmed a by trimmed b != 0
+    over F_q."""
+    quotient, remainder = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    inverse = pow(b[-1], q - 2, q)
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = quotient[shift] = remainder[shift + len(b) - 1] * inverse % q
+        for i, b_i in enumerate(b, shift):
+            remainder[i] = (remainder[i] - c * b_i) % q
+    return quotient, _trimmed(remainder[:len(b) - 1])
+
+
+def _subtract_product(a: list[int], b: list[int], c: list[int], q: int) -> list[int]:
+    """a - b c over F_q, untrimmed."""
+    out = a + [0] * (len(b) + len(c) - 1 - len(a))
+    for i, b_i in enumerate(b):
+        for j, c_j in enumerate(c, i):
+            out[j] = (out[j] - b_i * c_j) % q
+    return out
 
 
 def brute_force_nearest(code: LinearCode, y: np.ndarray) -> np.ndarray:

@@ -139,6 +139,8 @@ def interval_profile(q: int, n: int, z: int, tau: float) -> ErrorProfile:
 def random_sets_profile(q: int, n: int, set_size: int, tau: float,
                         seed: int) -> ErrorProfile:
     """Profile with independent uniform size-`set_size` sets, reproducible."""
+    if not 1 <= set_size <= q - 1:
+        raise ValueError(f"set size must be in [1, {q - 1}], got {set_size}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sets = [tuple(np.sort(rng.choice(q, size=set_size, replace=False)))
             for _ in range(n)]

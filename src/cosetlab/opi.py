@@ -153,6 +153,8 @@ class OPISolution:
 def generate_instance(q: int, k: int, set_size: int, tau: float,
                       seed: int) -> OPIInstance:
     """Random instance: uniform sets of the given size, uniform offset string."""
+    if not 1 <= set_size <= q - 1:
+        raise ValueError(f"sets must have one size in [1, {q - 1}]")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sets = tuple(
         tuple(int(v) for v in sorted(rng.choice(q, size=set_size, replace=False)))

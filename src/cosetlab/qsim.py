@@ -294,18 +294,26 @@ def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, f
 
 
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
-    """Peak bytes of `run_reduction`, the larger of its two phases. While
-    blocks stream: the accepted complex (A, B[, T]) state, the int64 gather
-    and 8 complex values per entry of a block's (A[, T]) slice (prepared,
-    fed and kept of two blocks, and kept's index). At steps 4 and 5: two
-    complex states (the input and the result of the adjoint, then of the
-    transform), the gather and a complex slice of 1/q of a state (the
-    adjoint's slice on T or the transform's scratch). Beside them 64 bytes
-    per entry of q^n- and q^(2k)-entry tables, and 64 KiB."""
+    """Peak bytes of `run_reduction`, the largest of three phases. While the
+    gather is built: the accepted complex (A, B[, T]) state, the int64
+    index, the Horner step before it and that step times q (each 1/q of
+    the index), and numpy's two int64 buffers, of at most 8192 entries
+    each, for the broadcast sum; at a few thousand entries they set the
+    peak (the permutation check that follows holds 33 bytes per entry).
+    While blocks stream: the accepted state, the gather and 8 complex
+    values per entry of a block's (A[, T]) slice (prepared, fed and kept
+    of two blocks, and kept's index). At step 4: two complex states (the
+    input and the result of the adjoint), the gather and the adjoint's
+    complex slice on T, 1/q^k of a state. Step 5 holds less, as the gather
+    is freed first: two states and the transform's scratch slice of 1/q,
+    at most 40 bytes per entry. Beside them 64 bytes per entry of q^n- and
+    q^(2k)-entry tables, and 64 KiB."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
+    gather = (entries * (COMPLEX_BYTES + INDEX_BYTES) + 2 * (entries // q) * INDEX_BYTES
+              + 2 * min(entries, 8192) * INDEX_BYTES)
     streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + entries // q**k * 8 * COMPLEX_BYTES
-    adjoint = entries * (2 * COMPLEX_BYTES + INDEX_BYTES) + entries // q * COMPLEX_BYTES
-    return max(streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**16
+    adjoint = entries * (2 * COMPLEX_BYTES + INDEX_BYTES) + entries // q**k * COMPLEX_BYTES
+    return max(gather, streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**16
 
 
 def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
@@ -356,8 +364,9 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     post_select_prob = float(np.vdot(accepted, accepted).real)
     accepted /= math.sqrt(post_select_prob)
 
-    # step 4: adjoint decoder map
+    # step 4: adjoint decoder map; its gather is freed before step 5
     accepted = u_map.apply(accepted, adjoint=True)
+    del u_map
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal

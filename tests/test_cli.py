@@ -230,6 +230,13 @@ def test_simulate_bw_needs_full_support(capsys):
     assert code == 2
 
 
+def test_simulate_oversized_random_sets_exits_2(capsys):
+    code, err = _exit_status(capsys, "simulate", "--q", "5", "--n", "5", "--k", "2",
+                             "--tau", "0.7", "--ttilde", "0.5", "--sets", "random:9")
+    assert code == 2
+    assert err == "error: set size must be in [1, 4], got 9\n"
+
+
 # ---- opi pipeline ----------------------------------------------------------------
 
 
@@ -297,6 +304,13 @@ def test_opi_instance_or_solution_lacking_a_key_exits_2(tmp_path, capsys):
                              "--solution", str(sol))
     assert code == 2
     assert "'coeffs'" in err and "Traceback" not in err
+
+
+def test_opi_gen_oversized_sets_exits_2(capsys):
+    code, err = _exit_status(capsys, "opi", "gen", "--q", "5", "--k", "2",
+                             "--set-size", "6", "--tau", "0.5")
+    assert code == 2
+    assert err == "error: sets must have one size in [1, 4]\n"
 
 
 def test_opi_non_prime_modulus_exits_2(tmp_path, capsys):

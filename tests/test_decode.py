@@ -82,13 +82,14 @@ def test_bw_matches_nearest_within_radius_exhaustive():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 4),
-                        (13, 6)]))
+       st.sampled_from([(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3),
+                        (11, 4), (13, 6)]))
 def test_bw_batch_equals_scalar(seed, qk):
     # half the words sit near a codeword, half are uniform: many of those lie
-    # outside the radius, where both forms must report no codeword. Batch
-    # and scalar share one division, so every hit is also checked against
-    # the nearest codeword found by interpolation, with no elimination
+    # outside the radius, where both forms must report no codeword. The
+    # batch (one elimination) is the reference for the scalar form (extended
+    # Euclid), and both are checked against the nearest codeword found by
+    # interpolation. At (2, 1), t0 = 0 and Euclid starts from x^2 - x
     q, k = qk
     code = rs_code(q, k)
     rng = np.random.default_rng(seed)
@@ -185,8 +186,16 @@ def test_table_build_within_its_stated_peak(decoder_class, q, k):
 
 
 def test_bw_requires_full_support_rs():
+    code = random_code(5, 5, 2, seed=1)
     with pytest.raises(ValueError):
-        BerlekampWelchDecoder(random_code(5, 5, 2, seed=1))
+        BerlekampWelchDecoder(code)
+    # the scalar call checks the word's length first, then the code
+    with pytest.raises(ValueError, match="received word must have length 5"):
+        berlekamp_welch(code, np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="standard evaluation generator"):
+        berlekamp_welch(code, np.zeros(5, dtype=np.int64))
+    with pytest.raises(ValueError, match="full-support"):
+        berlekamp_welch(random_code(5, 6, 2, seed=1), np.zeros(6, dtype=np.int64))
 
 
 # ---- brute-force oracles ----------------------------------------------------------
