@@ -148,6 +148,8 @@ class LinearCode:
         if np.any((self.G @ h.T) % q):
             raise ValueError("G H^T != 0")
         self.H = h
+        for matrix in (g, h):  # read-only, so a check made on a code holds for its life
+            matrix.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, n={self.n}, k={self.k})"

@@ -16,6 +16,7 @@ word index, of one word, a batch or the whole (q,)*n grid, is
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -57,12 +58,20 @@ def _bw_constants(q: int, d: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+_FULL_SUPPORT_RS: weakref.WeakSet[LinearCode] = weakref.WeakSet()
+
+
 def _require_full_support_rs(code: LinearCode) -> None:
-    """Reject codes whose generator is not the ascending-power evaluation map."""
+    """Reject codes whose generator is not the ascending-power evaluation map.
+    A code's G is read-only, so each code object that passes is remembered,
+    weakly, and not compared again."""
+    if code in _FULL_SUPPORT_RS:
+        return
     if code.n != code.q:
         raise ValueError("decoder requires a full-support evaluation code (n == q)")
     if not np.array_equal(code.G, _bw_constants(code.q, code.k)[0]):
         raise ValueError("decoder requires the standard evaluation generator")
+    _FULL_SUPPORT_RS.add(code)
 
 
 def berlekamp_welch_batch(code: LinearCode,

@@ -21,7 +21,7 @@ U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
 to A, run U, subtract t from B. U' has uniform diagonal amplitudes
 sqrt(mean_s p_s), which the success-bound machinery requires. Past the
 transform on T, U and U' permute basis states: each is one `DecoderMap`,
-a gather whose index is read off the register grid from the definition.
+whose image index is read off the register grid from the definition.
 Every dense index, of registers, residuals and dual syndromes, comes from
 `galois.index_of_vector`.
 
@@ -31,8 +31,8 @@ Two engines compute identical outcomes:
   reference engine), checking norms at every step. U' never touches the
   message copy C, so each C = s block evolves alone and keeping C = 0 keeps
   its B = s slice. A prepared block is zero off B = 0, so U' is fed that
-  slice and read on B = s alone: O(q^(n+2k)) work and memory, where
-  mapping whole blocks would take O(q^(n+3k)) work. Each |psi_s> is the
+  slice and each block writes only what it keeps: O(q^(n+2k)) memory and
+  work, but for the transforms (`run_reduction`). Each |psi_s> is the
   Kronecker product of the profile's rows shifted by the codeword sG.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
@@ -92,8 +92,9 @@ class DecoderMap:
     (A, B, T): Fourier-transform T, then |a, b, t> -> |a + tG, b + D(a + tG)
     - t, t>, that is add tG to A, run U and subtract t from B. U' makes the
     diagonal amplitudes uniform: every gamma'_{s,s} equals sqrt(mean_s p_s),
-    real nonnegative. Past the transform either map is one gather, by an
-    index read off the register grid once; the adjoint scatters by it.
+    real nonnegative. Past the transform either map is one permutation, by
+    the flat index of each basis state's image, read off the register grid
+    once: the map scatters by it and its adjoint gathers by it.
     """
 
     def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False):
@@ -105,28 +106,40 @@ class DecoderMap:
             raise ValueError("decoder table must cover every received word")
 
     @cached_property
-    def gather(self) -> np.ndarray:
-        """Flat source index of every basis state, checked once to be a
-        permutation, so that the map keeps every norm (ValueError if not)."""
-        index = self._source_index()
-        if not np.all(np.bincount(index, minlength=index.size) == 1):
+    def image(self) -> np.ndarray:
+        """Flat image index of every basis state, checked once to be a
+        permutation, so that the map keeps every norm (ValueError if not):
+        `size` entries in range that hit every position."""
+        index, size = self._image_index(), math.prod(self.shape)
+        hit = np.zeros(size, dtype=bool)
+        if index.shape == (size,) and 0 <= index.min() and index.max() < size:
+            hit[index] = True
+        if not hit.all():
             raise ValueError("decoder map is not a permutation of basis states")
         return index
 
-    def _source_index(self) -> np.ndarray:
-        """U's amplitude at |a, b> comes from |a, b - D(a)>, and U''s at
-        |a, b, t> from |a - tG, b - D(a) + t, t>."""
+    def _image_index(self) -> np.ndarray:
+        """U sends |a, b> to |a, b + D(a)>, and U' sends |a, b, t> to
+        |a + tG, b + D(a + tG) - t, t>. On the (A[, T]) grid, (a, 0, t)
+        goes to (a + tG, s, t) with s = D(a + tG) - t; adding b to B moves
+        s to b + s, one row of the messages' addition table per b."""
         code = self.code
         q, n, k = code.q, code.n, code.k
-        axes = np.ogrid[(slice(q),) * (n + k * (len(self.shape) - 1))]
-        a, b, t = axes[:n], axes[n:n + k], axes[n + k:]
+        axes = np.ogrid[(slice(q),) * (n + k * (len(self.shape) - 2))]
+        a, t = axes[:n], axes[n:]
         lift = t or (0,) * k
-        decoded = code.messages()[self.table].T.reshape(
-            (k,) + (q,) * n + (1,) * (len(axes) - n))
-        a_src = [a_i - sum(t_j * g for t_j, g in zip(lift, column))
-                 for a_i, column in zip(a, code.G.T)]
-        b_src = [b_j - d_j + t_j for b_j, d_j, t_j in zip(b, decoded, lift)]
-        return index_of_vector([*a_src, *b_src, *t], q).reshape(-1)
+        a_image = [a_i + sum(t_j * g for t_j, g in zip(lift, column))
+                   for a_i, column in zip(a, code.G.T)]
+        messages, grid = code.messages().T, self.shape[:1] + self.shape[2:]
+        decoded = self.table[index_of_vector(a_image, q)]  # D(a + tG), one per (a, t)
+        kept_by = index_of_vector([column[decoded] - t_j for column, t_j in zip(messages, lift)],
+                                  q).reshape(grid)  # s = D(a + tG) - t
+        base = index_of_vector([*a_image, *(0,) * k, *t], q).reshape(grid)  # B = 0
+        sums = index_of_vector(messages[:, :, None] + messages[:, None, :], q)
+        image = np.empty(self.shape, dtype=np.int64)
+        for b, row in enumerate(sums * math.prod(self.shape[2:])):  # B's place value
+            np.add(base, row[kept_by], out=image[:, b])
+        return image.reshape(-1)
 
     @cached_property
     def _fourier_t(self) -> np.ndarray:
@@ -140,8 +153,7 @@ class DecoderMap:
         conjugate, applied in place to one q^k-th of the result at a time."""
         flat = state.reshape(-1)
         if adjoint:
-            out = np.empty_like(flat)
-            out[self.gather] = flat
+            out = flat[self.image]
             if self.symmetrized:
                 inverse_t = self._fourier_t.conj()
                 for block in out.reshape(self.shape[1], -1, self.shape[-1]):
@@ -149,38 +161,45 @@ class DecoderMap:
         else:
             if self.symmetrized:
                 flat = (state.reshape(-1, self.shape[-1]) @ self._fourier_t.T).reshape(-1)
-            out = flat[self.gather]
+            out = np.empty_like(flat)
+            out[self.image] = flat
         return out.reshape(state.shape)
 
     def diagonal_gammas(self, profile: ErrorProfile) -> np.ndarray:
         """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s.
         Only tests read it, as the oracle for p_s = gamma_s^2 and for the
         symmetrized U's uniform diagonal (`test_qsim.py`, criterion 05)."""
-        return np.array([float(np.linalg.norm(kept)) for *_, kept
-                         in _kept_slices(self, profile, np.ones(self.shape[1]))])
+        return np.array([float(np.linalg.norm(fed.reshape(-1)[source])) for *_, fed, source, _
+                         in _kept_blocks(self, profile, np.ones(self.shape[1]))])
 
 
-def _kept_slices(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
-    """Yield (s, prepared, fed, kept) for every message s, one block at a
-    time. The block w_s |psi_s>_A |0>_B [|0>_T] is zero off B = 0: prepared
-    is its (A[, T]) slice there and fed that slice past the transform on T.
-    kept, the B = s slice of u_map(block), reads fed through the gather
-    where the source has B = 0 and is 0 elsewhere, bit for bit. The
+def _kept_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
+    """Yield (s, prepared, fed, source, target) for every message s, one
+    block at a time. The block w_s |psi_s>_A |0>_B [|0>_T] is zero off
+    B = 0: prepared is its (A[, T]) slice there, zero off T = 0, and fed
+    that slice past the transform on T, computed from its T = 0 column
+    alone (the other terms of the product are zeros). The map sends
+    (a, 0, t) to the B = s slice exactly when D(a + tG) - t = s, so each
+    (a, t) of that slice is kept by one block, grouped once by an argsort:
+    block s writes fed's flat positions `source` to the flat state
+    positions `target`, and the state is zero elsewhere on B = s. The
     amplitude of |psi_s> at y is f(y - sG), the Kronecker product of the
     profile's rows u_i shifted by the codeword coordinates c_{s,i}."""
     q, (size_a, size_b), width = profile.q, u_map.shape[:2], math.prod(u_map.shape[2:])
-    sources = u_map.gather.reshape(size_a, size_b, width)
-    for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
+    images = u_map.image.reshape(size_a, size_b, width)[:, 0].reshape(-1)  # of B = 0
+    blocks = images // width % size_b
+    groups = np.split(np.argsort(blocks, kind="stable"),
+                      np.cumsum(np.bincount(blocks, minlength=size_b))[:-1])
+    del blocks
+    for s_idx, (weight, codeword, source) in enumerate(
+            zip(weights, u_map.code.codewords(), groups)):
         psi = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
                                          for row, c in zip(profile.u, codeword)],
                      np.ones(())).reshape(-1)
         prepared = np.zeros((size_a, width), dtype=np.complex128)
         prepared[:, 0] = weight * psi
-        fed = prepared @ u_map._fourier_t.T if u_map.symmetrized else prepared
-        source = sources[:, s_idx]  # (a', b', t') as one flat index
-        kept = fed.reshape(-1)[source // (size_b * width) * width + source % width]
-        kept[source // width % size_b != 0] = 0
-        yield s_idx, prepared, fed, kept
+        fed = prepared[:, :1] @ u_map._fourier_t.T[:1] if u_map.symmetrized else prepared
+        yield s_idx, prepared, fed, source, images[source]
 
 
 def _dual_index(code: LinearCode) -> np.ndarray:
@@ -294,26 +313,22 @@ def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, f
 
 
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
-    """Peak bytes of `run_reduction`, the largest of three phases. While the
-    gather is built: the accepted complex (A, B[, T]) state, the int64
-    index, the Horner step before it and that step times q (each 1/q of
-    the index), and numpy's two int64 buffers, of at most 8192 entries
-    each, for the broadcast sum; at a few thousand entries they set the
-    peak (the permutation check that follows holds 33 bytes per entry).
-    While blocks stream: the accepted state, the gather and 8 complex
-    values per entry of a block's (A[, T]) slice (prepared, fed and kept
-    of two blocks, and kept's index). At step 4: two complex states (the
-    input and the result of the adjoint), the gather and the adjoint's
-    complex slice on T, 1/q^k of a state. Step 5 holds less, as the gather
-    is freed first: two states and the transform's scratch slice of 1/q,
-    at most 40 bytes per entry. Beside them 64 bytes per entry of q^n- and
-    q^(2k)-entry tables, and 64 KiB."""
+    """Peak bytes of `run_reduction`, the larger of two phases. While blocks
+    stream: the accepted complex (A, B[, T]) state, the int64 image index
+    and 8 complex values per entry of a block's (A[, T]) slice (prepared,
+    fed and the kept values of two blocks, their positions and the grouping
+    of the slice). The index is built and checked before the state exists,
+    in 9 bytes per entry and a few slice-sized arrays. At step 4: two
+    complex states (the input and the result of the adjoint), the index and
+    the adjoint's complex slice on T, 1/q^k of a state. Step 5 holds less,
+    as the index is freed first: two states and the transform's scratch
+    slice of 1/q, at most 40 bytes per entry. Beside them 64 bytes per
+    entry of q^n- and q^(2k)-entry tables, and 32 KiB."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
-    gather = (entries * (COMPLEX_BYTES + INDEX_BYTES) + 2 * (entries // q) * INDEX_BYTES
-              + 2 * min(entries, 8192) * INDEX_BYTES)
-    streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + entries // q**k * 8 * COMPLEX_BYTES
-    adjoint = entries * (2 * COMPLEX_BYTES + INDEX_BYTES) + entries // q**k * COMPLEX_BYTES
-    return max(gather, streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**16
+    kept = entries // q**k
+    streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + kept * 8 * COMPLEX_BYTES
+    adjoint = entries * (2 * COMPLEX_BYTES + INDEX_BYTES) + kept * COMPLEX_BYTES
+    return max(streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**15
 
 
 def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
@@ -325,12 +340,15 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     Steps 1-2 stream over the message copy C. U' acts on (A, B[, T]) only,
     so each C = s block of the prepared state evolves alone; C -= B moves
     its B = b slice to C = s - b, so keeping C = 0 keeps b = s. U' is fed
-    each block's B = 0 slice, where it is nonzero, and read on the B = s
-    slice it keeps (`_kept_slices`): the amplitudes of mapping the whole
-    block, in O(q^(n+2k)) work and memory, where whole blocks would take
-    O(q^(n+3k)) work. The step-1 and step-2 squared norms sum the prepared
-    slices and the slices U' is fed, whose norm its permutation keeps.
-    Steps 3-5 run on the accepted (A, B[, T]) state.
+    each block's B = 0 slice, where it is nonzero, and each block writes
+    the positions of the B = s slice it keeps into a zeroed state
+    (`_kept_blocks`): the amplitudes of mapping whole blocks, bit for bit,
+    in O(q^(n+2k)) work and memory. The step-1 and step-2 squared norms sum
+    the prepared slices and the slices U' is fed, whose norm its
+    permutation keeps. Steps 3-5 run on the accepted (A, B[, T]) state:
+    step 4 gathers by U's image index and, symmetrized, its inverse
+    transform on T is a q^k x q^k product per (A, B) row: q^(n+3k)
+    multiply-adds, against n q^(n+2k+1) for step 5's transform on A.
 
     The budget counts 16-byte amplitudes of the stated peak
     (`_reference_peak_bytes`, for the symmetrized map unless
@@ -347,24 +365,25 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     symmetrized, p_dec = _decide_symmetrization(
         per_message_success(decoder, profile), force_symmetrize)
     u_map = DecoderMap(decoder, symmetrized)
+    u_map.image  # built and checked before the state is allocated
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
     phases = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q])
     weights = phases / math.sqrt(q**k)
-    accepted = np.empty(u_map.shape, dtype=np.complex128)
+    accepted = np.zeros(u_map.shape, dtype=np.complex128)
     norms_sq = [0.0, 0.0]
-    for s_idx, prepared, fed, kept in _kept_slices(u_map, profile, weights):
+    for _, prepared, fed, source, target in _kept_blocks(u_map, profile, weights):
         norms_sq[0] += float(np.vdot(prepared, prepared).real)
         norms_sq[1] += float(np.vdot(fed, fed).real)
-        accepted.reshape(q**n, q**k, -1)[:, s_idx] = kept
-    del prepared, fed, kept  # the last block's slices, freed before step 4's peak
+        accepted.reshape(-1)[target] = fed.reshape(-1)[source]
+    del prepared, fed, source, target  # the last block's, freed before step 4's peak
     norms = [math.sqrt(x) for x in norms_sq]
 
     # step 3: measure the message copy, keep outcome 0, renormalize
     post_select_prob = float(np.vdot(accepted, accepted).real)
-    accepted /= math.sqrt(post_select_prob)
+    accepted *= 1 / math.sqrt(post_select_prob)  # numpy's division by a real d, bit for bit
 
-    # step 4: adjoint decoder map; its gather is freed before step 5
+    # step 4: adjoint decoder map; its index is freed before step 5
     accepted = u_map.apply(accepted, adjoint=True)
     del u_map
     norms.append(float(np.linalg.norm(accepted)))

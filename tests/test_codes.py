@@ -133,6 +133,9 @@ def test_linear_code_validation():
         LinearCode(5, np.eye(3, dtype=np.int64))  # k = n
     code = LinearCode(5, np.array([[1, 1, 1]]))
     assert np.all((code.G @ code.H.T) % 5 == 0)
+    for matrix in (code.G, code.H):  # read-only: a check made on a code holds
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 2
 
 
 def test_derived_parity_check_is_not_eliminated_again(monkeypatch):

@@ -192,8 +192,9 @@ def test_bw_requires_full_support_rs():
     # the scalar call checks the word's length first, then the code
     with pytest.raises(ValueError, match="received word must have length 5"):
         berlekamp_welch(code, np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="standard evaluation generator"):
-        berlekamp_welch(code, np.zeros(5, dtype=np.int64))
+    for _ in range(2):  # a failed check is not remembered
+        with pytest.raises(ValueError, match="standard evaluation generator"):
+            berlekamp_welch(code, np.zeros(5, dtype=np.int64))
     with pytest.raises(ValueError, match="full-support"):
         berlekamp_welch(random_code(5, 6, 2, seed=1), np.zeros(6, dtype=np.int64))
 

@@ -14,7 +14,7 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
-from cosetlab.qsim import (DecoderMap, SweepResult, _kept_slices, _reference_peak_bytes,
+from cosetlab.qsim import (DecoderMap, SweepResult, _kept_blocks, _reference_peak_bytes,
                            _sweep_peak_bytes, run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
 from oracles import place_values
@@ -66,7 +66,7 @@ def test_unitary_preserves_norm_and_adjoint_inverts(sym):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_gather_follows_definition_on_basis_states(shape, seed):
     # both maps are unitary with adjoint inverse, and past the transform on
-    # T each gather sends |a, b> to |a, b + D(a)> and |a, b, t> to
+    # T each image index sends |a, b> to |a, b + D(a)> and |a, b, t> to
     # |a + tG, b + D(a + tG) - t, t>, in place values of its own
     q, n, k = shape
     rng = np.random.default_rng(seed)
@@ -87,7 +87,7 @@ def test_gather_follows_definition_on_basis_states(shape, seed):
         a_new = (words[a] + msgs[t] @ code.G) % q @ place_values(q, n)
         b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ place_values(q, k)
         target = np.ravel_multi_index((a_new, b_new, t), shape)
-        assert np.array_equal(u_map.gather[target], np.arange(a.size))
+        assert np.array_equal(u_map.image, target)
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,7 +95,8 @@ def test_gather_follows_definition_on_basis_states(shape, seed):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
     # oracle: the B = s slice of the forward map applied to the whole
-    # prepared block w_s |psi_s>|0>_B[|0>_T], which is zero off B = 0
+    # prepared block w_s |psi_s>|0>_B[|0>_T], which is zero off B = 0; the
+    # blocks partition the (A[, T]) positions, each written by one block
     q, n, k = shape
     rng = np.random.default_rng(seed)
     code = random_code(q, n, k, seed=seed)
@@ -104,38 +105,47 @@ def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
     weights = np.exp(2j * np.pi * rng.random(q**k)) / math.sqrt(q**k)
     for sym in (False, True):
         u_map = DecoderMap(decoder, symmetrized=sym)
-        for s_idx, prepared, fed, kept in _kept_slices(u_map, profile, weights):
+        accepted = np.zeros(u_map.shape, dtype=np.complex128)
+        expected = np.zeros(u_map.shape, dtype=np.complex128)
+        writes = np.zeros(u_map.shape, dtype=np.int64)
+        for s_idx, prepared, fed, source, target in _kept_blocks(u_map, profile, weights):
+            assert np.all(np.unravel_index(target, u_map.shape)[1] == s_idx)
+            accepted.reshape(-1)[target] = fed.reshape(-1)[source]
+            np.add.at(writes.reshape(-1), target, 1)
             block = np.zeros(u_map.shape, dtype=np.complex128)
             block.reshape(q**n, q**k, -1)[:, 0] = prepared
             mapped = u_map.apply(block).reshape(q**n, q**k, -1)
-            assert np.array_equal(kept, mapped[:, s_idx])
+            expected.reshape(q**n, q**k, -1)[:, s_idx] = mapped[:, s_idx]
             assert np.count_nonzero(prepared[:, 1:]) == 0
             assert fed is prepared or np.array_equal(
                 fed, (block.reshape(-1, q**k) @ u_map._fourier_t.T)[::q**k])
+        assert np.all(writes.sum(axis=1) == 1)
+        assert np.array_equal(accepted, expected)
 
 
 def test_non_permutation_gather_is_rejected(monkeypatch):
-    # two states fed from one source: U' would not keep the norm, so the
-    # gather is refused before any block is read through it
+    # two states sent to one image, or one sent out of range (a negative
+    # index would wrap): U' would not keep the norm, so the index is
+    # refused before any block is read through it
     decoder = BruteForceNearestDecoder(rs_code(3, 1))
     profile = interval_profile(3, 3, 0, 0.7)
-    assert DecoderMap(decoder, symmetrized=True).gather.size == 3**5
-    true_index = DecoderMap._source_index
+    assert DecoderMap(decoder, symmetrized=True).image.size == 3**5
+    true_index = DecoderMap._image_index
+    for corrupt in (lambda index: index[0], lambda index: -1, lambda index: index.size):
+        def broken(self):
+            index = true_index(self)
+            index[1] = corrupt(index)
+            return index
 
-    def clashing(self):
-        index = true_index(self)
-        index[1] = index[0]
-        return index
-
-    monkeypatch.setattr(DecoderMap, "_source_index", clashing)
-    for sym in (False, True):
-        with pytest.raises(ValueError, match="permutation"):
-            DecoderMap(decoder, symmetrized=sym).gather
-        with pytest.raises(ValueError, match="permutation"):
-            DecoderMap(decoder, symmetrized=sym).diagonal_gammas(profile)
-        with pytest.raises(ValueError, match="permutation"):
-            run_reduction(decoder, np.array([1]), ConstraintSet(profile, 0.4),
-                          force_symmetrize=sym)
+        monkeypatch.setattr(DecoderMap, "_image_index", broken)
+        for sym in (False, True):
+            with pytest.raises(ValueError, match="permutation"):
+                DecoderMap(decoder, symmetrized=sym).image
+            with pytest.raises(ValueError, match="permutation"):
+                DecoderMap(decoder, symmetrized=sym).diagonal_gammas(profile)
+            with pytest.raises(ValueError, match="permutation"):
+                run_reduction(decoder, np.array([1]), ConstraintSet(profile, 0.4),
+                              force_symmetrize=sym)
 
 
 def test_gamma_diagonal_matches_success_probability():
