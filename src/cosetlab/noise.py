@@ -150,23 +150,10 @@ def random_sets_profile(q: int, n: int, set_size: int, tau: float,
 # ---- center probability ---------------------------------------------------
 
 
-# The closed forms below take floats or arrays (entrywise, broadcast), and an
-# array's entries equal the float calls bit for bit. Floats keep the math
+# The closed forms below take floats or arrays (entrywise, broadcast). They
+# square and cube by multiplication, never by a power, so an array's entries
+# equal the float calls bit for bit by construction. Floats keep the math
 # module's speed: a scalar bisection calls them about 30 times.
-
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _power(x, exponent: int):
-    """x ** exponent rounded as Python's float power rounds it. numpy's
-    vector power can differ from it in the last bit (with numpy 2.4 on an
-    AVX-512 host, on about 0.1% of entries for exponent 2 and 5% for
-    exponent 3), so array entries go through Python floats."""
-    if isinstance(x, np.ndarray):
-        return np.asarray(np.power(x.astype(object), exponent), dtype=np.float64)
-    return x**exponent
 
 
 def _require_fractions(tau, rho) -> None:
@@ -187,8 +174,9 @@ def center_probability_form(tau, rho):
     The expanded form is exact at boundary points: at tau=1 it returns rho
     bit-for-bit, which downstream saturation checks rely on.
     """
-    return tau * rho + (1.0 - tau) * (1.0 - rho) + 2.0 * _sqrt(
-        tau * rho * (1.0 - tau) * (1.0 - rho))
+    cross = tau * rho * (1.0 - tau) * (1.0 - rho)
+    return tau * rho + (1.0 - tau) * (1.0 - rho) + 2.0 * (
+        np.sqrt(cross) if isinstance(cross, np.ndarray) else math.sqrt(cross))
 
 
 def center_probability(profile: ErrorProfile) -> float:
@@ -240,15 +228,17 @@ class ConstraintSet:
 
 
 def _binomial_lower_tail(n: int, p: float, m: int) -> float:
-    """P[Bin(n, p) < m] summed term by term (exact integer binomials)."""
+    """P[Bin(n, p) < m] summed term by term, each term taken in log space:
+    a float cannot hold comb(n, j) for some j once n >= 1030."""
     if m <= 0:
         return 0.0
     if p >= 1.0:
         return 0.0 if m <= n else 1.0
-    total = 0.0
-    for j in range(min(m, n + 1)):
-        total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
-    return min(total, 1.0)
+    log_p, log_not_p, log_n_fact = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return min(math.fsum(
+        math.exp(log_n_fact - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                 + j * log_p + (n - j) * log_not_p)
+        for j in range(min(m, n + 1))), 1.0)
 
 
 def tail_mass(profile: ErrorProfile, tau_tilde: float) -> tuple[float, float]:
@@ -291,15 +281,14 @@ def fourth_power_bound(tau, rho):
     bound exactly 2*rho/3 for rho <= 1/2). The lead term is chosen per
     entry of rho.
     """
-    return _fourth_power_bound(tau, rho)
+    _require_fractions(tau, rho)
+    return _fourth_power_bound(tau, rho, _rho_terms(rho))
 
 
-def _fourth_power_bound(tau, rho, rho_terms=None):
-    """`fourth_power_bound`, given `_rho_terms(rho)` by a solver that
-    evaluates many tau at one rho, or computing them."""
+def _fourth_power_bound(tau, rho, rho_terms):
+    """`fourth_power_bound` given `_rho_terms(rho)`, without the range check:
+    a solver evaluates many tau in [rho, 1] at one rho it has checked."""
     arrays = isinstance(tau, np.ndarray) or isinstance(rho, np.ndarray)
-    if arrays or not (0.0 < tau <= 1.0 and 0.0 < rho < 1.0):
-        _require_fractions(tau, rho)
     sqrt = np.sqrt if arrays else math.sqrt
     b = sqrt((1.0 - tau) / (1.0 - rho))
     a_sq = tau / rho + (1.0 - tau) / (1.0 - rho) - 2.0 * sqrt(
@@ -307,13 +296,14 @@ def _fourth_power_bound(tau, rho, rho_terms=None):
     a_minus_b = sqrt(tau / rho) - b
     gamma = 2.0 * rho * a_minus_b * b + b * b
     quartic = a_sq * a_sq
-    rho_sq, lead = rho_terms or _rho_terms(rho)
+    rho_sq, lead = rho_terms
     return quartic * lead + 2.0 * a_sq * gamma * rho_sq + gamma * gamma
 
 
 def _rho_terms(rho):
     """The terms of `fourth_power_bound` in rho alone: rho^2 and the lead."""
-    rho_sq, rho_cube = _power(rho, 2), _power(rho, 3)
+    rho_sq = rho * rho
+    rho_cube = rho_sq * rho
     low = 2.0 * rho_cube / 3.0
     high = 10.0 * rho_cube / 3.0 - 4.0 * rho_sq + 2.0 * rho - 1.0 / 3.0
     return rho_sq, (np.where(rho <= 0.5, low, high) if isinstance(rho, np.ndarray)

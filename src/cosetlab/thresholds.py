@@ -16,11 +16,13 @@ bisection; a value of 1 means the condition holds even at tau = 1
 cos^2(theta - phi), which falls as theta grows past phi; a property test
 checks the decrease for all three conditions.
 
-`tau_max` bisects one point. Independent points (the rate grid of
+`tau_max` bisects one point, with the threshold and kv's terms in rho
+alone computed once per query. Independent points (the rate grid of
 `figure1_curves`, the rho grid of `optimize_over_rho`) are bisected as
 arrays in one call per kind: the same loop on every entry, each entry
-stopping where its own loop would, so every value equals its `tau_max`
-bit for bit.
+stopping where its own loop would. Squares and cubes are products, which
+floats and arrays round alike, so every value equals its `tau_max` bit for
+bit by construction.
 
 The classical baseline formula is a reconstructed fit: it reproduces every
 reference table entry, but is not derived here.
@@ -35,7 +37,7 @@ import numpy as np
 
 from .config import TOL
 from .galois import PrimeField
-from .noise import _fourth_power_bound, _power, _rho_terms, center_probability_form
+from .noise import _fourth_power_bound, _rho_terms, center_probability_form
 
 __all__ = [
     "ThresholdQuery",
@@ -86,18 +88,20 @@ def _rhs(kind: str, tau, rho, rho_terms=None):
     if kind == "bw":
         return center_probability_form(tau, rho)
     if kind == "gs":
-        return _power(center_probability_form(tau, rho), 2)
-    return _fourth_power_bound(tau, rho, rho_terms)
+        c = center_probability_form(tau, rho)
+        return c * c
+    return _fourth_power_bound(tau, rho, rho_terms or _rho_terms(rho))
 
 
 def tau_max(query: ThresholdQuery) -> float:
     """Largest tau in [rho, 1] satisfying the query's condition (1 if all do)."""
     if query.kind == "classical":
         return query.rho + query.r * (1.0 - query.rho)
-    lhs = _lhs(query.kind, query.r)
+    threshold = _lhs(query.kind, query.r) - TOL.bisection
+    terms = _rho_terms(query.rho) if query.kind == "kv" else None
 
     def feasible(tau: float) -> bool:
-        return _rhs(query.kind, tau, query.rho) >= lhs - TOL.bisection
+        return _rhs(query.kind, tau, query.rho, terms) >= threshold
 
     lo, hi = query.rho, 1.0
     if not feasible(lo):
@@ -117,33 +121,31 @@ def tau_max(query: ThresholdQuery) -> float:
 def _tau_max_grid(kind: str, r: np.ndarray, rho) -> np.ndarray:
     """`tau_max` at every entry of the rate array r, with rho a float or an
     array of r's shape: the bisection of `tau_max` on every entry at once.
-    Converged entries are set aside; the rest take the scalar loop's steps,
-    with kv's terms in rho alone computed once."""
+    Every step evaluates every entry, and only the entries still wider than
+    the bisection step move, so each stops where its scalar loop stops."""
     if kind == "classical":
         return rho + r * (1.0 - rho)
     threshold = _lhs(kind, r) - TOL.bisection
-    per_rho = (rho, *(_rho_terms(rho) if kind == "kv" else ()))
+    terms = _rho_terms(rho) if kind == "kv" else None
 
-    def feasible(tau: np.ndarray, at) -> np.ndarray:
-        rho_at, *terms = (x if np.ndim(x) == 0 else x[at] for x in per_rho)
-        return _rhs(kind, tau, rho_at, terms) >= threshold[at]
+    def feasible(tau: np.ndarray) -> np.ndarray:
+        return _rhs(kind, tau, rho, terms) >= threshold
 
-    every = np.arange(len(r))
     lo = np.broadcast_to(rho, r.shape).astype(np.float64)
-    infeasible = ~feasible(lo, every)
+    infeasible = ~feasible(lo)
     if infeasible.any():
         i = int(np.argmax(infeasible))
         raise ValueError(
             f"condition infeasible for {kind} at R={r[i]}, rho={lo[i]}")
     hi = np.ones_like(lo)
-    lo[feasible(hi, every)] = 1.0
-    active = every[hi - lo > TOL.bisection]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        ok = feasible(mid, active)
-        lo[active[ok]] = mid[ok]
-        hi[active[~ok]] = mid[~ok]
-        active = active[hi[active] - lo[active] > TOL.bisection]
+    lo[feasible(hi)] = 1.0
+    live = hi - lo > TOL.bisection
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        np.copyto(lo, mid, where=live & ok)
+        np.copyto(hi, mid, where=live & ~ok)
+        live = hi - lo > TOL.bisection
     return lo
 
 

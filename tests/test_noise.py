@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cosetlab.noise import (ConstraintSet, build_profile, center_probability,
                             center_probability_form, fourth_power_bound,
                             fourth_power_sum, interval_profile,
                             random_sets_profile, tail_mass)
+from cosetlab.noise import _binomial_lower_tail
 
 
 # ---- profile construction --------------------------------------------------------
@@ -162,6 +164,25 @@ def test_tail_mass_moderate_n():
     m = count_threshold(0.6, 20)
     oracle = sum(math.comb(20, j) * 0.8**j * 0.2 ** (20 - j) for j in range(m))
     assert exact == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1031, 2003])
+def test_tail_mass_is_finite_at_large_n(n):
+    # comb(n, j) exceeds the float range from n = 1030 on
+    exact, _ = tail_mass(interval_profile(n, n, 1, 0.9), 0.8)
+    assert math.isfinite(exact) and 0.0 <= exact <= 1.0
+    half = _binomial_lower_tail(n, 0.5, n // 2 + 1)  # P[Bin(n, 1/2) <= n // 2], n odd
+    assert half == pytest.approx(0.5, rel=1e-9)
+
+
+def test_binomial_lower_tail_matches_exact_fractions():
+    rng = np.random.default_rng(40)
+    for n in range(1, 41):
+        for p, m in zip(rng.uniform(0.01, 0.99, 4).tolist(),
+                        rng.integers(1, n + 2, 4).tolist()):
+            exact = sum(math.comb(n, j) * Fraction(p) ** j * (1 - Fraction(p)) ** (n - j)
+                        for j in range(min(m, n + 1)))
+            assert _binomial_lower_tail(n, p, m) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 def test_fourier_mass_complements_tail():

@@ -339,8 +339,8 @@ def test_stated_peak_bytes_bound_traced_peak():
 
 @pytest.mark.parametrize("shape", [(2, 12, 1), (3, 7, 1), (2, 7, 3), (5, 4, 1)])
 def test_reference_stated_peak_bounds_traced_peak_at_other_shapes(shape):
-    # at small q^k the block slices, or at a few thousand entries the
-    # gather's build, set the peak, not step 4's two states and gather
+    # at small q^k the streaming blocks' slices set the peak, not step 4's
+    # two states and gather
     q, n, k = shape
     rng = np.random.default_rng(3)
     decoder = TableDecoder(random_code(q, n, k, seed=3), rng.integers(0, q**k, size=q**n))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab import galois
+from cosetlab.config import TOL
 from cosetlab.noise import center_probability_form, fourth_power_bound
 from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery,
                                  binary_threshold, curves_csv, figure1_curves,
@@ -83,9 +84,10 @@ def test_grid_bisection_equals_tau_max_bit_for_bit(kind, points, shared_rho):
 
 @pytest.mark.parametrize("kind", ["bw", "gs", "kv"])
 def test_rhs_on_arrays_equals_float_calls_at_random_points(kind):
-    # numpy's vector power can round differently from Python's (on about
-    # 0.1% of squares and 5% of cubes with an AVX-512 build); 20,000 random
-    # points show such a difference
+    # squares and cubes are products, which floats and arrays round alike;
+    # a power would not (numpy's vector power rounds differently from
+    # Python's on about 0.1% of squares and 5% of cubes with an AVX-512
+    # build), and 20,000 random points show such a difference
     rng = np.random.default_rng(13)
     rho = rng.uniform(1e-6, 1.0 - 1e-6, 20_000)
     tau = rho + (1.0 - rho) * rng.random(20_000)
@@ -100,6 +102,81 @@ def test_optimizer_grid_equals_scalar_loop(kind):
     rates = (CLASSICAL_TARGET - grid) / (1.0 - grid)
     want = [tau_max(ThresholdQuery(kind, r, rho)) for r, rho in zip(rates, grid)]
     assert _tau_max_grid(kind, rates, grid).tolist() == want
+
+
+def _plain_tau_max(kind, r, rho):
+    # tau_max's bisection written out from the public closed forms alone
+    lhs = 1.0 - r / 2.0 if kind == "bw" else 1.0 - r
+
+    def rhs(tau):
+        if kind == "kv":
+            return fourth_power_bound(tau, rho)
+        c = center_probability_form(tau, rho)
+        return c if kind == "bw" else c * c
+
+    lo, hi = rho, 1.0
+    assert rhs(lo) >= lhs - 1e-9
+    if rhs(hi) >= lhs - 1e-9:
+        return 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if rhs(mid) >= lhs - 1e-9:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("kind", ["bw", "gs", "kv"])
+def test_tau_max_equals_plain_bisection_bit_for_bit(kind):
+    # an oracle that shares no code with the solver: tau_max and the grid
+    # bisection share _rhs, so only this catches a wrong shared formula
+    rng = np.random.default_rng(24)
+    for r, rho in rng.uniform(1e-6, 1.0 - 1e-6, (300, 2)).tolist():
+        assert tau_max(ThresholdQuery(kind, r, rho)) == _plain_tau_max(kind, r, rho)
+
+
+# table1() and table1(kv_q=11) as recorded before the solver computed rho's
+# terms once per query and squared by multiplication: label, R, rho, then
+# the classical, bw, gs and kv columns
+TABLE1_RECORDED = {
+    None: [
+        ("R=0.1", 0.1, 0.5, 0.55, 0.7179449489340186, 0.7206429205834866, 0.7215987397357821),
+        ("R=0.75", 0.75, 0.5, 0.875, 0.9841229179874063, 1.0, 1.0),
+        ("R=2/3", 0.6666666666666666, 0.5, 0.8333333333333333, 0.9714045207947493,
+         0.9939807038754225, 1.0),
+        ("opt-bw", 0.2336884235014938, 0.41277149686792297, 0.55, 0.7494641498732706,
+         0.7597190008123269, 0.76334445441852),
+        ("opt-gs", 0.25897944230782227, 0.39272939822145747, 0.55, 0.7484336963317041,
+         0.7606569569621938, 0.7648800091153141),
+        ("opt-kv", 0.26691551061086316, 0.3861553388273498, 0.55, 0.7476787322664884,
+         0.7605631339659751, 0.7649745271267141),
+    ],
+    11: [
+        ("R=0.1", 0.1, 0.5, 0.55, 0.7179449489340186, 0.7206429205834866, 0.6799065319990569),
+        ("R=0.75", 0.75, 0.5, 0.875, 0.9841229179874063, 1.0, 1.0),
+        ("R=2/3", 0.6666666666666666, 0.5, 0.8333333333333333, 0.9714045207947493,
+         0.9939807038754225, 0.9976088005033406),
+        ("opt-bw", 0.2336884235014938, 0.41277149686792297, 0.55, 0.7494641498732706,
+         0.7597190008123269, 0.7984415514563972),
+        ("opt-gs", 0.25897944230782227, 0.39272939822145747, 0.55, 0.7484336963317041,
+         0.7606569569621938, 0.8162065497176213),
+        ("opt-kv", 0.26691551061086316, 0.3861553388273498, 0.55, 0.7476787322664884,
+         0.7605631339659751, 0.8215746273371306),
+    ],
+}
+
+
+@pytest.mark.parametrize("kv_q", [None, 11])
+def test_table1_matches_recorded_cells(kv_q):
+    # the optimized rows' R and rho come from the ternary refinement's exact
+    # sequence of points (tau is flat over about 3e-5 in rho there), so any
+    # change to that sequence shows here
+    rows = table1(kv_q=kv_q)
+    assert [row.label for row in rows] == [want[0] for want in TABLE1_RECORDED[kv_q]]
+    for row, (_, *want) in zip(rows, TABLE1_RECORDED[kv_q]):
+        have = [row.r, row.rho, row.tau_classical, row.tau_bw, row.tau_gs, row.tau_kv]
+        assert have == pytest.approx(want, abs=TOL.bisection, rel=0)
 
 
 def test_tau_max_saturates_for_generous_rates():
