@@ -215,11 +215,6 @@ def _load_json(path: str, what: str, build):
         raise ValueError(f"malformed {what} JSON in {path}: {exc}") from exc
 
 
-def _solution_from_dict(raw: dict) -> opi.OPISolution:
-    return opi.OPISolution(coeffs=tuple(int(c) for c in raw["coeffs"]),
-                           count=int(raw["count"]))
-
-
 def cmd_opi(args: argparse.Namespace) -> int:
     if args.what == "gen":
         instance = opi.generate_instance(args.q, args.k, args.set_size,
@@ -232,7 +227,7 @@ def cmd_opi(args: argparse.Namespace) -> int:
         _emit(solution.to_dict(), args.out)
         return 0
     if args.what == "verify":
-        solution = _load_json(args.solution, "solution", _solution_from_dict)
+        solution = _load_json(args.solution, "solution", opi.OPISolution.from_dict)
         count, meets = opi.verify(instance, solution)
         _emit(f"count={count} needed={instance.min_count} meets={meets}\n",
               args.out)

@@ -61,6 +61,13 @@ def interpolate(q: int, values: np.ndarray, k: int) -> np.ndarray | None:
 # ---- instances ---------------------------------------------------------------
 
 
+def _json_int(value) -> int:
+    """value if JSON parsed it as an integer (a bool is not one), else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 @dataclass(frozen=True)
 class OPIInstance:
     """One problem instance: per-point sets, target fraction, offset string."""
@@ -128,11 +135,13 @@ class OPIInstance:
 
     @staticmethod
     def from_dict(d: dict) -> "OPIInstance":
+        if type(d["tau"]) not in (int, float):
+            raise TypeError(f"expected a number, got {json.dumps(d['tau'])}")
         return OPIInstance(
-            q=int(d["q"]), k=int(d["k"]),
-            sets=tuple(tuple(int(v) for v in s) for s in d["sets"]),
-            tau=float(d["tau"]), x=tuple(int(v) for v in d["x"]),
-            seed=None if d.get("seed") is None else int(d["seed"]))
+            q=_json_int(d["q"]), k=_json_int(d["k"]),
+            sets=tuple(tuple(map(_json_int, s)) for s in d["sets"]),
+            tau=float(d["tau"]), x=tuple(map(_json_int, d["x"])),
+            seed=None if d.get("seed") is None else _json_int(d["seed"]))
 
     @staticmethod
     def from_json(text: str) -> "OPIInstance":
@@ -148,6 +157,10 @@ class OPISolution:
 
     def to_dict(self) -> dict:
         return {"coeffs": list(self.coeffs), "count": self.count}
+
+    @staticmethod
+    def from_dict(d: dict) -> "OPISolution":
+        return OPISolution(tuple(map(_json_int, d["coeffs"])), _json_int(d["count"]))
 
 
 def generate_instance(q: int, k: int, set_size: int, tau: float,

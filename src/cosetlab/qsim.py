@@ -5,8 +5,8 @@ profile f, a total deterministic decoder D, and a target dual syndrome u:
 
 1. prepare (1/sqrt(q^k)) sum_s chi_{-u}(s) |psi_s>_A |0>_B |s>_C with
    |psi_s> = sum_e f(e) |sG + e>,
-2. apply the decoder map U: |y>_A |t>_B -> |y>_A |t + D(y)>_B (possibly
-   symmetrized, see below), then subtract B from C,
+2. apply the decoder map U: |y>_A |t>_B -> |y>_A |t + D(y)>_B (or its
+   symmetrized form, see below), then subtract B from C,
 3. measure C, keep the outcome 0 (probability recorded; the retry loop is
    replaced by exact conditioning on the accepting branch),
 4. apply U's adjoint,
@@ -19,21 +19,20 @@ Symmetrization: when the decoder's per-message success probabilities p_s
 are not all equal (the all-zeros failure sentinel breaks shift covariance),
 U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
 to A, run U, subtract t from B. U' has uniform diagonal amplitudes
-sqrt(mean_s p_s), which the success-bound machinery requires. Past the
-transform on T, U and U' permute basis states: each is one `DecoderMap`,
-whose image index is read off the register grid from the definition.
-Every dense index, of registers, residuals and dual syndromes, comes from
+sqrt(mean_s p_s), which the success-bound machinery requires. U is U'
+with a one-entry T, so one `DecoderMap` runs both: a transform on T, then
+a permutation by an image index read off the register grid. Every dense
+index, of registers, residuals and dual syndromes, comes from
 `galois.index_of_vector`.
 
 Two engines compute identical outcomes:
 
 - `run_reduction` walks the five steps literally for one syndrome (the
   reference engine), checking norms at every step. U' never touches the
-  message copy C, so each C = s block evolves alone and keeping C = 0 keeps
-  its B = s slice. A prepared block is zero off B = 0, so U' is fed that
-  slice and each block writes only what it keeps: O(q^(n+2k)) memory and
-  work, but for the transforms (`run_reduction`). Each |psi_s> is the
-  Kronecker product of the profile's rows shifted by the codeword sG.
+  message copy C, so each C = s block evolves alone: it is one column,
+  w_s |psi_s> at B = 0 and T = 0, and it writes only the positions of its
+  B = s slice, which keeping C = 0 keeps. That is O(q^(n+2k)) memory and
+  work, but for the transforms.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
   register A holds F_u(y) = chi_{-u}(D(y)) f(y - D(y)G), normalized. On the
@@ -88,19 +87,21 @@ INDEX_BYTES = 8
 class DecoderMap:
     """The decoder map for a total D, as a permutation of basis states.
 
-    Plain, U acts on (A, B): |a, b> -> |a, b + D(a)>. Symmetrized, U' acts on
-    (A, B, T): Fourier-transform T, then |a, b, t> -> |a + tG, b + D(a + tG)
-    - t, t>, that is add tG to A, run U and subtract t from B. U' makes the
-    diagonal amplitudes uniform: every gamma'_{s,s} equals sqrt(mean_s p_s),
-    real nonnegative. Past the transform either map is one permutation, by
-    the flat index of each basis state's image, read off the register grid
-    once: the map scatters by it and its adjoint gathers by it.
+    U' acts on (A, B, T): Fourier-transform T, then |a, b, t> -> |a + tG,
+    b + D(a + tG) - t, t>, that is add tG to A, run U and subtract t from B.
+    U' makes the diagonal amplitudes uniform: every gamma'_{s,s} equals
+    sqrt(mean_s p_s), real nonnegative. The plain U, |a, b> -> |a, b + D(a)>,
+    is U' with a T of `width` 1 (q^k when symmetrized), left out of `shape`,
+    whose transform is [[1]]. Past the transform the map is one permutation,
+    by the flat index of each basis state's image, read off the register
+    grid once: the map scatters by it and its adjoint gathers by it.
     """
 
     def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False):
-        code = decoder.code
-        self.code, self.symmetrized = code, symmetrized
-        self.shape = (code.q**code.n,) + (code.q**code.k,) * (2 if symmetrized else 1)
+        code = self.code = decoder.code
+        self._t_coords = code.k if symmetrized else 0  # coordinates of T
+        self.width = code.q**self._t_coords
+        self.shape = (code.q**code.n, code.q**code.k) + ((self.width,) if symmetrized else ())
         self.table = decoder.table()
         if self.table.shape != self.shape[:1]:
             raise ValueError("decoder table must cover every received word")
@@ -119,48 +120,46 @@ class DecoderMap:
         return index
 
     def _image_index(self) -> np.ndarray:
-        """U sends |a, b> to |a, b + D(a)>, and U' sends |a, b, t> to
-        |a + tG, b + D(a + tG) - t, t>. On the (A[, T]) grid, (a, 0, t)
-        goes to (a + tG, s, t) with s = D(a + tG) - t; adding b to B moves
-        s to b + s, one row of the messages' addition table per b."""
+        """U' sends |a, b, t> to |a + tG, b + D(a + tG) - t, t>, and U is
+        its t = 0 case. On the (A, T) grid, (a, 0, t) goes to (a + tG, s, t)
+        with s = D(a + tG) - t; adding b to B moves s to b + s, one row of
+        the messages' addition table per b."""
         code = self.code
         q, n, k = code.q, code.n, code.k
-        axes = np.ogrid[(slice(q),) * (n + k * (len(self.shape) - 2))]
+        axes = np.ogrid[(slice(q),) * (n + self._t_coords)]
         a, t = axes[:n], axes[n:]
         lift = t or (0,) * k
         a_image = [a_i + sum(t_j * g for t_j, g in zip(lift, column))
                    for a_i, column in zip(a, code.G.T)]
-        messages, grid = code.messages().T, self.shape[:1] + self.shape[2:]
+        messages, grid = code.messages().T, (self.shape[0], self.width)
         decoded = self.table[index_of_vector(a_image, q)]  # D(a + tG), one per (a, t)
         kept_by = index_of_vector([column[decoded] - t_j for column, t_j in zip(messages, lift)],
                                   q).reshape(grid)  # s = D(a + tG) - t
         base = index_of_vector([*a_image, *(0,) * k, *t], q).reshape(grid)  # B = 0
         sums = index_of_vector(messages[:, :, None] + messages[:, None, :], q)
-        image = np.empty(self.shape, dtype=np.int64)
-        for b, row in enumerate(sums * math.prod(self.shape[2:])):  # B's place value
+        image = np.empty((grid[0], self.shape[1], grid[1]), dtype=np.int64)
+        for b, row in enumerate(sums * self.width):  # B's place value
             np.add(base, row[kept_by], out=image[:, b])
         return image.reshape(-1)
 
     @cached_property
     def _fourier_t(self) -> np.ndarray:
-        """Unitary transform matrix on the k-coordinate shift register T."""
-        return reduce(np.kron, [self.code.field.fourier_matrix] * self.code.k,
+        """Unitary transform on T, the Kronecker product over its coordinates."""
+        return reduce(np.kron, [self.code.field.fourier_matrix] * self._t_coords,
                       np.ones((1, 1)))
 
     def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Apply to a state of shape `shape`, or any reshape of it, never
         written to. The transform on T is symmetric, so the adjoint's is its
-        conjugate, applied in place to one q^k-th of the result at a time."""
-        flat = state.reshape(-1)
+        conjugate: the adjoint gathers one q^k-th of the result at a time and
+        writes its transform into place."""
         if adjoint:
-            out = flat[self.image]
-            if self.symmetrized:
-                inverse_t = self._fourier_t.conj()
-                for block in out.reshape(self.shape[1], -1, self.shape[-1]):
-                    block[...] = block @ inverse_t
+            flat, out = state.reshape(-1), np.empty(state.size, dtype=np.complex128)
+            inverse_t, chunks = self._fourier_t.conj(), (self.shape[1], -1, self.width)
+            for chunk, index in zip(out.reshape(chunks), self.image.reshape(chunks)):
+                np.dot(flat[index], inverse_t, out=chunk)
         else:
-            if self.symmetrized:
-                flat = (state.reshape(-1, self.shape[-1]) @ self._fourier_t.T).reshape(-1)
+            flat = (state.reshape(-1, self.width) @ self._fourier_t.T).reshape(-1)
             out = np.empty_like(flat)
             out[self.image] = flat
         return out.reshape(state.shape)
@@ -174,32 +173,24 @@ class DecoderMap:
 
 
 def _kept_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
-    """Yield (s, prepared, fed, source, target) for every message s, one
-    block at a time. The block w_s |psi_s>_A |0>_B [|0>_T] is zero off
-    B = 0: prepared is its (A[, T]) slice there, zero off T = 0, and fed
-    that slice past the transform on T, computed from its T = 0 column
-    alone (the other terms of the product are zeros). The map sends
-    (a, 0, t) to the B = s slice exactly when D(a + tG) - t = s, so each
-    (a, t) of that slice is kept by one block, grouped once by an argsort:
-    block s writes fed's flat positions `source` to the flat state
-    positions `target`, and the state is zero elsewhere on B = s. The
+    """Yield (s, column, fed, source, target) for every message s, one
+    block at a time. The block w_s |psi_s>_A |0>_B |0>_T is one column of
+    shape (q^n, 1), and fed the (A, T) slice U' sees past the transform on
+    T: column times the transform's first row. The map sends (a, 0, t) to
+    the B = s slice exactly when D(a + tG) - t = s, so each (a, t) of that
+    slice is kept by one block: block s writes fed's flat positions
+    `source`, where that holds, to the flat state positions `target`. The
     amplitude of |psi_s> at y is f(y - sG), the Kronecker product of the
     profile's rows u_i shifted by the codeword coordinates c_{s,i}."""
-    q, (size_a, size_b), width = profile.q, u_map.shape[:2], math.prod(u_map.shape[2:])
-    images = u_map.image.reshape(size_a, size_b, width)[:, 0].reshape(-1)  # of B = 0
+    q, size_b, width = profile.q, u_map.shape[1], u_map.width
+    images = u_map.image.reshape(-1, size_b, width)[:, 0].reshape(-1)  # of B = 0
     blocks = images // width % size_b
-    groups = np.split(np.argsort(blocks, kind="stable"),
-                      np.cumsum(np.bincount(blocks, minlength=size_b))[:-1])
-    del blocks
-    for s_idx, (weight, codeword, source) in enumerate(
-            zip(weights, u_map.code.codewords(), groups)):
-        psi = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
-                                         for row, c in zip(profile.u, codeword)],
-                     np.ones(())).reshape(-1)
-        prepared = np.zeros((size_a, width), dtype=np.complex128)
-        prepared[:, 0] = weight * psi
-        fed = prepared[:, :1] @ u_map._fourier_t.T[:1] if u_map.symmetrized else prepared
-        yield s_idx, prepared, fed, source, images[source]
+    for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
+        column = weight * reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
+                                                     for row, c in zip(profile.u, codeword)],
+                                 np.ones(())).reshape(-1, 1)
+        source = np.flatnonzero(blocks == s_idx)
+        yield s_idx, column, column @ u_map._fourier_t.T[:1], source, images[source]
 
 
 def _dual_index(code: LinearCode) -> np.ndarray:
@@ -315,15 +306,16 @@ def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, f
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
     """Peak bytes of `run_reduction`, the larger of two phases. While blocks
     stream: the accepted complex (A, B[, T]) state, the int64 image index
-    and 8 complex values per entry of a block's (A[, T]) slice (prepared,
-    fed and the kept values of two blocks, their positions and the grouping
-    of the slice). The index is built and checked before the state exists,
-    in 9 bytes per entry and a few slice-sized arrays. At step 4: two
-    complex states (the input and the result of the adjoint), the index and
-    the adjoint's complex slice on T, 1/q^k of a state. Step 5 holds less,
-    as the index is freed first: two states and the transform's scratch
-    slice of 1/q, at most 40 bytes per entry. Beside them 64 bytes per
-    entry of q^n- and q^(2k)-entry tables, and 32 KiB."""
+    and 8 complex values per entry of the (A[, T]) slice a block is fed, of
+    which at most 113 bytes are held (B = 0's images and block labels, 16;
+    two blocks' columns and fed slices, 64; a mask, 1; two blocks' kept
+    positions, targets and values, 32). The index is built and checked
+    before the state exists, in 9 bytes per entry and a few slice-sized
+    arrays. At step 4: two complex states (the input and the adjoint's
+    result), the index and the adjoint's gathered chunk, 1/q^k of a state.
+    Step 5 holds less, as the index is freed first: two states and the
+    transform's scratch slice of 1/q, at most 40 bytes per entry. Beside
+    them 64 bytes per entry of q^n- and q^(2k)-entry tables, and 32 KiB."""
     entries = q ** (n + (2 if symmetrized else 1) * k)
     kept = entries // q**k
     streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + kept * 8 * COMPLEX_BYTES
@@ -339,16 +331,16 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
 
     Steps 1-2 stream over the message copy C. U' acts on (A, B[, T]) only,
     so each C = s block of the prepared state evolves alone; C -= B moves
-    its B = b slice to C = s - b, so keeping C = 0 keeps b = s. U' is fed
-    each block's B = 0 slice, where it is nonzero, and each block writes
-    the positions of the B = s slice it keeps into a zeroed state
-    (`_kept_blocks`): the amplitudes of mapping whole blocks, bit for bit,
-    in O(q^(n+2k)) work and memory. The step-1 and step-2 squared norms sum
-    the prepared slices and the slices U' is fed, whose norm its
-    permutation keeps. Steps 3-5 run on the accepted (A, B[, T]) state:
-    step 4 gathers by U's image index and, symmetrized, its inverse
-    transform on T is a q^k x q^k product per (A, B) row: q^(n+3k)
-    multiply-adds, against n q^(n+2k+1) for step 5's transform on A.
+    its B = b slice to C = s - b, so keeping C = 0 keeps b = s. Each block
+    is one column, w_s |psi_s> at B = 0 and T = 0: U' is fed it past the
+    transform on T, and the block writes the positions of the B = s slice
+    it keeps into a zeroed state (`_kept_blocks`), the amplitudes of
+    mapping whole blocks bit for bit, in O(q^(n+2k)) work and memory. The
+    step-1 and step-2 squared norms sum the columns and the slices U' is
+    fed. Steps 3-5 run on the accepted (A, B[, T]) state: step 4 gathers by
+    the image index and inverts the transform on T, a q^k x q^k product per
+    (A, B) row when symmetrized: q^(n+3k) multiply-adds, against
+    n q^(n+2k+1) for step 5's transform on A.
 
     The budget counts 16-byte amplitudes of the stated peak
     (`_reference_peak_bytes`, for the symmetrized map unless
@@ -368,15 +360,14 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     u_map.image  # built and checked before the state is allocated
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
-    phases = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q])
-    weights = phases / math.sqrt(q**k)
+    weights = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q]) / math.sqrt(q**k)
     accepted = np.zeros(u_map.shape, dtype=np.complex128)
     norms_sq = [0.0, 0.0]
-    for _, prepared, fed, source, target in _kept_blocks(u_map, profile, weights):
-        norms_sq[0] += float(np.vdot(prepared, prepared).real)
+    for _, column, fed, source, target in _kept_blocks(u_map, profile, weights):
+        norms_sq[0] += float(np.vdot(column, column).real)
         norms_sq[1] += float(np.vdot(fed, fed).real)
         accepted.reshape(-1)[target] = fed.reshape(-1)[source]
-    del prepared, fed, source, target  # the last block's, freed before step 4's peak
+    del column, fed, source, target  # the last block's, freed before step 4's peak
     norms = [math.sqrt(x) for x in norms_sq]
 
     # step 3: measure the message copy, keep outcome 0, renormalize

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cosetlab import cli, codes, decode, noise, qsim
+from cosetlab import cli, codes, decode, noise, opi, qsim
 from cosetlab.cli import build_parser, main
 from cosetlab.config import DEFAULT_AMPLITUDE_BUDGET, TOL
 
@@ -304,6 +304,59 @@ def test_opi_instance_or_solution_lacking_a_key_exits_2(tmp_path, capsys):
                              "--solution", str(sol))
     assert code == 2
     assert "'coeffs'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("x", [1.7, 0, 3, 0, 2], "1.7"), ("q", 5.0, "5.0"), ("k", True, "true"), ("k", "2", '"2"'),
+    ("sets", [[True, 4], [2, 3], [1, 3], [1, 4], [0, 3]], "true"), ("seed", 7.0, "7.0"),
+    ("tau", True, "true"), ("tau", "0.55", '"0.55"'), ("tau", None, "null")])
+def test_opi_instance_values_that_are_not_json_integers_exit_2(tmp_path, capsys, key, value,
+                                                                shown):
+    # int() and float() would read 1.7 as 1, 5.0 as 5, true as 1 and "2" as 2
+    inst = tmp_path / "inst.json"
+    _run(capsys, "opi", "gen", "--q", "5", "--k", "2", "--set-size", "2",
+         "--tau", "0.55", "--seed", "7", "--out", str(inst))
+    doc = json.loads(inst.read_text())
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _exit_status(capsys, "opi", "convert", "--instance", str(bad))
+    assert code == 2
+    kind = "a number" if key == "tau" else "an integer"
+    assert err == f"error: malformed instance JSON in {bad}: expected {kind}, got {shown}\n"
+
+
+@pytest.mark.parametrize("solution", [
+    {"coeffs": [1.9, 0], "count": 3}, {"coeffs": [1, 0], "count": "3"},
+    {"coeffs": [1, False], "count": 3}, {"coeffs": [1, 0], "count": 3.0},
+    {"coeffs": "10", "count": 3}])
+def test_opi_solution_values_that_are_not_json_integers_exit_2(tmp_path, capsys, solution):
+    inst = tmp_path / "inst.json"
+    _run(capsys, "opi", "gen", "--q", "5", "--k", "2", "--set-size", "2",
+         "--tau", "0.55", "--seed", "7", "--out", str(inst))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(solution))
+    code, err = _exit_status(capsys, "opi", "verify", "--instance", str(inst),
+                             "--solution", str(sol))
+    assert code == 2
+    assert err.startswith(f"error: malformed solution JSON in {sol}: expected an integer")
+    assert "Traceback" not in err
+
+
+def test_opi_gen_output_round_trips_byte_identically(tmp_path, capsys):
+    for seed, tau in ((7, "0.55"), (0, "1"), (3, "0.2")):
+        inst, again = tmp_path / "inst.json", tmp_path / "again.json"
+        _run(capsys, "opi", "gen", "--q", "7", "--k", "3", "--set-size", "3",
+             "--tau", tau, "--seed", str(seed), "--out", str(inst))
+        instance = opi.OPIInstance.from_dict(json.loads(inst.read_text()))
+        cli._emit(instance.to_dict(), str(again))
+        assert again.read_bytes() == inst.read_bytes()
+        solution = tmp_path / "sol.json"
+        assert _run(capsys, "opi", "solve-bruteforce", "--instance", str(inst),
+                    "--out", str(solution))[0] == 0
+        parsed = opi.OPISolution.from_dict(json.loads(solution.read_text()))
+        cli._emit(parsed.to_dict(), str(again))
+        assert again.read_bytes() == solution.read_bytes()
 
 
 def test_opi_gen_oversized_sets_exits_2(capsys):

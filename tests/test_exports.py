@@ -2,12 +2,17 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cosetlab
+from cosetlab.codes import rs_code
+from cosetlab.decode import BerlekampWelchDecoder
+from cosetlab.noise import ConstraintSet, interval_profile
 
 MODULES = ["cosetlab"] + [f"cosetlab.{info.name}"
                           for info in pkgutil.iter_modules(cosetlab.__path__)]
@@ -39,13 +44,52 @@ def test_every_imported_name_is_used_or_exported(name):
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
 
 
-def test_every_traced_bench_layer_resolves():
-    # only `bench/run.py --trace 1` looks these up, and Tier-1 runs the bench
-    # untraced: a target deleted or renamed in cosetlab would pass unnoticed
+def _bench_layers():
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_traced_bench_layer_resolves():
+    # only `bench/run.py --trace 1` looks these up, and Tier-1 runs the bench
+    # untraced: a target deleted or renamed in cosetlab would pass unnoticed
+    layers = _bench_layers()
     missing = [name for name, (owner, attr, _) in layers.TARGETS.items()
                if not callable(getattr(owner, attr, None))]
     assert layers.TARGETS and missing == []
+
+
+class _Recorder:
+    """The one method of the bench's span recorder that a hook calls."""
+
+    def __init__(self):
+        self.counters = {}
+
+    def add(self, name, value):
+        self.counters[name] = self.counters.get(name, 0.0) + value
+
+
+def test_every_bench_trace_hook_reads_a_real_return_value():
+    # `--trace 1` hands each hook the traced call's arguments and its return
+    # value; a changed return type (say, of run_reduction_sweep) would break
+    # the traced bench run alone, so each hook reads one tiny real call here
+    code = rs_code(3, 1)
+    constraint = ConstraintSet(interval_profile(3, 3, 0, 0.7), 0.5)
+    calls = {  # fresh decoders: the table hook counts only a first build
+        "decode.table": (BerlekampWelchDecoder(code),),
+        "decode.berlekamp_welch": (code, np.array([1, 1, 2])),
+        "qsim.run_reduction_sweep": (BerlekampWelchDecoder(code), [constraint]),
+        "qsim.run_reduction": (BerlekampWelchDecoder(code), np.array([1]), constraint),
+    }
+    hooked = {name: (getattr(owner, attr), hook)
+              for name, (owner, attr, hook) in _bench_layers().TARGETS.items() if hook}
+    assert sorted(hooked) == sorted(calls)
+    for name, (function, hook) in hooked.items():
+        recorder = _Recorder()
+        finish = hook(recorder, calls[name])
+        assert finish is not None, name
+        finish(function(*calls[name]))
+        assert recorder.counters, name
+        assert all(math.isfinite(v) for v in recorder.counters.values()), name

@@ -95,8 +95,9 @@ def test_gather_follows_definition_on_basis_states(shape, seed):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
     # oracle: the B = s slice of the forward map applied to the whole
-    # prepared block w_s |psi_s>|0>_B[|0>_T], which is zero off B = 0; the
-    # blocks partition the (A[, T]) positions, each written by one block
+    # prepared block w_s |psi_s>|0>_B[|0>_T], built here from the block's
+    # one nonzero column; the blocks partition the (A[, T]) positions, each
+    # written by one block
     q, n, k = shape
     rng = np.random.default_rng(seed)
     code = random_code(q, n, k, seed=seed)
@@ -108,17 +109,16 @@ def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
         accepted = np.zeros(u_map.shape, dtype=np.complex128)
         expected = np.zeros(u_map.shape, dtype=np.complex128)
         writes = np.zeros(u_map.shape, dtype=np.int64)
-        for s_idx, prepared, fed, source, target in _kept_blocks(u_map, profile, weights):
+        for s_idx, column, fed, source, target in _kept_blocks(u_map, profile, weights):
             assert np.all(np.unravel_index(target, u_map.shape)[1] == s_idx)
             accepted.reshape(-1)[target] = fed.reshape(-1)[source]
             np.add.at(writes.reshape(-1), target, 1)
             block = np.zeros(u_map.shape, dtype=np.complex128)
-            block.reshape(q**n, q**k, -1)[:, 0] = prepared
+            block.reshape(q**n, q**k, -1)[:, 0, 0] = column[:, 0]
             mapped = u_map.apply(block).reshape(q**n, q**k, -1)
             expected.reshape(q**n, q**k, -1)[:, s_idx] = mapped[:, s_idx]
-            assert np.count_nonzero(prepared[:, 1:]) == 0
-            assert fed is prepared or np.array_equal(
-                fed, (block.reshape(-1, q**k) @ u_map._fourier_t.T)[::q**k])
+            assert np.array_equal(
+                fed, (block.reshape(-1, u_map.width) @ u_map._fourier_t.T)[::q**k])
         assert np.all(writes.sum(axis=1) == 1)
         assert np.array_equal(accepted, expected)
 
@@ -274,6 +274,22 @@ def test_reference_matches_sweep_on_readme_example():
         assert direct.symmetrized and swept[u_idx].u == direct.u
         assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
         assert abs(swept[u_idx].post_select_prob - direct.post_select_prob) <= 1e-12
+        assert direct.max_norm_drift <= TOL.unitarity
+
+
+def test_plain_reference_matches_sweep_at_q7():
+    # rs(7,1), BW, interval:2, tau 0.7, ttilde 0.5: the plain map needs
+    # 7^8 amplitudes where the symmetrized one would need 7^9, so the
+    # literal engine checks the sweep's histogram at q = 7
+    decoder = BerlekampWelchDecoder(rs_code(7, 1))
+    constraint = ConstraintSet(interval_profile(7, 7, 2, 0.7), 0.5)
+    swept = run_reduction_sweep(decoder, [constraint])[0]
+    for u_idx in np.random.default_rng(2026).choice(7, size=3, replace=False):
+        direct = run_reduction(decoder, vector_of_index(int(u_idx), 7, 1), constraint,
+                               force_symmetrize=False)
+        assert not direct.symmetrized and swept[u_idx].u == direct.u
+        assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
+        assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
         assert direct.max_norm_drift <= TOL.unitarity
 
 
