@@ -3,10 +3,10 @@
 A decoder object is its table: the message index D(y) of every received
 word y. Decoders are total functions of the received word alone; failure
 maps to the all-zeros message sentinel so that downstream unitary
-constructions stay permutations. `decode` and the per-message success
-p_s = sum_{y : D(y) = s} P(y - D(y)G) are read off the table, the latter
-through the residual index of y - D(y)G that the sweep engine shares; p_s
-is the one success probability, exact and in one pass. Each decoder
+constructions stay permutations. The per-message success
+p_s = sum_{y : D(y) = s} P(y - D(y)G) is read off the table, through the
+residual index of y - D(y)G that the sweep engine shares; p_s is the one
+success probability, exact and in one pass. Each decoder
 states the peak bytes of its own table build, which `table` checks against
 the budget before it allocates; nothing else here takes a budget. Every
 word index, of one word, a batch or the whole (q,)*n grid, is
@@ -23,7 +23,7 @@ import numpy as np
 
 from .codes import LinearCode, rs_code, solve_batch
 from .config import require_budget
-from .galois import index_of_vector, vector_of_index
+from .galois import index_of_vector
 from .noise import ErrorProfile
 
 __all__ = [
@@ -201,14 +201,6 @@ class _BaseDecoder:
     def __init__(self, code: LinearCode):
         self.code = code
         self._table: np.ndarray | None = None
-
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        """The message the table assigns to the received word y."""
-        code = self.code
-        y = np.asarray(y, dtype=np.int64) % code.q
-        if y.shape != (code.n,):
-            raise ValueError(f"received word must have length {code.n}")
-        return vector_of_index(int(self.table()[index_of_vector(y, code.q)]), code.q, code.k)
 
     def table(self, budget: int | None = None) -> np.ndarray:
         """Message index for every received word index, shape (q^n,). The

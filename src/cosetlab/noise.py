@@ -150,10 +150,15 @@ def random_sets_profile(q: int, n: int, set_size: int, tau: float,
 # ---- center probability ---------------------------------------------------
 
 
-# The closed forms below take floats or arrays (entrywise, broadcast). They
-# square and cube by multiplication, never by a power, so an array's entries
-# equal the float calls bit for bit by construction. Floats keep the math
-# module's speed: a scalar bisection calls them about 30 times.
+# Each closed form is built at one rho, with its terms in rho alone, as a
+# function of tau that a solver's bisection calls at every step. Floats take
+# math.sqrt and arrays np.sqrt, both correctly rounded, and squares and cubes
+# are products, so an array's entries equal the float calls bit for bit.
+
+
+def _sqrt_for(tau, rho):
+    """math.sqrt for floats, np.sqrt if either argument is an array."""
+    return np.sqrt if isinstance(tau, np.ndarray) or isinstance(rho, np.ndarray) else math.sqrt
 
 
 def _require_fractions(tau, rho) -> None:
@@ -168,15 +173,24 @@ def _require_fractions(tau, rho) -> None:
             raise ValueError(f"{name} must be in {interval}, got {value}")
 
 
+def _center_at(rho, sqrt):
+    """`center_probability_form` at rho, as a function of tau."""
+    not_rho = 1.0 - rho
+
+    def center(tau):
+        tau_rho = tau * rho
+        not_tau = 1.0 - tau
+        return tau_rho + not_tau * not_rho + 2.0 * sqrt(tau_rho * not_tau * not_rho)
+    return center
+
+
 def center_probability_form(tau, rho):
     """(sqrt(tau*rho) + sqrt((1-tau)(1-rho)))^2, expanded.
 
     The expanded form is exact at boundary points: at tau=1 it returns rho
     bit-for-bit, which downstream saturation checks rely on.
     """
-    cross = tau * rho * (1.0 - tau) * (1.0 - rho)
-    return tau * rho + (1.0 - tau) * (1.0 - rho) + 2.0 * (
-        np.sqrt(cross) if isinstance(cross, np.ndarray) else math.sqrt(cross))
+    return _center_at(rho, _sqrt_for(tau, rho))(tau)
 
 
 def center_probability(profile: ErrorProfile) -> float:
@@ -199,18 +213,6 @@ class ConstraintSet:
         self.profile = profile
         self.tau_tilde = float(tau_tilde)
         self.min_count = count_threshold(self.tau_tilde, profile.n)
-
-    def count(self, y: np.ndarray) -> int:
-        """#{i : y_i in S_i}. Only tests read it and `contains`, as the per-word
-        oracle for `membership_mask` (`test_noise.py::test_constraint_membership`)."""
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (self.profile.n,):
-            raise ValueError(f"vector length must be {self.profile.n}")
-        ind = self.profile.set_indicator
-        return int(ind[np.arange(self.profile.n), y % self.profile.q].sum())
-
-    def contains(self, y: np.ndarray) -> bool:
-        return self.count(y) >= self.min_count
 
     def membership_mask(self) -> np.ndarray:
         """Boolean mask over all of F_q^n in index order; the hit counts are
@@ -282,32 +284,31 @@ def fourth_power_bound(tau, rho):
     entry of rho.
     """
     _require_fractions(tau, rho)
-    return _fourth_power_bound(tau, rho, _rho_terms(rho))
+    return _fourth_power_at(rho, _sqrt_for(tau, rho))(tau)
 
 
-def _fourth_power_bound(tau, rho, rho_terms):
-    """`fourth_power_bound` given `_rho_terms(rho)`, without the range check:
-    a solver evaluates many tau in [rho, 1] at one rho it has checked."""
-    arrays = isinstance(tau, np.ndarray) or isinstance(rho, np.ndarray)
-    sqrt = np.sqrt if arrays else math.sqrt
-    b = sqrt((1.0 - tau) / (1.0 - rho))
-    a_sq = tau / rho + (1.0 - tau) / (1.0 - rho) - 2.0 * sqrt(
-        tau * (1.0 - tau) / (rho * (1.0 - rho)))
-    a_minus_b = sqrt(tau / rho) - b
-    gamma = 2.0 * rho * a_minus_b * b + b * b
-    quartic = a_sq * a_sq
-    rho_sq, lead = rho_terms
-    return quartic * lead + 2.0 * a_sq * gamma * rho_sq + gamma * gamma
-
-
-def _rho_terms(rho):
-    """The terms of `fourth_power_bound` in rho alone: rho^2 and the lead."""
+def _fourth_power_at(rho, sqrt):
+    """`fourth_power_bound` at rho, as a function of tau, without the range
+    check: a solver evaluates many tau in [rho, 1] at one rho it has checked."""
+    not_rho = 1.0 - rho
+    rho_not_rho = rho * not_rho
+    two_rho = 2.0 * rho
     rho_sq = rho * rho
     rho_cube = rho_sq * rho
     low = 2.0 * rho_cube / 3.0
-    high = 10.0 * rho_cube / 3.0 - 4.0 * rho_sq + 2.0 * rho - 1.0 / 3.0
-    return rho_sq, (np.where(rho <= 0.5, low, high) if isinstance(rho, np.ndarray)
-                    else low if rho <= 0.5 else high)
+    high = 10.0 * rho_cube / 3.0 - 4.0 * rho_sq + two_rho - 1.0 / 3.0
+    lead = (np.where(rho <= 0.5, low, high) if isinstance(rho, np.ndarray)
+            else low if rho <= 0.5 else high)
+
+    def bound(tau):
+        not_tau = 1.0 - tau
+        tau_over_rho = tau / rho
+        not_ratio = not_tau / not_rho
+        b = sqrt(not_ratio)
+        a_sq = tau_over_rho + not_ratio - 2.0 * sqrt(tau * not_tau / rho_not_rho)
+        gamma = two_rho * (sqrt(tau_over_rho) - b) * b + b * b
+        return a_sq * a_sq * lead + 2.0 * a_sq * gamma * rho_sq + gamma * gamma
+    return bound
 
 
 def fourth_power_sum(q: int, z: int, tau: float) -> FourthPowerReport:

@@ -187,6 +187,8 @@ def satisfied_count(instance: OPIInstance, coeffs: np.ndarray) -> int:
 
 def verify(instance: OPIInstance, solution: OPISolution) -> tuple[int, bool]:
     """Exact satisfied count and whether it clears the tau*q bar."""
+    if any(not 0 <= c < instance.q for c in solution.coeffs):
+        raise ValueError("coefficients must be residues mod q")
     count = satisfied_count(instance, np.array(solution.coeffs))
     return count, count >= instance.min_count
 

@@ -16,13 +16,16 @@ bisection; a value of 1 means the condition holds even at tau = 1
 cos^2(theta - phi), which falls as theta grows past phi; a property test
 checks the decrease for all three conditions.
 
-`tau_max` bisects one point, with the threshold and kv's terms in rho
-alone computed once per query. Independent points (the rate grid of
-`figure1_curves`, the rho grid of `optimize_over_rho`) are bisected as
-arrays in one call per kind: the same loop on every entry, each entry
-stopping where its own loop would. Squares and cubes are products, which
-floats and arrays round alike, so every value equals its `tau_max` bit for
-bit by construction.
+Each bisection builds its condition once, as a function of tau alone
+(`_condition` over `noise`'s closed forms, with the terms in rho alone
+computed then), so a step is one call with no dispatch on the kind.
+`tau_max` and the ternary refinement of `optimize_over_rho` share one
+scalar bisection. Independent points (the rate grid of `figure1_curves`,
+the rho grid of `optimize_over_rho`) are bisected as arrays in one call per
+kind: the same loop on every entry, each entry stopping where its own loop
+would. Squares and cubes are products and both square roots round
+correctly, so floats and arrays round alike and every value equals its
+`tau_max` bit for bit by construction.
 
 The classical baseline formula is a reconstructed fit: it reproduces every
 reference table entry, but is not derived here.
@@ -37,13 +40,12 @@ import numpy as np
 
 from .config import TOL
 from .galois import PrimeField
-from .noise import _fourth_power_bound, _rho_terms, center_probability_form
+from .noise import _center_at, _fourth_power_at
 
 __all__ = [
     "ThresholdQuery",
     "ThresholdRow",
     "DECODER_KINDS",
-    "binary_threshold",
     "tau_max",
     "table1",
     "figure1_curves",
@@ -73,49 +75,54 @@ class ThresholdQuery:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
 
 
-def binary_threshold(tau: float) -> float:
-    """Center probability at rho = 1/2 in closed form: 1/2 + sqrt(tau(1-tau)).
-    Only tests read it: criterion 03 (`test_acceptance.py`) checks q = 2 with it."""
-    return 0.5 + math.sqrt(tau * (1.0 - tau))
-
-
 def _lhs(kind: str, r: float) -> float:
     return 1.0 - r / 2.0 if kind == "bw" else 1.0 - r
 
 
-def _rhs(kind: str, tau, rho, rho_terms=None):
-    """The condition's right-hand side; floats or arrays, entrywise."""
+def _condition(kind: str, rho, sqrt):
+    """bw's, gs's or kv's right-hand side at rho, as a function of tau."""
+    if kind == "kv":
+        return _fourth_power_at(rho, sqrt)
+    center = _center_at(rho, sqrt)
     if kind == "bw":
-        return center_probability_form(tau, rho)
-    if kind == "gs":
-        c = center_probability_form(tau, rho)
+        return center
+
+    def center_sq(tau):
+        c = center(tau)
         return c * c
-    return _fourth_power_bound(tau, rho, rho_terms or _rho_terms(rho))
+    return center_sq
+
+
+def _rhs(kind: str, tau, rho):
+    """The condition's right-hand side, floats or arrays; only tests call it."""
+    return _condition(kind, rho, np.sqrt)(tau)
+
+
+def _bisect(kind: str, r: float, rho: float) -> float:
+    """`tau_max` for bw, gs or kv without the query's checks: the largest
+    tau in [rho, 1] that meets the condition, by one scalar bisection."""
+    step = TOL.bisection
+    threshold = _lhs(kind, r) - step
+    rhs = _condition(kind, rho, math.sqrt)
+    lo, hi = rho, 1.0
+    if not rhs(lo) >= threshold:
+        raise ValueError(f"condition infeasible for {kind} at R={r}, rho={rho}")
+    if rhs(hi) >= threshold:
+        return 1.0
+    while hi - lo > step:
+        mid = 0.5 * (lo + hi)
+        if rhs(mid) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def tau_max(query: ThresholdQuery) -> float:
     """Largest tau in [rho, 1] satisfying the query's condition (1 if all do)."""
     if query.kind == "classical":
         return query.rho + query.r * (1.0 - query.rho)
-    threshold = _lhs(query.kind, query.r) - TOL.bisection
-    terms = _rho_terms(query.rho) if query.kind == "kv" else None
-
-    def feasible(tau: float) -> bool:
-        return _rhs(query.kind, tau, query.rho, terms) >= threshold
-
-    lo, hi = query.rho, 1.0
-    if not feasible(lo):
-        raise ValueError(
-            f"condition infeasible for {query.kind} at R={query.r}, rho={query.rho}")
-    if feasible(hi):
-        return 1.0
-    while hi - lo > TOL.bisection:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(query.kind, query.r, query.rho)
 
 
 def _tau_max_grid(kind: str, r: np.ndarray, rho) -> np.ndarray:
@@ -126,23 +133,19 @@ def _tau_max_grid(kind: str, r: np.ndarray, rho) -> np.ndarray:
     if kind == "classical":
         return rho + r * (1.0 - rho)
     threshold = _lhs(kind, r) - TOL.bisection
-    terms = _rho_terms(rho) if kind == "kv" else None
-
-    def feasible(tau: np.ndarray) -> np.ndarray:
-        return _rhs(kind, tau, rho, terms) >= threshold
-
+    rhs = _condition(kind, rho, np.sqrt)
     lo = np.broadcast_to(rho, r.shape).astype(np.float64)
-    infeasible = ~feasible(lo)
+    infeasible = ~(rhs(lo) >= threshold)
     if infeasible.any():
         i = int(np.argmax(infeasible))
         raise ValueError(
             f"condition infeasible for {kind} at R={r[i]}, rho={lo[i]}")
     hi = np.ones_like(lo)
-    lo[feasible(hi)] = 1.0
+    lo[rhs(hi) >= threshold] = 1.0
     live = hi - lo > TOL.bisection
     while live.any():
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
+        ok = rhs(mid) >= threshold
         np.copyto(lo, mid, where=live & ok)
         np.copyto(hi, mid, where=live & ~ok)
         live = hi - lo > TOL.bisection
@@ -208,12 +211,14 @@ def optimize_over_rho(kind: str) -> tuple[float, float, float]:
     refinement stays scalar: each step picks its next two points from the
     last comparison, and near the optimum tau is flat to the bisection
     step over about 3e-5 in rho, so the rho it returns is set by that exact
-    sequence of points.
+    sequence of points. Those points lie on the target curve, inside the
+    query's bounds, so each is bisected without a `ThresholdQuery`.
     """
+    if kind not in ("bw", "gs", "kv"):
+        raise ValueError(f"kind must be bw, gs or kv, got {kind!r}")
 
     def tau_at(rho: float) -> float:
-        r = (CLASSICAL_TARGET - rho) / (1.0 - rho)
-        return tau_max(ThresholdQuery(kind, r, rho))
+        return _bisect(kind, (CLASSICAL_TARGET - rho) / (1.0 - rho), rho)
 
     grid = np.arange(RHO_STEP, CLASSICAL_TARGET, RHO_STEP)
     taus = _tau_max_grid(kind, (CLASSICAL_TARGET - grid) / (1.0 - grid), grid)

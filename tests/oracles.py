@@ -5,11 +5,18 @@ rolling the decoder table, so it shares nothing with the residual index
 that `per_message_success` and the sweep engine both read.
 `interpolation_nearest` finds the codeword within half the distance of a
 Reed-Solomon word by Lagrange interpolation, with no F_q elimination.
+`table_decode` reads one word's message from a decoder's table.
+`constraint_contains` counts one word's set hits, the per-word oracle for
+`ConstraintSet.membership_mask`. `binary_threshold` is the center
+probability at rho = 1/2 in its own closed form.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from cosetlab.galois import index_of_vector, vector_of_index
 
 
 def roll_per_message_success(decoder, profile) -> np.ndarray:
@@ -63,3 +70,28 @@ def interpolation_nearest(code, words) -> tuple[np.ndarray, np.ndarray]:
         messages[close] = candidate[close]
         found |= close
     return messages, found
+
+
+def table_decode(decoder, y) -> np.ndarray:
+    """The message the decoder's table assigns to the received word y."""
+    code = decoder.code
+    y = np.asarray(y, dtype=np.int64) % code.q
+    if y.shape != (code.n,):
+        raise ValueError(f"received word must have length {code.n}")
+    return vector_of_index(int(decoder.table()[index_of_vector(y, code.q)]), code.q, code.k)
+
+
+def constraint_contains(constraint, y) -> bool:
+    """Whether the word y lies in the constraint set: #{i : y_i in S_i} is
+    at least the set's min_count."""
+    profile = constraint.profile
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (profile.n,):
+        raise ValueError(f"vector length must be {profile.n}")
+    hits = profile.set_indicator[np.arange(profile.n), y % profile.q].sum()
+    return int(hits) >= constraint.min_count
+
+
+def binary_threshold(tau: float) -> float:
+    """Center probability at rho = 1/2 in closed form: 1/2 + sqrt(tau(1-tau))."""
+    return 0.5 + math.sqrt(tau * (1.0 - tau))

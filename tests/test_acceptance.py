@@ -25,9 +25,8 @@ from cosetlab.noise import (ConstraintSet, build_profile,
 from cosetlab.opi import brute_force_icc, brute_force_opi, generate_instance, \
     icc_to_opi, opi_to_icc
 from cosetlab.qsim import DecoderMap, run_reduction_sweep, verify_bound
-from cosetlab.thresholds import ThresholdQuery, binary_threshold, table1, \
-    tau_max
-from oracles import roll_per_message_success
+from cosetlab.thresholds import ThresholdQuery, table1, tau_max
+from oracles import binary_threshold, roll_per_message_success
 
 # ---- criterion 1: the six-row threshold table ---------------------------------
 

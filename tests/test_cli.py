@@ -275,6 +275,20 @@ def test_opi_verify_fails_below_bar(tmp_path, capsys):
     assert code == 1 and "meets=False" in out
 
 
+@pytest.mark.parametrize("coeff", [10**23, -1, 5])
+def test_opi_verify_coefficients_that_are_not_residues_exit_2(tmp_path, capsys, coeff):
+    # 10**23 does not fit an int64; -1 and q are integers outside 0..q-1
+    inst = tmp_path / "inst.json"
+    _run(capsys, "opi", "gen", "--q", "5", "--k", "2", "--set-size", "2",
+         "--tau", "0.55", "--seed", "7", "--out", str(inst))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"coeffs": [coeff, 0], "count": 3}))
+    code, err = _exit_status(capsys, "opi", "verify", "--instance", str(inst),
+                             "--solution", str(sol))
+    assert code == 2
+    assert err == "error: coefficients must be residues mod q\n"
+
+
 def test_opi_malformed_instance_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -44,6 +44,17 @@ def test_every_imported_name_is_used_or_exported(name):
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
 
 
+def test_test_oracles_are_not_kept_in_the_package():
+    # tests/oracles.py holds the code only tests read; a copy left in a
+    # cosetlab module is code the package does not need
+    import oracles
+    names = {name for name, value in vars(oracles).items()
+             if inspect.isfunction(value) and value.__module__ == "oracles"}
+    kept = [f"{module}.{name}" for module in MODULES for name in sorted(names)
+            if hasattr(importlib.import_module(module), name)]
+    assert names and kept == []
+
+
 def _bench_layers():
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)

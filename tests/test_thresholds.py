@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from cosetlab import galois
 from cosetlab.config import TOL
 from cosetlab.noise import center_probability_form, fourth_power_bound
-from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery,
-                                 binary_threshold, curves_csv, figure1_curves,
-                                 optimize_over_rho, table1, tau_max)
+from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery, curves_csv,
+                                 figure1_curves, optimize_over_rho, table1,
+                                 tau_max)
 from cosetlab.thresholds import (CLASSICAL_TARGET, RHO_STEP, _kv_query,
-                                 _make_row, _rhs, _tau_max_grid)
+                                 _condition, _make_row, _rhs, _tau_max_grid)
+from oracles import binary_threshold
 
 
 def test_binary_threshold_values():
@@ -136,6 +137,88 @@ def test_tau_max_equals_plain_bisection_bit_for_bit(kind):
         assert tau_max(ThresholdQuery(kind, r, rho)) == _plain_tau_max(kind, r, rho)
 
 
+def _literal_center(tau, rho):
+    # center_probability_form's expression in full, grouped as the formula
+    # reads; any regrouping of the closed form's products moves last bits
+    cross = tau * rho * (1.0 - tau) * (1.0 - rho)
+    return tau * rho + (1.0 - tau) * (1.0 - rho) + 2.0 * (
+        np.sqrt(cross) if isinstance(cross, np.ndarray) else math.sqrt(cross))
+
+
+def _literal_fourth_power(tau, rho):
+    # fourth_power_bound's expression in full, its terms in rho alone inline
+    arrays = isinstance(tau, np.ndarray) or isinstance(rho, np.ndarray)
+    sqrt = np.sqrt if arrays else math.sqrt
+    b = sqrt((1.0 - tau) / (1.0 - rho))
+    a_sq = tau / rho + (1.0 - tau) / (1.0 - rho) - 2.0 * sqrt(
+        tau * (1.0 - tau) / (rho * (1.0 - rho)))
+    a_minus_b = sqrt(tau / rho) - b
+    gamma = 2.0 * rho * a_minus_b * b + b * b
+    quartic = a_sq * a_sq
+    rho_sq = rho * rho
+    rho_cube = rho_sq * rho
+    low = 2.0 * rho_cube / 3.0
+    high = 10.0 * rho_cube / 3.0 - 4.0 * rho_sq + 2.0 * rho - 1.0 / 3.0
+    lead = np.where(rho <= 0.5, low, high) if arrays else low if rho <= 0.5 else high
+    return quartic * lead + 2.0 * a_sq * gamma * rho_sq + gamma * gamma
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_closed_forms_equal_their_literal_expressions_bit_for_bit():
+    # the solver and every oracle above share noise's closed forms; this
+    # pins their arithmetic to the expressions written out in full
+    rng = np.random.default_rng(27)
+    rho = rng.uniform(1e-6, 1.0 - 1e-6, 20_000)
+    tau = rng.uniform(1e-6, 1.0, 20_000)
+    points = list(zip(tau.tolist(), rho.tolist()))
+    literal = {"bw": _literal_center,
+               "gs": lambda t, r: _literal_center(t, r) * _literal_center(t, r),
+               "kv": _literal_fourth_power}
+    public = {"bw": center_probability_form, "kv": fourth_power_bound}
+    for kind, want_of in literal.items():
+        want = _bits(want_of(tau, rho))
+        assert np.array_equal(_bits([want_of(t, r) for t, r in points]), want)
+        assert np.array_equal(_bits(_condition(kind, rho, np.sqrt)(tau)), want)
+        assert np.array_equal(
+            _bits([_condition(kind, r, math.sqrt)(t) for t, r in points]), want)
+        if kind in public:
+            assert np.array_equal(_bits(public[kind](tau, rho)), want)
+            assert np.array_equal(_bits([public[kind](t, r) for t, r in points]), want)
+
+
+def _ternary_oracle(kind):
+    # optimize_over_rho written out with the public tau_max at every point:
+    # the grid bisected point by point, then the same ternary refinement
+    grid = np.arange(RHO_STEP, CLASSICAL_TARGET, RHO_STEP).tolist()
+
+    def tau_at(rho):
+        r = (CLASSICAL_TARGET - rho) / (1.0 - rho)
+        return tau_max(ThresholdQuery(kind, r, rho))
+
+    best = int(np.argmax([tau_at(rho) for rho in grid]))
+    lo = grid[max(best - 1, 0)]
+    hi = min(grid[min(best + 1, len(grid) - 1)], CLASSICAL_TARGET - 1e-9)
+    while hi - lo > 1e-9:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if tau_at(m1) < tau_at(m2):
+            lo = m1
+        else:
+            hi = m2
+    rho = 0.5 * (lo + hi)
+    return (CLASSICAL_TARGET - rho) / (1.0 - rho), rho, tau_at(rho)
+
+
+@pytest.mark.parametrize("kind", ["bw", "gs", "kv"])
+def test_optimizer_equals_a_ternary_loop_over_tau_max(kind):
+    # the refinement bisects without building queries; the optimum it picks
+    # from tau's flat top must be the one tau_max's own values pick
+    assert optimize_over_rho(kind) == _ternary_oracle(kind)
+
+
 # table1() and table1(kv_q=11) as recorded before the solver computed rho's
 # terms once per query and squared by multiplication: label, R, rho, then
 # the classical, bw, gs and kv columns
@@ -177,6 +260,7 @@ def test_table1_matches_recorded_cells(kv_q):
     for row, (_, *want) in zip(rows, TABLE1_RECORDED[kv_q]):
         have = [row.r, row.rho, row.tau_classical, row.tau_bw, row.tau_gs, row.tau_kv]
         assert have == pytest.approx(want, abs=TOL.bisection, rel=0)
+        assert have == want
 
 
 def test_tau_max_saturates_for_generous_rates():
@@ -200,6 +284,9 @@ def test_query_validation():
         ThresholdQuery("bw", 0.0, 0.5)  # rate must be positive
     with pytest.raises(ValueError):
         ThresholdQuery("bw", 0.5, 0.0)
+    for kind in ("classical", "magic"):  # the optimum is over bw, gs or kv
+        with pytest.raises(ValueError, match="kind must be"):
+            optimize_over_rho(kind)
 
 
 @pytest.mark.parametrize("q", [3, 7, 11, 13, 101])
