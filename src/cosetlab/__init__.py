@@ -4,8 +4,8 @@ Subpackages:
 
 - `galois`: prime fields, additive characters, coordinate-wise Fourier
   transforms, mixed-radix vector indexing.
-- `codes`: dense F_q linear algebra, linear codes, duals, cosets,
-  full-support Reed-Solomon codes.
+- `codes`: dense F_q linear algebra, linear codes given by a generator
+  and a parity check, syndromes, cosets, full-support Reed-Solomon codes.
 - `noise`: product error profiles built on the Fourier side, constraint
   sets, exact tail masses, fourth-power sums and their lower bound.
 - `decode`: Berlekamp-Welch half-distance decoding plus brute-force
@@ -23,8 +23,8 @@ from . import codes, decode, galois, noise, opi, qsim, thresholds
 from .codes import LinearCode, random_code, rs_code, syndrome
 from .config import TOL, BudgetError, Tolerances
 from .decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                     TableDecoder, berlekamp_welch, berlekamp_welch_batch,
-                     brute_force_nearest, per_message_success)
+                     TableDecoder, berlekamp_welch, brute_force_nearest,
+                     per_message_success)
 from .galois import PrimeField, fourier_transform, inverse_fourier_transform
 from .noise import (ConstraintSet, ErrorProfile, build_profile,
                     center_probability, fourth_power_bound, fourth_power_sum,
@@ -41,8 +41,7 @@ __all__ = [
     "LinearCode", "rs_code", "random_code", "syndrome",
     "TOL", "Tolerances", "BudgetError",
     "BerlekampWelchDecoder", "BruteForceNearestDecoder", "TableDecoder",
-    "berlekamp_welch", "berlekamp_welch_batch", "brute_force_nearest",
-    "per_message_success",
+    "berlekamp_welch", "brute_force_nearest", "per_message_success",
     "PrimeField", "fourier_transform", "inverse_fourier_transform",
     "ConstraintSet", "ErrorProfile", "build_profile", "center_probability",
     "fourth_power_bound", "fourth_power_sum", "interval_profile", "tail_mass",

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 when a numeric check fails (the mean over all
 syndromes below the bound, the two engines disagreeing on one syndrome's
-outcome under `simulate --u random`, verification below target,
-self-check failure), 2 on usage or input errors (including budget
-rejections; nothing is allocated first).
+outcome under `simulate --u random`, verification below target or of a
+solution whose stated count is not its exact one, self-check failure), 2
+on usage or input errors (including budget rejections; nothing is
+allocated first).
 
 All commands are deterministic functions of their arguments: a single
 64-bit seed is expanded with numpy's SeedSequence spawning, so repeated
@@ -231,6 +232,10 @@ def cmd_opi(args: argparse.Namespace) -> int:
         count, meets = opi.verify(instance, solution)
         _emit(f"count={count} needed={instance.min_count} meets={meets}\n",
               args.out)
+        if solution.count != count:
+            print(f"error: solution states count={solution.count}, "
+                  f"but its exact count is {count}", file=sys.stderr)
+            return 1
         return 0 if meets else 1
     # convert: emit the coset-search form
     code, u, constraint = opi.opi_to_icc(instance)

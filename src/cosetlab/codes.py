@@ -1,4 +1,4 @@
-"""Linear codes over prime fields: generators, duals, cosets, Reed-Solomon.
+"""Linear codes over prime fields: generators, parity checks, cosets, Reed-Solomon.
 
 A code is stored by a full-rank k x n generator G and a full-rank
 (n-k) x n parity-check H with G H^T = 0. Messages enumerate in
@@ -6,8 +6,6 @@ lexicographic (mixed-radix index) order; codeword i is message i times G.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -167,12 +165,6 @@ class LinearCode:
         if message.shape[-1] != self.k:
             raise ValueError(f"message length must be {self.k}")
         return (message @ self.G) % self.q
-
-    @cached_property
-    def dual(self) -> "LinearCode":
-        """Code with G and H roles swapped. Only tests read it: criterion 07
-        (`test_acceptance.py`) states that the dual of RS_k is RS_{q-k}."""
-        return LinearCode(self.q, self.H, self.G)
 
 
 def rs_code(q: int, k: int) -> LinearCode:

@@ -21,14 +21,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .codes import LinearCode, rs_code, solve_batch
+from .codes import LinearCode, rs_code
 from .config import require_budget
 from .galois import index_of_vector
 from .noise import ErrorProfile
 
 __all__ = [
     "berlekamp_welch",
-    "berlekamp_welch_batch",
     "brute_force_nearest",
     "BerlekampWelchDecoder",
     "BruteForceNearestDecoder",
@@ -42,17 +41,14 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _bw_constants(q: int, d: int) -> tuple[np.ndarray, ...]:
+def _bw_constants(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only per-(q, d) constants of full-support Berlekamp-Welch: the
-    evaluation generator; powers[i, j] = i^j for j <= t0; the parity check
-    of the dimension-(d + t0) code; and the interpolation map from the
-    values of a polynomial of degree < q on all of F_q to its coefficients,
-    coefficient j being [j = 0] sum_x v(x) - sum_x v(x) x^(q-1-j)."""
-    t0 = (q - d) // 2
-    wide = rs_code(q, d + t0)
+    evaluation generator, and the interpolation map from the values of a
+    polynomial of degree < q on all of F_q to its coefficients, coefficient
+    j being [j = 0] sum_x v(x) - sum_x v(x) x^(q-1-j)."""
     interpolation = np.array([[(j == 0) - pow(x, q - 1 - j, q) for j in range(q)]
                               for x in range(q)]) % q
-    tables = (rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, interpolation)
+    tables = (rs_code(q, d).G, interpolation)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -74,51 +70,6 @@ def _require_full_support_rs(code: LinearCode) -> None:
     _FULL_SUPPORT_RS.add(code)
 
 
-def berlekamp_welch_batch(code: LinearCode,
-                          ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Berlekamp-Welch on every row of a (B, n) stack of received words.
-
-    Returns (messages, hits). Where hits[b] is True, messages[b] is the
-    coefficient vector of the unique P with deg P < d whose evaluations
-    lie within t0 = floor((n-d)/2) of ys[b]; where it is False no such
-    codeword exists and messages[b] is meaningless. One batched kernel
-    solve, of the key equation E(x_i) y_i = Q(x_i) with E monic of degree
-    t0 and deg Q < d + t0, which says that E(x) y lies in the
-    dimension-(d + t0) code, so its parity check leaves t0 unknowns; then
-    P = Q / E by synthetic division of the top d coefficients of Q, from
-    the top down: E is monic, so each step reads one coefficient of P and
-    needs no inverse. Whenever a codeword lies within t0, every such E has
-    Q = P*E for its P; the top coefficients of Q are read off its values
-    by the interpolation map. Every hit is re-encoded and its distance
-    checked, so a spurious algebraic solution can never be returned.
-
-    Only tests call it: criterion 06 (`test_acceptance.py`) puts 274k
-    words through it, and `test_bw_batch_equals_scalar` (`test_decode.py`)
-    checks `berlekamp_welch`, which solves the key equation by another
-    route, against it.
-    """
-    _require_full_support_rs(code)
-    q, n, d = code.q, code.n, code.k
-    ys = np.asarray(ys, dtype=np.int64) % q
-    if ys.ndim != 2 or ys.shape[1] != n:
-        raise ValueError(f"received words must be rows of length {n}")
-    t0 = (n - d) // 2
-    gen, powers, check, interpolation = _bw_constants(q, d)
-    # check @ (E(x_i) y_i)_i = 0 in the unknowns E_0..E_{t0-1}
-    syndromes = (check * ys[:, None, :]) @ powers
-    e_low, ok = solve_batch(code.field, syndromes[:, :, :t0], -syndromes[:, :, t0])
-    locator = (e_low @ powers[:, :t0].T + powers[:, t0]) % q
-    # coefficients t0..t0+d-1 of Q, divided by E in place: coefficient
-    # t0 + i of Q, less what P's higher coefficients contributed, is P_i
-    messages = (locator * ys) @ interpolation[:, t0:t0 + d]
-    for i in range(d - 1, -1, -1):
-        messages[:, i] %= q
-        low = max(i - t0, 0)
-        messages[:, low:i] -= messages[:, i, None] * e_low[:, t0 + low - i:]
-    far = ((messages @ gen - ys) % q != 0).sum(axis=1) > t0
-    return messages, ok & ~far
-
-
 def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
     """Unique decoding of a full-support evaluation code of dimension d.
 
@@ -131,14 +82,14 @@ def berlekamp_welch(code: LinearCode, y: np.ndarray) -> np.ndarray | None:
     deg r < (n + d)/2; P = r / v when v divides r and deg P < d. The hit is
     re-encoded and its distance checked, so a spurious solution is never
     returned. That is O(q^2) Python work per word, with no numpy call per
-    step; many words are decoded faster by `berlekamp_welch_batch`.
+    step.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}")
     _require_full_support_rs(code)
     q, n, d = code.q, code.n, code.k
-    gen, *_, interpolation = _bw_constants(q, d)
+    gen, interpolation = _bw_constants(q, d)
     word = y.astype(np.int64) % q
     # remainders r and cofactors v of the Euclidean algorithm on x^q - x and R
     r0, v0 = [0, q - 1] + [0] * (q - 2) + [1], []

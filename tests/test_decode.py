@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from cosetlab.codes import random_code, rs_code
 from cosetlab.config import BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                             TableDecoder, berlekamp_welch,
-                             berlekamp_welch_batch, brute_force_nearest,
+                             TableDecoder, berlekamp_welch, brute_force_nearest,
                              per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import build_profile, interval_profile, random_sets_profile
-from oracles import (interpolation_nearest, place_values, roll_per_message_success,
-                     table_decode)
+from oracles import (berlekamp_welch_batch, interpolation_nearest, place_values,
+                     roll_per_message_success, table_decode)
 
 
 def _distances(code, y):

@@ -17,7 +17,7 @@ from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
 from cosetlab.qsim import (DecoderMap, SweepResult, _kept_blocks, _reference_peak_bytes,
                            _sweep_peak_bytes, run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
-from oracles import place_values
+from oracles import diagonal_gammas, direct_p_u, place_values
 
 REP3 = LinearCode(2, np.array([[1, 1, 1]]))
 
@@ -142,7 +142,7 @@ def test_non_permutation_gather_is_rejected(monkeypatch):
             with pytest.raises(ValueError, match="permutation"):
                 DecoderMap(decoder, symmetrized=sym).image
             with pytest.raises(ValueError, match="permutation"):
-                DecoderMap(decoder, symmetrized=sym).diagonal_gammas(profile)
+                diagonal_gammas(DecoderMap(decoder, symmetrized=sym), profile)
             with pytest.raises(ValueError, match="permutation"):
                 run_reduction(decoder, np.array([1]), ConstraintSet(profile, 0.4),
                               force_symmetrize=sym)
@@ -153,7 +153,7 @@ def test_gamma_diagonal_matches_success_probability():
     code = rs_code(3, 2)
     profile = interval_profile(3, 3, 0, 0.7)
     decoder = BerlekampWelchDecoder(code)
-    gammas = DecoderMap(decoder).diagonal_gammas(profile)
+    gammas = diagonal_gammas(DecoderMap(decoder), profile)
     p_s = per_message_success(decoder, profile)
     assert np.max(np.abs(gammas - np.sqrt(p_s))) < 1e-12
 
@@ -164,9 +164,9 @@ def test_symmetrized_gammas_uniform_sqrt_mean():
     table[7] = 1
     decoder = TableDecoder(REP3, table)
     profile = _rep3_profile()
-    raw = DecoderMap(decoder).diagonal_gammas(profile)
+    raw = diagonal_gammas(DecoderMap(decoder), profile)
     assert raw.max() - raw.min() > 0.1  # base diagonal is genuinely uneven
-    sym = DecoderMap(decoder, symmetrized=True).diagonal_gammas(profile)
+    sym = diagonal_gammas(DecoderMap(decoder, symmetrized=True), profile)
     assert sym.max() - sym.min() < 1e-12
     p_s = per_message_success(decoder, profile)
     assert sym[0] == pytest.approx(math.sqrt(p_s.mean()), abs=1e-12)
@@ -176,8 +176,8 @@ def test_symmetrization_keeps_equivariant_gammas():
     # repetition + nearest is already shift-covariant; gamma' == gamma
     decoder = BruteForceNearestDecoder(REP3)
     profile = _rep3_profile()
-    assert np.max(np.abs(DecoderMap(decoder, symmetrized=True).diagonal_gammas(profile)
-                         - DecoderMap(decoder).diagonal_gammas(profile))) < 1e-12
+    assert np.max(np.abs(diagonal_gammas(DecoderMap(decoder, symmetrized=True), profile)
+                         - diagonal_gammas(DecoderMap(decoder), profile))) < 1e-12
 
 
 # ---- the bound ---------------------------------------------------------------
@@ -291,6 +291,22 @@ def test_plain_reference_matches_sweep_at_q7():
         assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
         assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
         assert direct.max_norm_drift <= TOL.unitarity
+
+
+@pytest.mark.parametrize("code, decoder_type, profile", [
+    (rs_code(7, 6), BerlekampWelchDecoder, interval_profile(7, 7, 2, 0.7)),
+    (random_code(3, 8, 4, seed=8), BruteForceNearestDecoder,
+     random_sets_profile(3, 8, 1, 0.7, seed=8)),
+], ids=["rs(7,6)-bw", "random[8,4]_3-nearest"])
+def test_direct_accepted_state_matches_sweep(code, decoder_type, profile):
+    # F_u built word by word shares the decoder table with the sweep but not
+    # its residual histogram; at rs(7,6) no reference engine fits the budget
+    decoder, constraint = decoder_type(code), ConstraintSet(profile, 0.5)
+    swept = run_reduction_sweep(decoder, [constraint])[0]
+    q, k = decoder.code.q, decoder.code.k
+    for u_idx in np.random.default_rng(2026).choice(q**k, size=3, replace=False):
+        direct = direct_p_u(decoder, constraint, vector_of_index(int(u_idx), q, k))
+        assert abs(swept.p_u[u_idx] - direct) <= TOL.bound_slack
 
 
 def test_sweep_result_is_arrays_and_builds_outcomes_on_demand():

@@ -13,8 +13,13 @@ from cosetlab.thresholds import (DECODER_KINDS, ThresholdQuery, curves_csv,
                                  figure1_curves, optimize_over_rho, table1,
                                  tau_max)
 from cosetlab.thresholds import (CLASSICAL_TARGET, RHO_STEP, _kv_query,
-                                 _condition, _make_row, _rhs, _tau_max_grid)
+                                 _condition, _make_row, _tau_max_grid)
 from oracles import binary_threshold
+
+
+def _rhs(kind, tau, rho):
+    """The condition's right-hand side at (tau, rho), floats or arrays."""
+    return _condition(kind, rho, np.sqrt)(tau)
 
 
 def test_binary_threshold_values():
@@ -131,7 +136,7 @@ def _plain_tau_max(kind, r, rho):
 @pytest.mark.parametrize("kind", ["bw", "gs", "kv"])
 def test_tau_max_equals_plain_bisection_bit_for_bit(kind):
     # an oracle that shares no code with the solver: tau_max and the grid
-    # bisection share _rhs, so only this catches a wrong shared formula
+    # bisection share _condition, so only this catches a wrong shared formula
     rng = np.random.default_rng(24)
     for r, rho in rng.uniform(1e-6, 1.0 - 1e-6, (300, 2)).tolist():
         assert tau_max(ThresholdQuery(kind, r, rho)) == _plain_tau_max(kind, r, rho)
