@@ -21,18 +21,19 @@ U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
 to A, run U, subtract t from B. U' has uniform diagonal amplitudes
 sqrt(mean_s p_s), which the success-bound machinery requires. U is U'
 with a one-entry T, so one `DecoderMap` runs both: a transform on T, then
-a permutation by an image index read off the register grid. Every dense
-index, of registers, residuals and dual syndromes, comes from
-`galois.index_of_vector`.
+a permutation, fixed by the image of the B = 0 slice read off the register
+grid. Every dense index, of registers, residuals and dual syndromes, comes
+from `galois.index_of_vector`.
 
 Two engines compute identical outcomes:
 
 - `run_reduction` walks the five steps literally for one syndrome (the
   reference engine), checking norms at every step. U' never touches the
   message copy C, so each C = s block evolves alone: it is one column,
-  w_s |psi_s> at B = 0 and T = 0, and it writes only the positions of its
-  B = s slice, which keeping C = 0 keeps. That is O(q^(n+2k)) memory and
-  work, but for the transforms.
+  w_s |psi_s> at B = 0 and T = 0, and it keeps only the positions of its
+  B = s slice, which keeping C = 0 keeps. Each (a, t) is kept by one
+  block, so the accepted state is one amplitude per (a, t), stored at its
+  source: O(q^(n+k)) memory symmetrized, O(q^n) plain.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
   register A holds F_u(y) = chi_{-u}(D(y)) f(y - D(y)G), normalized. On the
@@ -92,9 +93,10 @@ class DecoderMap:
     U' makes the diagonal amplitudes uniform: every gamma'_{s,s} equals
     sqrt(mean_s p_s), real nonnegative. The plain U, |a, b> -> |a, b + D(a)>,
     is U' with a T of `width` 1 (q^k when symmetrized), left out of `shape`,
-    whose transform is [[1]]. Past the transform the map is one permutation,
-    by the flat index of each basis state's image, read off the register
-    grid once: the map scatters by it and its adjoint gathers by it.
+    whose transform is [[1]]. Past the transform the map is one permutation
+    that moves B by b, so the image of the B = 0 slice fixes it: (a, 0, t)
+    goes to (a + tG, s, t), and s = D(a + tG) - t is the `labels` entry of
+    (a, t), the message block that keeps it.
     """
 
     def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False):
@@ -106,24 +108,27 @@ class DecoderMap:
         if self.table.shape != self.shape[:1]:
             raise ValueError("decoder table must cover every received word")
 
-    @cached_property
+    @property
     def image(self) -> np.ndarray:
-        """Flat image index of every basis state, checked once to be a
-        permutation, so that the map keeps every norm (ValueError if not):
-        `size` entries in range that hit every position."""
+        """Flat (A, B[, T]) index of the image of every (a, 0, t), in (a, t)
+        order, checked to define a permutation (ValueError if not): every
+        entry in range, and no two on one (A, T) position, which each B
+        shift then moves as a whole."""
         index, size = self._image_index(), math.prod(self.shape)
-        hit = np.zeros(size, dtype=bool)
-        if index.shape == (size,) and 0 <= index.min() and index.max() < size:
-            hit[index] = True
+        hit = np.zeros(self.shape[0] * self.width, dtype=bool)
+        if index.shape == hit.shape and 0 <= index.min() and index.max() < size:
+            at = index // (self.shape[1] * self.width)  # a + tG's place value
+            at *= self.width
+            at += index % self.width
+            hit[at] = True
         if not hit.all():
             raise ValueError("decoder map is not a permutation of basis states")
         return index
 
     def _image_index(self) -> np.ndarray:
-        """U' sends |a, b, t> to |a + tG, b + D(a + tG) - t, t>, and U is
-        its t = 0 case. On the (A, T) grid, (a, 0, t) goes to (a + tG, s, t)
-        with s = D(a + tG) - t; adding b to B moves s to b + s, one row of
-        the messages' addition table per b."""
+        """On the (A, T) grid: the index of a + tG, then s = D(a + tG) - t
+        read off the messages' subtraction table, then t, each at its place
+        value in the (A, B, T) grid."""
         code = self.code
         q, n, k = code.q, code.n, code.k
         axes = np.ogrid[(slice(q),) * (n + self._t_coords)]
@@ -131,16 +136,22 @@ class DecoderMap:
         lift = t or (0,) * k
         a_image = [a_i + sum(t_j * g for t_j, g in zip(lift, column))
                    for a_i, column in zip(a, code.G.T)]
-        messages, grid = code.messages().T, (self.shape[0], self.width)
-        decoded = self.table[index_of_vector(a_image, q)]  # D(a + tG), one per (a, t)
-        kept_by = index_of_vector([column[decoded] - t_j for column, t_j in zip(messages, lift)],
-                                  q).reshape(grid)  # s = D(a + tG) - t
-        base = index_of_vector([*a_image, *(0,) * k, *t], q).reshape(grid)  # B = 0
-        sums = index_of_vector(messages[:, :, None] + messages[:, None, :], q)
-        image = np.empty((grid[0], self.shape[1], grid[1]), dtype=np.int64)
-        for b, row in enumerate(sums * self.width):  # B's place value
-            np.add(base, row[kept_by], out=image[:, b])
-        return image.reshape(-1)
+        messages, shifts = code.messages(), np.arange(self.width)  # T holds message t
+        minus = index_of_vector(np.moveaxis(messages[:, None] - messages[shifts], -1, 0), q)
+        index = index_of_vector(a_image, q).reshape(-1, self.width)
+        labels = minus[self.table[index], shifts]  # D(a + tG) - t, one per (a, t)
+        index *= self.shape[1]
+        index += labels
+        index *= self.width
+        index += shifts
+        return index.reshape(-1)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The B coordinate of each (a, t)'s image, s = D(a + tG) - t."""
+        labels = self.image // self.width
+        labels %= self.shape[1]
+        return labels
 
     @cached_property
     def _fourier_t(self) -> np.ndarray:
@@ -148,42 +159,28 @@ class DecoderMap:
         return reduce(np.kron, [self.code.field.fourier_matrix] * self._t_coords,
                       np.ones((1, 1)))
 
-    def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Apply to a state of shape `shape`, or any reshape of it, never
-        written to. The transform on T is symmetric, so the adjoint's is its
-        conjugate: the adjoint gathers one q^k-th of the result at a time and
-        writes its transform into place."""
-        if adjoint:
-            flat, out = state.reshape(-1), np.empty(state.size, dtype=np.complex128)
-            inverse_t, chunks = self._fourier_t.conj(), (self.shape[1], -1, self.width)
-            for chunk, index in zip(out.reshape(chunks), self.image.reshape(chunks)):
-                np.dot(flat[index], inverse_t, out=chunk)
-        else:
-            flat = (state.reshape(-1, self.width) @ self._fourier_t.T).reshape(-1)
-            out = np.empty_like(flat)
-            out[self.image] = flat
-        return out.reshape(state.shape)
-
 
 def _kept_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
-    """Yield (s, column, fed, source, target) for every message s, one
-    block at a time. The block w_s |psi_s>_A |0>_B |0>_T is one column of
-    shape (q^n, 1), and fed the (A, T) slice U' sees past the transform on
-    T: column times the transform's first row. The map sends (a, 0, t) to
-    the B = s slice exactly when D(a + tG) - t = s, so each (a, t) of that
-    slice is kept by one block: block s writes fed's flat positions
-    `source`, where that holds, to the flat state positions `target`. The
-    amplitude of |psi_s> at y is f(y - sG), the Kronecker product of the
-    profile's rows u_i shifted by the codeword coordinates c_{s,i}."""
-    q, size_b, width = profile.q, u_map.shape[1], u_map.width
-    images = u_map.image.reshape(-1, size_b, width)[:, 0].reshape(-1)  # of B = 0
-    blocks = images // width % size_b
+    """Yield (s, column, kept, source) for every message s, one block at a
+    time. The block w_s |psi_s>_A |0>_B |0>_T is one column of shape
+    (q^n,), and U' is fed it past the transform on T: column times the
+    transform's first column, on the (A, T) grid. The map sends (a, 0, t)
+    to the B = s slice exactly when its label is s, so each (a, t) is kept
+    by one block: block s keeps the fed amplitudes `kept` at the flat (A, T)
+    positions `source` where the label is s. The amplitude of |psi_s> at y
+    is f(y - sG), the Kronecker product of the profile's rows u_i shifted
+    by the codeword coordinates c_{s,i}."""
+    q, width, first = profile.q, u_map.width, u_map._fourier_t[:, 0]
     for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
-        column = weight * reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
-                                                     for row, c in zip(profile.u, codeword)],
-                                 np.ones(())).reshape(-1, 1)
-        source = np.flatnonzero(blocks == s_idx)
-        yield s_idx, column, column @ u_map._fourier_t.T[:1], source, images[source]
+        column = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
+                                            for row, c in zip(profile.u, codeword)],
+                        np.ones(())).reshape(-1)
+        column *= weight
+        source = np.flatnonzero(u_map.labels == s_idx)
+        kept = column[source // width]
+        kept *= first[source % width]
+        yield s_idx, column, kept, source
+        del column, source, kept  # before the next block's are built
 
 
 def _dual_index(code: LinearCode) -> np.ndarray:
@@ -297,23 +294,21 @@ def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, f
 
 
 def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
-    """Peak bytes of `run_reduction`, the larger of two phases. While blocks
-    stream: the accepted complex (A, B[, T]) state, the int64 image index
-    and 8 complex values per entry of the (A[, T]) slice a block is fed, of
-    which at most 113 bytes are held (B = 0's images and block labels, 16;
-    two blocks' columns and fed slices, 64; a mask, 1; two blocks' kept
-    positions, targets and values, 32). The index is built and checked
-    before the state exists, in 9 bytes per entry and a few slice-sized
-    arrays. At step 4: two complex states (the input and the adjoint's
-    result), the index and the adjoint's gathered chunk, 1/q^k of a state.
-    Step 5 holds less, as the index is freed first: two states and the
-    transform's scratch slice of 1/q, at most 40 bytes per entry. Beside
-    them 64 bytes per entry of q^n- and q^(2k)-entry tables, and 32 KiB."""
-    entries = q ** (n + (2 if symmetrized else 1) * k)
-    kept = entries // q**k
-    streaming = entries * (COMPLEX_BYTES + INDEX_BYTES) + kept * 8 * COMPLEX_BYTES
-    adjoint = entries * (2 * COMPLEX_BYTES + INDEX_BYTES) + kept * COMPLEX_BYTES
-    return max(streaming, adjoint) + (q**n + q ** (2 * k)) * 64 + 2**15
+    """Peak bytes of `run_reduction`, the largest of three phases, with the
+    state stored on the (A[, T]) grid. While blocks stream: per entry the
+    complex state, the int64 labels and a block's mask; per received word
+    a block's column and, for its at most one kept (a, t), the position,
+    value and two gathered factors, 64 bytes, which also cover the
+    column's build (its last factor and numpy's two broadcast buffers).
+    The image is built and checked first, in four int64 arrays at most.
+    Step 5 holds two states and the transform's scratch slice of 1/q,
+    which covers step 4's two states. Beside them 16 bytes per received
+    word (the table), 64 per entry of q^(2k)-entry tables, and 16 KiB."""
+    entries = q**n * (q**k if symmetrized else 1)
+    streaming = entries * (COMPLEX_BYTES + INDEX_BYTES + 1) + q**n * 4 * COMPLEX_BYTES
+    transform = entries * 2 * COMPLEX_BYTES + entries // q * COMPLEX_BYTES
+    return (max(streaming, entries * 4 * INDEX_BYTES, transform)
+            + q**n * 16 + q ** (2 * k) * 64 + 2**14)
 
 
 def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
@@ -326,14 +321,17 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     so each C = s block of the prepared state evolves alone; C -= B moves
     its B = b slice to C = s - b, so keeping C = 0 keeps b = s. Each block
     is one column, w_s |psi_s> at B = 0 and T = 0: U' is fed it past the
-    transform on T, and the block writes the positions of the B = s slice
-    it keeps into a zeroed state (`_kept_blocks`), the amplitudes of
-    mapping whole blocks bit for bit, in O(q^(n+2k)) work and memory. The
-    step-1 and step-2 squared norms sum the columns and the slices U' is
-    fed. Steps 3-5 run on the accepted (A, B[, T]) state: step 4 gathers by
-    the image index and inverts the transform on T, a q^k x q^k product per
-    (A, B) row when symmetrized: q^(n+3k) multiply-adds, against
-    n q^(n+2k+1) for step 5's transform on A.
+    transform on T and sends (a, 0, t) to the B = s slice exactly when the
+    label of (a, t) is s, so each (a, t) is kept by one block
+    (`_kept_blocks`). The accepted state is stored at the sources: entry
+    (a, t) of a (q^n, width) array holds the amplitude of the basis state
+    (a, 0, t) is mapped to, the amplitudes of mapping whole blocks bit for
+    bit. The step-1 and step-2 norms are those of the columns and of the
+    slices U' is fed. Step 4's adjoint returns each amplitude to (a, 0, t)
+    and inverts the transform on T, one product by a width x width matrix:
+    q^(n+2k) multiply-adds when symmetrized, against n q^(n+k+1) for step
+    5's transform on A. Every entry off B = 0 is then zero, so steps 4 and
+    5 hold the (A[, T]) state alone.
 
     The budget counts 16-byte amplitudes of the stated peak
     (`_reference_peak_bytes`, for the symmetrized map unless
@@ -350,33 +348,34 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     symmetrized, p_dec = _decide_symmetrization(
         per_message_success(decoder, profile), force_symmetrize)
     u_map = DecoderMap(decoder, symmetrized)
-    u_map.image  # built and checked before the state is allocated
+    u_map.labels  # read off the checked image before the state is allocated
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
     weights = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q]) / math.sqrt(q**k)
-    accepted = np.zeros(u_map.shape, dtype=np.complex128)
-    norms_sq = [0.0, 0.0]
-    for _, column, fed, source, target in _kept_blocks(u_map, profile, weights):
-        norms_sq[0] += float(np.vdot(column, column).real)
-        norms_sq[1] += float(np.vdot(fed, fed).real)
-        accepted.reshape(-1)[target] = fed.reshape(-1)[source]
-    del column, fed, source, target  # the last block's, freed before step 4's peak
-    norms = [math.sqrt(x) for x in norms_sq]
+    accepted = np.zeros((q**n, u_map.width), dtype=np.complex128)  # at each source (a, t)
+    norm_sq = 0.0
+    for _, column, kept, source in _kept_blocks(u_map, profile, weights):
+        norm_sq += float(np.vdot(column, column).real)
+        accepted.reshape(-1)[source] = kept
+        del column, kept, source  # before the next block's are built
+    norm = math.sqrt(norm_sq)  # U' is fed each column times the transform's first column
+    norms = [norm, norm * float(np.linalg.norm(u_map._fourier_t[:, 0]))]
 
     # step 3: measure the message copy, keep outcome 0, renormalize
     post_select_prob = float(np.vdot(accepted, accepted).real)
     accepted *= 1 / math.sqrt(post_select_prob)  # numpy's division by a real d, bit for bit
 
-    # step 4: adjoint decoder map; its index is freed before step 5
-    accepted = u_map.apply(accepted, adjoint=True)
+    # step 4: the adjoint returns each amplitude to (a, 0, t), then inverts
+    # the transform on T; the labels are freed first
+    inverse_t = u_map._fourier_t.conj()
     del u_map
+    accepted = accepted @ inverse_t
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
     accepted = fourier_transform(code.field, accepted)
     norms.append(float(np.linalg.norm(accepted)))
-    marginal = np.abs(accepted) ** 2
-    marginal = marginal.reshape(q**n, -1).sum(axis=1)
+    marginal = (np.abs(accepted) ** 2).sum(axis=1)
 
     on_coset = _dual_index(code) == index_of_vector(u, q)
     p_u = float(marginal[constraint.membership_mask() & on_coset].sum())

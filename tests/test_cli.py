@@ -184,6 +184,18 @@ def test_simulate_sweeps_rs_7_5_within_default_budget(capsys):
     assert doc["report"]["ok"] is True
 
 
+def test_simulate_random_u_runs_symmetrized_rs_7_1_within_default_budget(capsys):
+    # the CLI checks the reference engine's symmetrized peak before it
+    # knows which map the run needs; one amplitude per (received word,
+    # shift), 7^8 of them, fits the default budget
+    code, out = _run(capsys, "simulate", "--q", "7", "--n", "7", "--k", "1",
+                     "--code", "rs", "--decoder", "bw", "--sets", "interval:2",
+                     "--tau", "0.7", "--ttilde", "0.5", "--u", "random",
+                     "--format", "json")
+    assert code == 0
+    assert json.loads(out)["report"]["ok"] is True
+
+
 def test_simulate_budget_exceeded_exits_2(capsys):
     code, out = _run(capsys, "simulate", "--q", "5", "--n", "5", "--k", "2",
                      "--tau", "0.7", "--ttilde", "0.5", "--sets", "interval:1",
@@ -210,6 +222,21 @@ def test_oversized_simulate_exits_2_before_building_a_code(capsys, monkeypatch, 
     assert code == 2
     assert err.startswith("error: requested at least 2^") and len(err) < 200
     assert err.endswith(f"exceeds budget {DEFAULT_AMPLITUDE_BUDGET}\n")
+
+
+def test_simulate_random_u_too_large_for_reference_exits_2_before_building_a_code(
+        capsys, monkeypatch):
+    # at rs(7,2) the sweep fits the default budget but the reference
+    # engine's 7^9 amplitudes do not
+    _refuse_codes(monkeypatch)
+    stated = -(-qsim._reference_peak_bytes(7, 7, 2, True) // 16)
+    code, err = _exit_status(capsys, "simulate", "--q", "7", "--n", "7", "--k", "2",
+                             "--code", "rs", "--decoder", "bw", "--tau", "0.7",
+                             "--ttilde", "0.5", "--u", "random")
+    assert code == 2
+    assert err == (f"error: requested {stated} amplitudes exceeds budget "
+                   f"{DEFAULT_AMPLITUDE_BUDGET}\n")
+    qsim.require_peak(7, 7, 2)  # the sweep alone fits
 
 
 def test_oversized_opi_search_exits_2_before_building_a_code(tmp_path, capsys, monkeypatch):

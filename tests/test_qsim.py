@@ -17,7 +17,8 @@ from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
 from cosetlab.qsim import (DecoderMap, SweepResult, _kept_blocks, _reference_peak_bytes,
                            _sweep_peak_bytes, run_reduction, run_reduction_sweep,
                            success_lower_bound, verify_bound)
-from oracles import diagonal_gammas, direct_p_u, place_values
+from oracles import (apply_map, dense_reduction, diagonal_gammas, direct_p_u, full_image,
+                     place_values)
 
 REP3 = LinearCode(2, np.array([[1, 1, 1]]))
 
@@ -43,7 +44,7 @@ def test_decoder_unitary_action_on_basis_states():
         for t in range(2):
             state = np.zeros((8, 2), dtype=np.complex128)
             state[y_idx, t] = 1.0
-            out = unitary.apply(state)
+            out = apply_map(unitary, state)
             target = (t + unitary.table[y_idx]) % 2
             assert out[y_idx, target] == 1.0
             assert np.count_nonzero(out) == 1
@@ -55,9 +56,9 @@ def test_unitary_preserves_norm_and_adjoint_inverts(sym):
     unitary = DecoderMap(BruteForceNearestDecoder(code), symmetrized=sym)
     assert unitary.shape == ((27, 3, 3) if sym else (27, 3))  # (A, B[, T])
     state = _random_state(unitary.shape, seed=11)
-    forward = unitary.apply(state)
+    forward = apply_map(unitary, state)
     assert np.linalg.norm(forward) == pytest.approx(1.0, abs=1e-12)
-    back = unitary.apply(forward, adjoint=True)
+    back = apply_map(unitary, forward, adjoint=True)
     assert np.max(np.abs(back - state)) < 1e-12
 
 
@@ -77,17 +78,18 @@ def test_gather_follows_definition_on_basis_states(shape, seed):
         u_map = DecoderMap(decoder, symmetrized=sym)
         x = _random_state(u_map.shape, seed=seed % 1000)
         y = _random_state(u_map.shape, seed=seed % 1000 + 1)
-        forward = u_map.apply(x)
-        inner = np.vdot(y, forward) - np.vdot(u_map.apply(y, adjoint=True), x)
+        forward = apply_map(u_map, x)
+        inner = np.vdot(y, forward) - np.vdot(apply_map(u_map, y, adjoint=True), x)
         assert abs(inner) <= 1e-12
         assert abs(np.linalg.norm(forward) - 1.0) <= TOL.unitarity
-        assert np.max(np.abs(u_map.apply(forward, adjoint=True) - x)) <= TOL.unitarity
+        assert np.max(np.abs(apply_map(u_map, forward, adjoint=True) - x)) <= TOL.unitarity
         shape = u_map.shape if sym else u_map.shape + (1,)  # plain: the one shift t = 0
         a, b, t = (v.reshape(-1) for v in np.indices(shape))
         a_new = (words[a] + msgs[t] @ code.G) % q @ place_values(q, n)
         b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ place_values(q, k)
         target = np.ravel_multi_index((a_new, b_new, t), shape)
-        assert np.array_equal(u_map.image, target)
+        assert np.array_equal(full_image(u_map), target)
+        assert np.array_equal(u_map.image, target.reshape(shape)[:, 0].reshape(-1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,30 +110,32 @@ def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
         u_map = DecoderMap(decoder, symmetrized=sym)
         accepted = np.zeros(u_map.shape, dtype=np.complex128)
         expected = np.zeros(u_map.shape, dtype=np.complex128)
-        writes = np.zeros(u_map.shape, dtype=np.int64)
-        for s_idx, column, fed, source, target in _kept_blocks(u_map, profile, weights):
+        writes = np.zeros(q**n * u_map.width, dtype=np.int64)
+        for s_idx, column, kept, source in _kept_blocks(u_map, profile, weights):
+            target = u_map.image[source]
             assert np.all(np.unravel_index(target, u_map.shape)[1] == s_idx)
-            accepted.reshape(-1)[target] = fed.reshape(-1)[source]
-            np.add.at(writes.reshape(-1), target, 1)
+            accepted.reshape(-1)[target] = kept
+            np.add.at(writes, source, 1)
             block = np.zeros(u_map.shape, dtype=np.complex128)
-            block.reshape(q**n, q**k, -1)[:, 0, 0] = column[:, 0]
-            mapped = u_map.apply(block).reshape(q**n, q**k, -1)
+            block.reshape(q**n, q**k, -1)[:, 0, 0] = column
+            mapped = apply_map(u_map, block).reshape(q**n, q**k, -1)
             expected.reshape(q**n, q**k, -1)[:, s_idx] = mapped[:, s_idx]
-            assert np.array_equal(
-                fed, (block.reshape(-1, u_map.width) @ u_map._fourier_t.T)[::q**k])
-        assert np.all(writes.sum(axis=1) == 1)
+            fed = (block.reshape(-1, u_map.width) @ u_map._fourier_t.T)[::q**k]
+            assert np.array_equal(kept, fed.reshape(-1)[source])
+        assert np.all(writes == 1)
         assert np.array_equal(accepted, expected)
 
 
 def test_non_permutation_gather_is_rejected(monkeypatch):
     # two states sent to one image, or one sent out of range (a negative
     # index would wrap): U' would not keep the norm, so the index is
-    # refused before any block is read through it
+    # refused before any block is read through it. The index covers the
+    # B = 0 slice, q^k times smaller than the grid it points into
     decoder = BruteForceNearestDecoder(rs_code(3, 1))
     profile = interval_profile(3, 3, 0, 0.7)
-    assert DecoderMap(decoder, symmetrized=True).image.size == 3**5
+    assert DecoderMap(decoder, symmetrized=True).image.size == 3**4
     true_index = DecoderMap._image_index
-    for corrupt in (lambda index: index[0], lambda index: -1, lambda index: index.size):
+    for corrupt in (lambda index: index[0], lambda index: -1, lambda index: index.size * 3):
         def broken(self):
             index = true_index(self)
             index[1] = corrupt(index)
@@ -278,9 +282,9 @@ def test_reference_matches_sweep_on_readme_example():
 
 
 def test_plain_reference_matches_sweep_at_q7():
-    # rs(7,1), BW, interval:2, tau 0.7, ttilde 0.5: the plain map needs
-    # 7^8 amplitudes where the symmetrized one would need 7^9, so the
-    # literal engine checks the sweep's histogram at q = 7
+    # rs(7,1), BW, interval:2, tau 0.7, ttilde 0.5: the plain map stores
+    # 7^7 amplitudes, one per received word, so the literal engine checks
+    # the sweep's histogram at q = 7
     decoder = BerlekampWelchDecoder(rs_code(7, 1))
     constraint = ConstraintSet(interval_profile(7, 7, 2, 0.7), 0.5)
     swept = run_reduction_sweep(decoder, [constraint])[0]
@@ -291,6 +295,43 @@ def test_plain_reference_matches_sweep_at_q7():
         assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
         assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
         assert direct.max_norm_drift <= TOL.unitarity
+
+
+def test_symmetrized_reference_matches_sweep_at_q7():
+    # the same runs through U', forced (BW's p_s agree here): 7^8
+    # amplitudes, one per (received word, shift), within the default budget
+    decoder = BerlekampWelchDecoder(rs_code(7, 1))
+    constraint = ConstraintSet(interval_profile(7, 7, 2, 0.7), 0.5)
+    swept = run_reduction_sweep(decoder, [constraint])[0]
+    for u_idx in np.random.default_rng(2026).choice(7, size=3, replace=False):
+        direct = run_reduction(decoder, vector_of_index(int(u_idx), 7, 1), constraint,
+                               force_symmetrize=True)
+        assert direct.symmetrized and swept[u_idx].u == direct.u
+        assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
+        assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
+        assert direct.max_norm_drift <= TOL.unitarity
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3, 1), (2, 4, 2), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 3, 2)]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_reference_matches_dense_walk_on_random_table_decoders(shape, seed):
+    # oracle: the five steps on the whole (A, B[, T]) state, every block
+    # mapped in full, against the engine that stores only what it keeps
+    q, n, k = shape
+    rng = np.random.default_rng(seed)
+    code = random_code(q, n, k, seed=seed)
+    decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
+    tau = float(rng.uniform(0.3, 0.95))
+    profile = random_sets_profile(q, n, int(rng.integers(1, q)), tau, seed=seed)
+    constraint = ConstraintSet(profile, float(rng.uniform(0.0, tau)))
+    u = vector_of_index(int(rng.integers(0, q**k)), q, k)
+    for sym in (False, True):
+        direct = run_reduction(decoder, u, constraint, force_symmetrize=sym)
+        p_u, post_select_prob, marginal_mass = dense_reduction(decoder, u, constraint, sym)
+        assert abs(direct.p_u - p_u) <= 1e-12
+        assert abs(direct.post_select_prob - post_select_prob) <= 1e-12
+        assert abs(direct.marginal_mass - marginal_mass) <= 1e-12
 
 
 @pytest.mark.parametrize("code, decoder_type, profile", [
