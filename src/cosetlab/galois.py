@@ -51,10 +51,14 @@ class PrimeField:
     """Arithmetic context for F_q with q prime.
 
     Construction rejects composites and prime powers; all experiments use
-    prime q and trace characters are deliberately out of scope.
+    prime q and trace characters are deliberately out of scope. q must lie
+    below 2^31, checked first: trial division up to sqrt(q) then takes
+    milliseconds, where a q near 10^18 would take hours.
     """
 
     def __init__(self, q: int):
+        if q >= 2**31:
+            raise ValueError(f"modulus must be a prime below 2^31, got {q}")
         if not _is_prime(q):
             raise ValueError(f"modulus must be prime, got {q}")
         self.q = int(q)

@@ -20,10 +20,12 @@ are not all equal (the all-zeros failure sentinel breaks shift covariance),
 U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
 to A, run U, subtract t from B. U' has uniform diagonal amplitudes
 sqrt(mean_s p_s), which the success-bound machinery requires. U is U'
-with a one-entry T, so one `DecoderMap` runs both: a transform on T, then
-a permutation, fixed by the image of the B = 0 slice read off the register
-grid. Every dense index, of registers, residuals and dual syndromes, comes
-from `galois.index_of_vector`.
+with a one-entry T, so one pair of arrays runs both: the transform on T
+(`_fourier_t`), and the label s = D(a + tG) - t of each (a, t)
+(`_labels`), the B coordinate of the image of (a, 0, t); past the
+transform U' moves B by b, so the labels fix it. Every dense index, of
+registers, residuals and dual syndromes, comes from
+`galois.index_of_vector`.
 
 Two engines compute identical outcomes:
 
@@ -56,21 +58,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
 from .codes import LinearCode
 from .config import TOL, require_budget
 from .decode import _BaseDecoder, _message_success, per_message_success, residual_index
-from .galois import fourier_transform, index_of_vector, vector_of_index
+from .galois import PrimeField, fourier_transform, index_of_vector, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
 __all__ = [
     "ReductionOutcome",
     "BoundReport",
     "SweepResult",
-    "DecoderMap",
     "require_peak",
     "success_lower_bound",
     "run_reduction",
@@ -85,98 +86,52 @@ INDEX_BYTES = 8
 # ---- the decoder map -----------------------------------------------------------
 
 
-class DecoderMap:
-    """The decoder map for a total D, as a permutation of basis states.
-
-    U' acts on (A, B, T): Fourier-transform T, then |a, b, t> -> |a + tG,
-    b + D(a + tG) - t, t>, that is add tG to A, run U and subtract t from B.
-    U' makes the diagonal amplitudes uniform: every gamma'_{s,s} equals
-    sqrt(mean_s p_s), real nonnegative. The plain U, |a, b> -> |a, b + D(a)>,
-    is U' with a T of `width` 1 (q^k when symmetrized), left out of `shape`,
-    whose transform is [[1]]. Past the transform the map is one permutation
-    that moves B by b, so the image of the B = 0 slice fixes it: (a, 0, t)
-    goes to (a + tG, s, t), and s = D(a + tG) - t is the `labels` entry of
-    (a, t), the message block that keeps it.
-    """
-
-    def __init__(self, decoder: _BaseDecoder, symmetrized: bool = False):
-        code = self.code = decoder.code
-        self._t_coords = code.k if symmetrized else 0  # coordinates of T
-        self.width = code.q**self._t_coords
-        self.shape = (code.q**code.n, code.q**code.k) + ((self.width,) if symmetrized else ())
-        self.table = decoder.table()
-        if self.table.shape != self.shape[:1]:
-            raise ValueError("decoder table must cover every received word")
-
-    @property
-    def image(self) -> np.ndarray:
-        """Flat (A, B[, T]) index of the image of every (a, 0, t), in (a, t)
-        order, checked to define a permutation (ValueError if not): every
-        entry in range, and no two on one (A, T) position, which each B
-        shift then moves as a whole."""
-        index, size = self._image_index(), math.prod(self.shape)
-        hit = np.zeros(self.shape[0] * self.width, dtype=bool)
-        if index.shape == hit.shape and 0 <= index.min() and index.max() < size:
-            at = index // (self.shape[1] * self.width)  # a + tG's place value
-            at *= self.width
-            at += index % self.width
-            hit[at] = True
-        if not hit.all():
-            raise ValueError("decoder map is not a permutation of basis states")
-        return index
-
-    def _image_index(self) -> np.ndarray:
-        """On the (A, T) grid: the index of a + tG, then s = D(a + tG) - t
-        read off the messages' subtraction table, then t, each at its place
-        value in the (A, B, T) grid."""
-        code = self.code
-        q, n, k = code.q, code.n, code.k
-        axes = np.ogrid[(slice(q),) * (n + self._t_coords)]
-        a, t = axes[:n], axes[n:]
-        lift = t or (0,) * k
-        a_image = [a_i + sum(t_j * g for t_j, g in zip(lift, column))
-                   for a_i, column in zip(a, code.G.T)]
-        messages, shifts = code.messages(), np.arange(self.width)  # T holds message t
-        minus = index_of_vector(np.moveaxis(messages[:, None] - messages[shifts], -1, 0), q)
-        index = index_of_vector(a_image, q).reshape(-1, self.width)
-        labels = minus[self.table[index], shifts]  # D(a + tG) - t, one per (a, t)
-        index *= self.shape[1]
-        index += labels
-        index *= self.width
-        index += shifts
-        return index.reshape(-1)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """The B coordinate of each (a, t)'s image, s = D(a + tG) - t."""
-        labels = self.image // self.width
-        labels %= self.shape[1]
-        return labels
-
-    @cached_property
-    def _fourier_t(self) -> np.ndarray:
-        """Unitary transform on T, the Kronecker product over its coordinates."""
-        return reduce(np.kron, [self.code.field.fourier_matrix] * self._t_coords,
-                      np.ones((1, 1)))
+def _labels(decoder: _BaseDecoder, symmetrized: bool) -> np.ndarray:
+    """U' as one (q^n, width) array: entry (a, t) is the B label
+    s = D(a + tG) - t of the image of (a, 0, t), the message block that
+    keeps it. width is q^k symmetrized and 1 plain, whose one shift is
+    t = 0. On the (A, T) grid: the index of a + tG, its table entry, then
+    s read off the messages' subtraction table."""
+    code = decoder.code
+    q, n, k = code.q, code.n, code.k
+    table = decoder.table()
+    if table.shape != (q**n,):
+        raise ValueError("decoder table must cover every received word")
+    axes = np.ogrid[(slice(q),) * (n + (k if symmetrized else 0))]
+    a, t = axes[:n], axes[n:]
+    lift = t or (0,) * k
+    a_image = [a_i + sum(t_j * g for t_j, g in zip(lift, column))
+               for a_i, column in zip(a, code.G.T)]
+    messages = code.messages()
+    shifts = np.arange(q**k if symmetrized else 1)  # T holds message t
+    minus = index_of_vector(np.moveaxis(messages[:, None] - messages[shifts], -1, 0), q)
+    return minus[table[index_of_vector(a_image, q).reshape(-1, shifts.size)], shifts]
 
 
-def _kept_blocks(u_map: DecoderMap, profile: ErrorProfile, weights: np.ndarray):
+def _fourier_t(field: PrimeField, coords: int) -> np.ndarray:
+    """Unitary transform on T, the Kronecker product over its `coords`
+    coordinates: [[1]] for the plain map's one shift."""
+    return reduce(np.kron, [field.fourier_matrix] * coords, np.ones((1, 1)))
+
+
+def _kept_blocks(code: LinearCode, profile: ErrorProfile, weights: np.ndarray,
+                 labels: np.ndarray, first: np.ndarray):
     """Yield (s, column, kept, source) for every message s, one block at a
     time. The block w_s |psi_s>_A |0>_B |0>_T is one column of shape
     (q^n,), and U' is fed it past the transform on T: column times the
-    transform's first column, on the (A, T) grid. The map sends (a, 0, t)
+    transform's first column `first`, on the (A, T) grid. U' sends (a, 0, t)
     to the B = s slice exactly when its label is s, so each (a, t) is kept
     by one block: block s keeps the fed amplitudes `kept` at the flat (A, T)
     positions `source` where the label is s. The amplitude of |psi_s> at y
     is f(y - sG), the Kronecker product of the profile's rows u_i shifted
     by the codeword coordinates c_{s,i}."""
-    q, width, first = profile.q, u_map.width, u_map._fourier_t[:, 0]
-    for s_idx, (weight, codeword) in enumerate(zip(weights, u_map.code.codewords())):
+    q, width = profile.q, labels.shape[1]
+    for s_idx, (weight, codeword) in enumerate(zip(weights, code.codewords())):
         column = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
                                             for row, c in zip(profile.u, codeword)],
                         np.ones(())).reshape(-1)
         column *= weight
-        source = np.flatnonzero(u_map.labels == s_idx)
+        source = np.flatnonzero(labels == s_idx)
         kept = column[source // width]
         kept *= first[source % width]
         yield s_idx, column, kept, source
@@ -300,7 +255,7 @@ def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
     a block's column and, for its at most one kept (a, t), the position,
     value and two gathered factors, 64 bytes, which also cover the
     column's build (its last factor and numpy's two broadcast buffers).
-    The image is built and checked first, in four int64 arrays at most.
+    The labels are built first, in four int64 arrays at most.
     Step 5 holds two states and the transform's scratch slice of 1/q,
     which covers step 4's two states. Beside them 16 bytes per received
     word (the table), 64 per entry of q^(2k)-entry tables, and 16 KiB."""
@@ -347,29 +302,28 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     decoder.table(budget)  # built under this budget; the readers below reuse it
     symmetrized, p_dec = _decide_symmetrization(
         per_message_success(decoder, profile), force_symmetrize)
-    u_map = DecoderMap(decoder, symmetrized)
-    u_map.labels  # read off the checked image before the state is allocated
+    labels = _labels(decoder, symmetrized)  # before the state is allocated
+    fourier_t = _fourier_t(code.field, k if symmetrized else 0)
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
     weights = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q]) / math.sqrt(q**k)
-    accepted = np.zeros((q**n, u_map.width), dtype=np.complex128)  # at each source (a, t)
+    accepted = np.zeros(labels.shape, dtype=np.complex128)  # at each source (a, t)
     norm_sq = 0.0
-    for _, column, kept, source in _kept_blocks(u_map, profile, weights):
+    for _, column, kept, source in _kept_blocks(code, profile, weights, labels, fourier_t[:, 0]):
         norm_sq += float(np.vdot(column, column).real)
         accepted.reshape(-1)[source] = kept
         del column, kept, source  # before the next block's are built
+    del labels
     norm = math.sqrt(norm_sq)  # U' is fed each column times the transform's first column
-    norms = [norm, norm * float(np.linalg.norm(u_map._fourier_t[:, 0]))]
+    norms = [norm, norm * float(np.linalg.norm(fourier_t[:, 0]))]
 
     # step 3: measure the message copy, keep outcome 0, renormalize
     post_select_prob = float(np.vdot(accepted, accepted).real)
     accepted *= 1 / math.sqrt(post_select_prob)  # numpy's division by a real d, bit for bit
 
     # step 4: the adjoint returns each amplitude to (a, 0, t), then inverts
-    # the transform on T; the labels are freed first
-    inverse_t = u_map._fourier_t.conj()
-    del u_map
-    accepted = accepted @ inverse_t
+    # the transform on T
+    accepted = accepted @ fourier_t.conj()
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal

@@ -11,12 +11,14 @@ Reed-Solomon word by Lagrange interpolation, with no F_q elimination.
 probability at rho = 1/2 in its own closed form. `berlekamp_welch_batch`
 decodes a stack of words by one batched elimination, the oracle for the
 scalar `berlekamp_welch`. `dual_code` swaps a code's G and H.
-`diagonal_gammas` reads the decoder map's diagonal amplitudes off the
-reference engine's kept blocks. `direct_p_u` builds the accepted state F_u
-word by word, the oracle for the sweep's residual histogram. `full_image`
-and `apply_map` run the decoder map on the whole (A, B[, T]) register
-grid, and `dense_reduction` walks the five steps on it, the oracle for the
-reference engine, which stores only the amplitudes it keeps.
+`direct_p_u` builds the accepted state F_u word by word, the oracle for
+the sweep's residual histogram. `full_image` builds the decoder map's image
+of every basis state of the whole (A, B[, T]) register grid from its
+definition, with its own place values; `apply_map` runs the map on that
+grid with its own transform on T. On them `diagonal_gammas` reads the
+map's diagonal amplitudes, and `dense_reduction` walks the five steps, the
+oracle for the reference engine, which stores only the amplitudes it
+keeps. None of them reads the engine's labels or blocks.
 
 `MOVED_FROM_PACKAGE` names what left `cosetlab` for the tests under
 another name, or for one test module, so that `test_exports.py` also
@@ -25,17 +27,16 @@ catches a copy left behind in the package.
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from cosetlab.codes import LinearCode, rs_code, solve_batch
 from cosetlab.galois import all_vectors, fourier_transform, index_of_vector, vector_of_index
-from cosetlab.qsim import DecoderMap, _kept_blocks
 
 MOVED_FROM_PACKAGE = (
     "cosetlab.codes.LinearCode.dual",
-    "cosetlab.qsim.DecoderMap.apply",
+    "cosetlab.qsim.DecoderMap",  # with its `apply`, which moved here first
     "cosetlab.decode._BaseDecoder.decode",
     "cosetlab.noise.ConstraintSet.contains",
     "cosetlab.noise.ConstraintSet.count",
@@ -179,59 +180,87 @@ def dual_code(code) -> LinearCode:
     return LinearCode(code.q, code.H, code.G)
 
 
-def diagonal_gammas(u_map, profile) -> np.ndarray:
-    """gamma_{s,s} = norm of the B=s block of U(|psi_s>|0>[|0>_T]), for
-    every message s, from the blocks the reference engine keeps."""
-    return np.array([float(np.linalg.norm(kept)) for _, _, kept, _
-                     in _kept_blocks(u_map, profile, np.ones(u_map.shape[1]))])
+def grid_shape(code, symmetrized) -> tuple[int, ...]:
+    """(A, B[, T]) register shape of the decoder map: T holds a message
+    shift when symmetrized, and the plain map has none."""
+    q, n, k = code.q, code.n, code.k
+    return (q**n, q**k) + ((q**k,) if symmetrized else ())
 
 
-def full_image(u_map) -> np.ndarray:
-    """Flat image index of every basis state (a, b, t), in the order of
-    `u_map.shape`: U' moves B by b, so (a, b, t) goes where (a, 0, t) goes
-    with its B label s moved to b + s."""
-    q, k, width = u_map.code.q, u_map.code.k, u_map.width
-    image, labels = (v.reshape(-1, 1, width) for v in (u_map.image, u_map.labels))
-    messages = u_map.code.messages()
-    moved = (messages[:, None, :] + messages[labels]) % q @ place_values(q, k)
-    return (image + (moved - labels) * width).reshape(-1)
+def full_image(decoder, symmetrized) -> np.ndarray:
+    """Flat index of the image of every basis state (a, b, t) past the
+    transform on T, in (A, B[, T]) order, from the definition
+    |a, b, t> -> |a + tG, b + D(a + tG) - t, t> (|a, b> -> |a, b + D(a)>
+    plain): words and messages from `all_vectors`, D from the table."""
+    code = decoder.code
+    q, n, k = code.q, code.n, code.k
+    words, messages = all_vectors(q, n), all_vectors(q, k)
+    shape = (q**n, q**k, q**k if symmetrized else 1)  # plain: the one shift t = 0
+    a, b, t = (v.reshape(-1) for v in np.indices(shape))
+    a_new = (words[a] + messages[t] @ code.G) % q @ place_values(q, n)
+    b_new = ((messages[b] + messages[decoder.table()[a_new]] - messages[t]) % q
+             @ place_values(q, k))
+    return np.ravel_multi_index((a_new, b_new, t), shape)
 
 
-def apply_map(u_map, state, adjoint=False) -> np.ndarray:
-    """U' (or its adjoint) on a state of shape `u_map.shape`, or any
-    reshape of it: the transform on T, then the permutation that scatters
-    by `full_image`; the adjoint gathers by it and inverts the transform."""
-    image, width = full_image(u_map), u_map.width
+def apply_map(decoder, symmetrized, state, adjoint=False) -> np.ndarray:
+    """U' (or its adjoint) on a state of shape `grid_shape`, or any reshape
+    of it: the transform on T, the Kronecker product of the field's
+    transform over T's k coordinates, then the permutation that scatters by
+    `full_image`; the adjoint gathers by it and inverts the transform."""
+    code = decoder.code
+    image = full_image(decoder, symmetrized)
+    fourier_t = reduce(np.kron, [code.field.fourier_matrix] * (code.k if symmetrized else 0),
+                       np.ones((1, 1)))
+    width = len(fourier_t)
     if adjoint:
-        out = state.reshape(-1)[image].reshape(-1, width) @ u_map._fourier_t.conj()
+        out = state.reshape(-1)[image].reshape(-1, width) @ fourier_t.conj()
     else:
         out = np.empty(state.size, dtype=np.complex128)
-        out[image] = (state.reshape(-1, width) @ u_map._fourier_t.T).reshape(-1)
+        out[image] = (state.reshape(-1, width) @ fourier_t.T).reshape(-1)
     return out.reshape(state.shape)
+
+
+def _mapped_blocks(decoder, symmetrized, profile, weights):
+    """(s, U' w_s |psi_s>_A |0>_B [|0>_T]) for every message s, on the
+    whole grid, with psi_s(y) = f(y - sG) read off the profile's
+    amplitudes."""
+    code = decoder.code
+    q, n, k = code.q, code.n, code.k
+    words, amplitudes = all_vectors(q, n), profile.amplitudes()
+    for s_idx, codeword in enumerate(all_vectors(q, k) @ code.G % q):
+        block = np.zeros(grid_shape(code, symmetrized), dtype=np.complex128)
+        block.reshape(q**n, q**k, -1)[:, 0, 0] = (
+            weights[s_idx] * amplitudes[(words - codeword) % q @ place_values(q, n)])
+        yield s_idx, apply_map(decoder, symmetrized, block).reshape(q**n, q**k, -1)
+
+
+def diagonal_gammas(decoder, symmetrized, profile) -> np.ndarray:
+    """gamma_{s,s} = norm of the B=s block of U'(|psi_s>|0>[|0>_T]), for
+    every message s."""
+    ones = np.ones(decoder.code.q**decoder.code.k)
+    return np.array([float(np.linalg.norm(mapped[:, s_idx]))
+                     for s_idx, mapped in _mapped_blocks(decoder, symmetrized, profile, ones)])
 
 
 def dense_reduction(decoder, u, constraint, symmetrized) -> tuple[float, float, float]:
     """(p_u, post_select_prob, marginal_mass) of the five steps on the
-    whole (A, B[, T]) state: each prepared block w_s |psi_s>|0>_B[|0>_T],
-    with psi_s(y) = f(y - sG) read off the profile's amplitudes, is mapped
-    in full by `apply_map`, and its B = s slice is kept in a zeroed state;
-    then the adjoint map and the transform of A on every (B, T) entry."""
-    code, profile = decoder.code, constraint.profile
+    whole (A, B[, T]) state: each prepared block w_s |psi_s>|0>_B[|0>_T]
+    is mapped in full by `apply_map`, and its B = s slice is kept in a
+    zeroed state; then the adjoint map and the transform of A on every
+    (B, T) entry."""
+    code = decoder.code
     q, n, k = code.q, code.n, code.k
     u = np.asarray(u, dtype=np.int64) % q
-    u_map = DecoderMap(decoder, symmetrized)
-    words, amplitudes = all_vectors(q, n), profile.amplitudes()
-    weights = np.exp(-2j * np.pi * (code.messages() @ u % q) / q) / math.sqrt(q**k)
-    accepted = np.zeros((q**n, q**k, u_map.width), dtype=np.complex128)
-    for s_idx, codeword in enumerate(code.codewords()):
-        block = np.zeros_like(accepted)
-        block[:, 0, 0] = weights[s_idx] * amplitudes[(words - codeword) % q @ place_values(q, n)]
-        accepted[:, s_idx] = apply_map(u_map, block)[:, s_idx]
+    weights = np.exp(-2j * np.pi * (all_vectors(q, k) @ u % q) / q) / math.sqrt(q**k)
+    accepted = np.zeros(grid_shape(code, symmetrized), dtype=np.complex128)
+    for s_idx, mapped in _mapped_blocks(decoder, symmetrized, constraint.profile, weights):
+        accepted.reshape(q**n, q**k, -1)[:, s_idx] = mapped[:, s_idx]
     post_select_prob = float(np.vdot(accepted, accepted).real)
     accepted /= math.sqrt(post_select_prob)
-    final = fourier_transform(code.field, apply_map(u_map, accepted, adjoint=True))
+    final = fourier_transform(code.field, apply_map(decoder, symmetrized, accepted, adjoint=True))
     marginal = (np.abs(final) ** 2).reshape(q**n, -1).sum(axis=1)
-    on_coset = (words @ code.G.T % q == u).all(axis=1)
+    on_coset = (all_vectors(q, n) @ code.G.T % q == u).all(axis=1)
     p_u = float(marginal[constraint.membership_mask() & on_coset].sum())
     return p_u, post_select_prob, float(marginal.sum())
 

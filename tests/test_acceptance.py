@@ -23,7 +23,7 @@ from cosetlab.noise import (ConstraintSet, build_profile,
                             random_sets_profile, tail_mass)
 from cosetlab.opi import brute_force_icc, brute_force_opi, generate_instance, \
     icc_to_opi, opi_to_icc
-from cosetlab.qsim import DecoderMap, run_reduction_sweep, verify_bound
+from cosetlab.qsim import run_reduction_sweep, verify_bound
 from cosetlab.thresholds import ThresholdQuery, table1, tau_max
 from oracles import (berlekamp_welch_batch, binary_threshold, diagonal_gammas, dual_code,
                      roll_per_message_success)
@@ -147,7 +147,7 @@ def test_criterion_05_symmetrized_diagonal_uniform():
     table[7] = 1
     decoder = TableDecoder(code, table)
     profile = build_profile(2, 3, [(0,)] * 3, 0.8)
-    gammas = diagonal_gammas(DecoderMap(decoder, symmetrized=True), profile)
+    gammas = diagonal_gammas(decoder, True, profile)
     assert gammas.max() - gammas.min() <= 1e-10
     target = math.sqrt(per_message_success(decoder, profile).mean())
     assert np.max(np.abs(gammas - target)) <= 1e-10

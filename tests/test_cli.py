@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -79,6 +80,21 @@ def test_thresholds_output_deterministic(capsys):
 @pytest.mark.parametrize("what", [["table1"], ["curves", "--rho", "0.5", "--grid", "0.1:0.2:0.1"]])
 def test_thresholds_kv_q_not_prime_exits_2(capsys, what, kv_q):
     code, err = _exit_status(capsys, "thresholds", *what, "--kv-q", kv_q)
+    assert code == 2
+    assert "prime" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "table1", "--kv-q", "1000000000000000003"],
+    ["simulate", "--q", "1000000000000000003", "--n", "3", "--k", "1",
+     "--code", "random", "--tau", "0.7", "--ttilde", "0.5"],
+], ids=["kv-q", "simulate"])
+def test_huge_prime_modulus_exits_2_at_once(capsys, argv):
+    # 10^18 + 3 is prime: trial division up to its square root would run
+    # for hours, so a modulus of 2^31 or more is refused before it starts
+    start = time.perf_counter()
+    code, err = _exit_status(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "prime" in err and "Traceback" not in err
 

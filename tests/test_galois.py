@@ -30,6 +30,14 @@ def test_non_prime_rejected():
             PrimeField(bad)
 
 
+def test_modulus_at_or_above_2_31_rejected_before_primality_test():
+    # the largest accepted prime, then two primes trial division would not finish
+    assert PrimeField(2**31 - 1).q == 2**31 - 1
+    for huge in (2**61 - 1, 10**18 + 3):
+        with pytest.raises(ValueError, match="prime below 2\\^31"):
+            PrimeField(huge)
+
+
 def test_signed_representatives():
     field = PrimeField(7)
     assert sorted(field.centered_interval(2)) == [0, 1, 2, 5, 6]

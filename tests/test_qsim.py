@@ -14,11 +14,11 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
-from cosetlab.qsim import (DecoderMap, SweepResult, _kept_blocks, _reference_peak_bytes,
-                           _sweep_peak_bytes, run_reduction, run_reduction_sweep,
-                           success_lower_bound, verify_bound)
+from cosetlab.qsim import (SweepResult, _fourier_t, _kept_blocks, _labels,
+                           _reference_peak_bytes, _sweep_peak_bytes, run_reduction,
+                           run_reduction_sweep, success_lower_bound, verify_bound)
 from oracles import (apply_map, dense_reduction, diagonal_gammas, direct_p_u, full_image,
-                     place_values)
+                     grid_shape)
 
 REP3 = LinearCode(2, np.array([[1, 1, 1]]))
 
@@ -39,26 +39,23 @@ def _random_state(shape, seed):
 def test_decoder_unitary_action_on_basis_states():
     # oracle: |y>|t> must land exactly on |y>|t + D(y)>
     decoder = BruteForceNearestDecoder(REP3)
-    unitary = DecoderMap(decoder)
     for y_idx in range(8):
         for t in range(2):
             state = np.zeros((8, 2), dtype=np.complex128)
             state[y_idx, t] = 1.0
-            out = apply_map(unitary, state)
-            target = (t + unitary.table[y_idx]) % 2
+            out = apply_map(decoder, False, state)
+            target = (t + decoder.table()[y_idx]) % 2
             assert out[y_idx, target] == 1.0
             assert np.count_nonzero(out) == 1
 
 
 @pytest.mark.parametrize("sym", [False, True])
 def test_unitary_preserves_norm_and_adjoint_inverts(sym):
-    code = rs_code(3, 1)
-    unitary = DecoderMap(BruteForceNearestDecoder(code), symmetrized=sym)
-    assert unitary.shape == ((27, 3, 3) if sym else (27, 3))  # (A, B[, T])
-    state = _random_state(unitary.shape, seed=11)
-    forward = apply_map(unitary, state)
+    decoder = BruteForceNearestDecoder(rs_code(3, 1))
+    state = _random_state((27, 3, 3) if sym else (27, 3), seed=11)  # (A, B[, T])
+    forward = apply_map(decoder, sym, state)
     assert np.linalg.norm(forward) == pytest.approx(1.0, abs=1e-12)
-    back = apply_map(unitary, forward, adjoint=True)
+    back = apply_map(decoder, sym, forward, adjoint=True)
     assert np.max(np.abs(back - state)) < 1e-12
 
 
@@ -66,30 +63,23 @@ def test_unitary_preserves_norm_and_adjoint_inverts(sym):
 @given(st.sampled_from([(2, 3, 1), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 4, 1)]),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_gather_follows_definition_on_basis_states(shape, seed):
-    # both maps are unitary with adjoint inverse, and past the transform on
-    # T each image index sends |a, b> to |a, b + D(a)> and |a, b, t> to
-    # |a + tG, b + D(a + tG) - t, t>, in place values of its own
+    # the oracle's maps, built from the definition, are unitary with adjoint
+    # inverse; the engine's label of (a, t) is the B coordinate of the
+    # oracle's image of (a, 0, t), D(a + tG) - t, plain (t = 0) and symmetrized
     q, n, k = shape
     rng = np.random.default_rng(seed)
-    code = random_code(q, n, k, seed=seed)
-    decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
-    words, msgs = all_vectors(q, n), all_vectors(q, k)
+    decoder = TableDecoder(random_code(q, n, k, seed=seed), rng.integers(0, q**k, size=q**n))
     for sym in (False, True):
-        u_map = DecoderMap(decoder, symmetrized=sym)
-        x = _random_state(u_map.shape, seed=seed % 1000)
-        y = _random_state(u_map.shape, seed=seed % 1000 + 1)
-        forward = apply_map(u_map, x)
-        inner = np.vdot(y, forward) - np.vdot(apply_map(u_map, y, adjoint=True), x)
+        x = _random_state(grid_shape(decoder.code, sym), seed=seed % 1000)
+        y = _random_state(x.shape, seed=seed % 1000 + 1)
+        forward = apply_map(decoder, sym, x)
+        inner = np.vdot(y, forward) - np.vdot(apply_map(decoder, sym, y, adjoint=True), x)
         assert abs(inner) <= 1e-12
         assert abs(np.linalg.norm(forward) - 1.0) <= TOL.unitarity
-        assert np.max(np.abs(apply_map(u_map, forward, adjoint=True) - x)) <= TOL.unitarity
-        shape = u_map.shape if sym else u_map.shape + (1,)  # plain: the one shift t = 0
-        a, b, t = (v.reshape(-1) for v in np.indices(shape))
-        a_new = (words[a] + msgs[t] @ code.G) % q @ place_values(q, n)
-        b_new = (msgs[b] + msgs[decoder.table()[a_new]] - msgs[t]) % q @ place_values(q, k)
-        target = np.ravel_multi_index((a_new, b_new, t), shape)
-        assert np.array_equal(full_image(u_map), target)
-        assert np.array_equal(u_map.image, target.reshape(shape)[:, 0].reshape(-1))
+        assert np.max(np.abs(apply_map(decoder, sym, forward, adjoint=True) - x)) <= TOL.unitarity
+        image = full_image(decoder, sym).reshape(q**n, q**k, -1)[:, 0]  # of each (a, 0, t)
+        b_of_image = np.unravel_index(image, (q**n, q**k, image.shape[1]))[1]
+        assert np.array_equal(_labels(decoder, sym), b_of_image)
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,49 +97,27 @@ def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
     profile = random_sets_profile(q, n, int(rng.integers(1, q)), 0.8, seed=seed)
     weights = np.exp(2j * np.pi * rng.random(q**k)) / math.sqrt(q**k)
     for sym in (False, True):
-        u_map = DecoderMap(decoder, symmetrized=sym)
-        accepted = np.zeros(u_map.shape, dtype=np.complex128)
-        expected = np.zeros(u_map.shape, dtype=np.complex128)
-        writes = np.zeros(q**n * u_map.width, dtype=np.int64)
-        for s_idx, column, kept, source in _kept_blocks(u_map, profile, weights):
-            target = u_map.image[source]
-            assert np.all(np.unravel_index(target, u_map.shape)[1] == s_idx)
+        shape = grid_shape(code, sym)
+        labels, fourier_t = _labels(decoder, sym), _fourier_t(code.field, k if sym else 0)
+        width = labels.shape[1]
+        image = full_image(decoder, sym).reshape(q**n, q**k, width)[:, 0].reshape(-1)
+        accepted = np.zeros(shape, dtype=np.complex128)
+        expected = np.zeros(shape, dtype=np.complex128)
+        writes = np.zeros(q**n * width, dtype=np.int64)
+        for s_idx, column, kept, source in _kept_blocks(code, profile, weights, labels,
+                                                        fourier_t[:, 0]):
+            target = image[source]
+            assert np.all(np.unravel_index(target, (q**n, q**k, width))[1] == s_idx)
             accepted.reshape(-1)[target] = kept
             np.add.at(writes, source, 1)
-            block = np.zeros(u_map.shape, dtype=np.complex128)
+            block = np.zeros(shape, dtype=np.complex128)
             block.reshape(q**n, q**k, -1)[:, 0, 0] = column
-            mapped = apply_map(u_map, block).reshape(q**n, q**k, -1)
+            mapped = apply_map(decoder, sym, block).reshape(q**n, q**k, -1)
             expected.reshape(q**n, q**k, -1)[:, s_idx] = mapped[:, s_idx]
-            fed = (block.reshape(-1, u_map.width) @ u_map._fourier_t.T)[::q**k]
+            fed = (block.reshape(-1, width) @ fourier_t.T)[::q**k]
             assert np.array_equal(kept, fed.reshape(-1)[source])
         assert np.all(writes == 1)
         assert np.array_equal(accepted, expected)
-
-
-def test_non_permutation_gather_is_rejected(monkeypatch):
-    # two states sent to one image, or one sent out of range (a negative
-    # index would wrap): U' would not keep the norm, so the index is
-    # refused before any block is read through it. The index covers the
-    # B = 0 slice, q^k times smaller than the grid it points into
-    decoder = BruteForceNearestDecoder(rs_code(3, 1))
-    profile = interval_profile(3, 3, 0, 0.7)
-    assert DecoderMap(decoder, symmetrized=True).image.size == 3**4
-    true_index = DecoderMap._image_index
-    for corrupt in (lambda index: index[0], lambda index: -1, lambda index: index.size * 3):
-        def broken(self):
-            index = true_index(self)
-            index[1] = corrupt(index)
-            return index
-
-        monkeypatch.setattr(DecoderMap, "_image_index", broken)
-        for sym in (False, True):
-            with pytest.raises(ValueError, match="permutation"):
-                DecoderMap(decoder, symmetrized=sym).image
-            with pytest.raises(ValueError, match="permutation"):
-                diagonal_gammas(DecoderMap(decoder, symmetrized=sym), profile)
-            with pytest.raises(ValueError, match="permutation"):
-                run_reduction(decoder, np.array([1]), ConstraintSet(profile, 0.4),
-                              force_symmetrize=sym)
 
 
 def test_gamma_diagonal_matches_success_probability():
@@ -157,7 +125,7 @@ def test_gamma_diagonal_matches_success_probability():
     code = rs_code(3, 2)
     profile = interval_profile(3, 3, 0, 0.7)
     decoder = BerlekampWelchDecoder(code)
-    gammas = diagonal_gammas(DecoderMap(decoder), profile)
+    gammas = diagonal_gammas(decoder, False, profile)
     p_s = per_message_success(decoder, profile)
     assert np.max(np.abs(gammas - np.sqrt(p_s))) < 1e-12
 
@@ -168,9 +136,9 @@ def test_symmetrized_gammas_uniform_sqrt_mean():
     table[7] = 1
     decoder = TableDecoder(REP3, table)
     profile = _rep3_profile()
-    raw = diagonal_gammas(DecoderMap(decoder), profile)
+    raw = diagonal_gammas(decoder, False, profile)
     assert raw.max() - raw.min() > 0.1  # base diagonal is genuinely uneven
-    sym = diagonal_gammas(DecoderMap(decoder, symmetrized=True), profile)
+    sym = diagonal_gammas(decoder, True, profile)
     assert sym.max() - sym.min() < 1e-12
     p_s = per_message_success(decoder, profile)
     assert sym[0] == pytest.approx(math.sqrt(p_s.mean()), abs=1e-12)
@@ -180,8 +148,8 @@ def test_symmetrization_keeps_equivariant_gammas():
     # repetition + nearest is already shift-covariant; gamma' == gamma
     decoder = BruteForceNearestDecoder(REP3)
     profile = _rep3_profile()
-    assert np.max(np.abs(diagonal_gammas(DecoderMap(decoder, symmetrized=True), profile)
-                         - diagonal_gammas(DecoderMap(decoder), profile))) < 1e-12
+    assert np.max(np.abs(diagonal_gammas(decoder, True, profile)
+                         - diagonal_gammas(decoder, False, profile))) < 1e-12
 
 
 # ---- the bound ---------------------------------------------------------------
@@ -281,32 +249,19 @@ def test_reference_matches_sweep_on_readme_example():
         assert direct.max_norm_drift <= TOL.unitarity
 
 
-def test_plain_reference_matches_sweep_at_q7():
-    # rs(7,1), BW, interval:2, tau 0.7, ttilde 0.5: the plain map stores
-    # 7^7 amplitudes, one per received word, so the literal engine checks
-    # the sweep's histogram at q = 7
+@pytest.mark.parametrize("force", [False, True])
+def test_reference_matches_sweep_at_q7(force):
+    # rs(7,1), BW, interval:2, tau 0.7, ttilde 0.5, so the literal engine
+    # checks the sweep's histogram at q = 7: the plain map stores 7^7
+    # amplitudes, one per received word; U', forced (BW's p_s agree here),
+    # stores 7^8, one per (received word, shift), within the default budget
     decoder = BerlekampWelchDecoder(rs_code(7, 1))
     constraint = ConstraintSet(interval_profile(7, 7, 2, 0.7), 0.5)
     swept = run_reduction_sweep(decoder, [constraint])[0]
     for u_idx in np.random.default_rng(2026).choice(7, size=3, replace=False):
         direct = run_reduction(decoder, vector_of_index(int(u_idx), 7, 1), constraint,
-                               force_symmetrize=False)
-        assert not direct.symmetrized and swept[u_idx].u == direct.u
-        assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
-        assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
-        assert direct.max_norm_drift <= TOL.unitarity
-
-
-def test_symmetrized_reference_matches_sweep_at_q7():
-    # the same runs through U', forced (BW's p_s agree here): 7^8
-    # amplitudes, one per (received word, shift), within the default budget
-    decoder = BerlekampWelchDecoder(rs_code(7, 1))
-    constraint = ConstraintSet(interval_profile(7, 7, 2, 0.7), 0.5)
-    swept = run_reduction_sweep(decoder, [constraint])[0]
-    for u_idx in np.random.default_rng(2026).choice(7, size=3, replace=False):
-        direct = run_reduction(decoder, vector_of_index(int(u_idx), 7, 1), constraint,
-                               force_symmetrize=True)
-        assert direct.symmetrized and swept[u_idx].u == direct.u
+                               force_symmetrize=force)
+        assert direct.symmetrized == force and swept[u_idx].u == direct.u
         assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
         assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
         assert direct.max_norm_drift <= TOL.unitarity
