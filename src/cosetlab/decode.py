@@ -202,60 +202,81 @@ class BerlekampWelchDecoder(_BaseDecoder):
         return table
 
 
-def _mismatch_counts(q: int, columns: np.ndarray) -> np.ndarray:
-    """counts[y, s] = #{i : y_i != columns[s, i]} for every y in F_q^m, in
-    index order, as uint8: one broadcast add per coordinate, least
-    significant first."""
-    counts = np.zeros((1, columns.shape[0]), dtype=np.uint8)
-    residues = np.arange(q)[:, None]
-    for i in range(columns.shape[1] - 1, -1, -1):
-        counts = ((residues != columns[:, i])[:, None, :] + counts[None, :, :]).reshape(
-            -1, columns.shape[0])
-    return counts
-
-
-def _prefix_rows(mismatch: list[np.ndarray], base: np.ndarray):
-    """Yield base + sum_i mismatch[i][y_i] for every y in F_q^m, in index
+def _prefix_rows(flags: list[np.ndarray], base: np.ndarray):
+    """Yield base + sum_i flags[i][y_i] for every y in F_q^m, in index
     order, one row at a time from one partial sum per coordinate."""
-    if len(mismatch) == 0:
+    if len(flags) == 0:
         yield base
         return
-    for row in mismatch[0]:
-        yield from _prefix_rows(mismatch[1:], base + row)
+    for row in flags[0]:
+        yield from _prefix_rows(flags[1:], base + row)
 
 
-def _nearest_low(q: int, n: int, k: int) -> int:
-    """Low coordinates tabulated at once: q^low x q^k uint8 counts within 4 MiB."""
-    return max((m for m in range(n + 1) if q ** (m + k) <= 1 << 22), default=0)
+def _nearest_low(q: int, n: int, k: int) -> tuple[int, np.dtype | None]:
+    """Low coordinates tabulated at once, and the dtype of their keys.
+
+    A block of q^k x q^low keys d * q^k + s, in the smallest unsigned dtype
+    that holds (n + 1) q^k - 1, within 4 MiB. Where that block would have
+    q^k > q^low, keys cost more than they save: the dtype is None, and the
+    block is q^low x q^k uint8 counts within 4 MiB."""
+    key = np.min_scalar_type((n + 1) * q**k - 1)
+    for dtype, width in ((key, key.itemsize), (None, 1)):
+        low = max((m for m in range(n + 1) if width * q ** (m + k) <= 1 << 22), default=0)
+        if dtype is None or k <= low:
+            return low, dtype
 
 
 class BruteForceNearestDecoder(_BaseDecoder):
-    """Nearest-codeword decoder by exhaustive enumeration (always succeeds)."""
+    """Nearest-codeword decoder by exhaustive enumeration (always succeeds).
+    Ties break to the smallest message index: D(y) is the least s among the
+    codewords c_s nearest to y, as in `brute_force_nearest`."""
 
     def _build_bytes(self) -> int:
         """Peak bytes of the table build: the table as q^n 16-byte
-        amplitudes, two q^low x q^k uint8 count blocks, (25 + q)n bytes per
-        message (codeword, partial sums, mismatch flags), the argmin row."""
+        amplitudes, two blocks of q^(low+k) keys or counts of w bytes each,
+        (24 + (q + 1)w)n bytes per message (codeword, partial sums,
+        mismatch flags), the reduced row; 64 KiB of overhead."""
         q, n, k = self.code.q, self.code.n, self.code.k
-        low = _nearest_low(q, n, k)
-        return 16 * q**n + 2 * q ** (low + k) + (25 + q) * n * q**k + 8 * q**low
+        low, key = _nearest_low(q, n, k)
+        w = 1 if key is None else key.itemsize
+        return (16 * q**n + 2 * w * q ** (low + k) + (24 + (q + 1) * w) * n * q**k
+                + 8 * q**low + 2**16)
 
     def _build_table(self) -> np.ndarray:
-        """Distances split at a coordinate: the low coordinates' mismatch
-        counts are tabulated once, and each high prefix adds its own row,
-        so the build holds at most `_build_bytes`. argmin breaks ties to
-        the smallest message index, as `brute_force_nearest` does."""
+        """Distances split at a coordinate: the low coordinates' block is
+        tabulated once, and each high prefix adds its own row, so the build
+        holds at most `_build_bytes`. A block of keys d * q^k + s is reduced
+        by one elementwise minimum per message; the least key has the least
+        distance d and then the least s, so it is D(y) mod q^k. Where
+        q^k > q^low, each low word's row of uint8 counts goes to argmin,
+        whose first minimum is the same message."""
         code = self.code
         q, n, k = code.q, code.n, code.k
-        codewords = code.codewords()
-        low = _nearest_low(q, n, k)
-        low_counts = _mismatch_counts(q, codewords[:, n - low:])
-        mismatch = [_mismatch_counts(q, codewords[:, [i]]) for i in range(n - low)]
-        rows = _prefix_rows(mismatch, np.zeros(q**k, dtype=np.uint8))
-        block = np.empty_like(low_counts)
+        low, key = _nearest_low(q, n, k)
+        dtype, weight = (np.uint8, 1) if key is None else (key, q**k)
+        flags = [(np.arange(q)[:, None] != column).astype(dtype) * weight
+                 for column in code.codewords().T]
+        zeros = np.zeros(q**k, dtype=dtype)
         out = np.empty((q ** (n - low), q**low), dtype=np.int64)
+        rows = _prefix_rows(flags[:n - low], zeros)
+        # the low block, one broadcast add per coordinate, least significant
+        # first: counts[y, s] for argmin, keys[s, y] for the minimum
+        if key is None:
+            counts = zeros[None, :]
+            for flag in reversed(flags[n - low:]):
+                counts = (flag[:, None, :] + counts[None, :, :]).reshape(-1, q**k)
+            block = np.empty_like(counts)
+            for prefix, row in enumerate(rows):
+                out[prefix] = np.add(counts, row, out=block).argmin(axis=1)
+            return out.reshape(-1)
+        keys = np.arange(q**k, dtype=key)[:, None]
+        for flag in reversed(flags[n - low:]):
+            keys = (np.ascontiguousarray(flag.T)[:, :, None] + keys[:, None, :]).reshape(q**k, -1)
+        block = np.empty_like(keys) if low < n else None
+        best = np.empty(q**low, dtype=key)
         for prefix, row in enumerate(rows):
-            out[prefix] = np.add(low_counts, row, out=block).argmin(axis=1)
+            summed = keys if block is None else np.add(keys, row[:, None], out=block)
+            np.remainder(np.minimum.reduce(summed, axis=0, out=best), q**k, out=out[prefix])
         return out.reshape(-1)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cosetlab.codes import random_code, rs_code
 from cosetlab.config import BudgetError
 from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
-                             TableDecoder, berlekamp_welch, brute_force_nearest,
-                             per_message_success)
+                             TableDecoder, _nearest_low, berlekamp_welch,
+                             brute_force_nearest, per_message_success)
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import build_profile, interval_profile, random_sets_profile
 from oracles import (berlekamp_welch_batch, interpolation_nearest, place_values,
@@ -135,24 +135,42 @@ def test_bw_table_equals_nearest_within_radius_oracle(q):
         assert np.array_equal(BerlekampWelchDecoder(code).table(), want), k
 
 
-def test_nearest_table_equals_scalar_search_on_tie_heavy_code():
-    # a [4,2]_3 code has minimum distance at most 3, so ties are common
-    code = random_code(3, 4, 2, seed=0)
+def _assert_nearest_table_on_every_word(code, min_ties):
+    # many words have several nearest codewords, so the smallest-message rule
+    # is checked on each of them against the scalar search
     table = BruteForceNearestDecoder(code).table()
     radix = place_values(code.q, code.k)
-    dists = (all_vectors(3, 4)[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
-    assert np.sum((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 20
-    for idx, y in enumerate(all_vectors(3, 4)):
+    words = all_vectors(code.q, code.n)
+    dists = (words[:, None, :] != code.codewords()[None, :, :]).sum(axis=2)
+    assert np.sum((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1) > min_ties
+    for idx, y in enumerate(words):
         assert table[idx] == int(brute_force_nearest(code, y) @ radix)
 
 
-@pytest.mark.parametrize("code", [rs_code(7, 3), random_code(3, 12, 6, seed=1)],
-                         ids=["rs(7,3)", "random[12,6]_3"])
-def test_nearest_table_splits_beyond_the_count_block(code):
-    # q^(n+k) counts exceed one 4 MiB block, so high prefixes add their own
-    # rows (3 and 5 high coordinates here); sampled words against the scalar
-    # search, which breaks ties the same way
+def test_nearest_table_equals_scalar_search_on_tie_heavy_code():
+    # a [4,2]_3 code has minimum distance at most 3, so ties are common
+    _assert_nearest_table_on_every_word(random_code(3, 4, 2, seed=0), 20)
+
+
+def test_nearest_table_with_uint16_keys_equals_scalar_search_on_every_word():
+    # [6,4]_3: (n + 1) q^k = 567 keys need uint16, and with minimum distance
+    # at most 3 most words tie
+    code = random_code(3, 6, 4, seed=0)
+    assert _nearest_low(3, 6, 4) == (6, np.uint16)
+    _assert_nearest_table_on_every_word(code, 300)
+
+
+@pytest.mark.parametrize("code, argmin", [
+    (rs_code(7, 3), False), (random_code(3, 12, 6, seed=1), False),
+    (random_code(3, 9, 7, seed=0), True)],
+    ids=["rs(7,3)", "random[12,6]_3", "random[9,7]_3"])
+def test_nearest_table_splits_beyond_the_count_block(code, argmin):
+    # q^(n+k) entries exceed one 4 MiB block, so high prefixes add their own
+    # rows (3, 5 and 3 high coordinates here); sampled words against the
+    # scalar search, which breaks ties the same way. [9,7]_3 has
+    # q^k = 2187 > q^low = 729, so its rows go to argmin, not to keys
     assert code.q ** (code.n + code.k) > 1 << 22
+    assert (_nearest_low(code.q, code.n, code.k)[1] is None) == argmin
     table = BruteForceNearestDecoder(code).table()
     radix = place_values(code.q, code.k)
     rng = np.random.default_rng(3)
@@ -164,10 +182,12 @@ def test_nearest_table_splits_beyond_the_count_block(code):
 @pytest.mark.parametrize("decoder_class, q, k", [
     (BerlekampWelchDecoder, 5, 3), (BerlekampWelchDecoder, 7, 3),
     (BerlekampWelchDecoder, 7, 5), (BruteForceNearestDecoder, 5, 3),
-    (BruteForceNearestDecoder, 5, 4)])
+    (BruteForceNearestDecoder, 5, 4), (BruteForceNearestDecoder, 7, 1),
+    (BruteForceNearestDecoder, 7, 4)])
 def test_table_build_within_its_stated_peak(decoder_class, q, k):
     # each decoder states its build's peak; one amplitude less is refused
-    # before anything is allocated, and the build traces at most the statement
+    # before anything is allocated, and the build traces at most the statement.
+    # Nearest rs(7,1) splits a uint8 key block; rs(7,4) reduces by argmin
     decoder = decoder_class(rs_code(q, k))
     need = -(-decoder._build_bytes() // 16)
     tracemalloc.start()
