@@ -10,8 +10,8 @@ Subpackages:
   sets, exact tail masses, fourth-power sums and their lower bound.
 - `decode`: Berlekamp-Welch half-distance decoding plus brute-force
   oracles, decode tables, exact per-message success probabilities.
-- `qsim`: dense simulation of the decoder-driven reduction, its
-  symmetrization, and the success-probability lower bound.
+- `qsim`: dense simulation of the decoder-driven reduction under the
+  plain decoder map, and the success-probability lower bound.
 - `thresholds`: maximal tolerable error fractions per decoding strategy,
   reference table and curve emitters.
 - `opi`: offset polynomial satisfaction instances and the equivalence

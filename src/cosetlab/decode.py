@@ -232,15 +232,15 @@ class BruteForceNearestDecoder(_BaseDecoder):
     codewords c_s nearest to y, as in `brute_force_nearest`."""
 
     def _build_bytes(self) -> int:
-        """Peak bytes of the table build: the table as q^n 16-byte
-        amplitudes, two blocks of q^(low+k) keys or counts of w bytes each,
-        (24 + (q + 1)w)n bytes per message (codeword, partial sums,
-        mismatch flags), the reduced row; 64 KiB of overhead."""
+        """Peak bytes of the table build: the int64 table, two blocks of
+        q^(low+k) keys or counts of w bytes each, (24 + (q + 1)w)n bytes per
+        message (codeword, partial sums, mismatch flags), the reduced row;
+        32 KiB of overhead."""
         q, n, k = self.code.q, self.code.n, self.code.k
         low, key = _nearest_low(q, n, k)
         w = 1 if key is None else key.itemsize
-        return (16 * q**n + 2 * w * q ** (low + k) + (24 + (q + 1) * w) * n * q**k
-                + 8 * q**low + 2**16)
+        return (8 * q**n + 2 * w * q ** (low + k) + (24 + (q + 1) * w) * n * q**k
+                + 8 * q**low + 2**15)
 
     def _build_table(self) -> np.ndarray:
         """Distances split at a coordinate: the low coordinates' block is
@@ -312,9 +312,10 @@ def per_message_success(decoder: _BaseDecoder, profile: ErrorProfile) -> np.ndar
     The word y = sG + e decodes to s exactly when e = y - D(y)G, so
     p_s = sum_{y : D(y) = s} P(y - D(y)G): one pass over the table. This is
     the classical shadow of the decoder map's diagonal amplitudes: the
-    simulator uses it to decide whether symmetrization is needed. p_0 is
-    the success probability of the all-zeros message, and equals every
-    p_s when the decoder commutes with codeword shifts.
+    simulator reports from it whether the success bound's proof needs the
+    symmetrized map, and runs the plain map either way. p_0 is the success
+    probability of the all-zeros message, and equals every p_s when the
+    decoder commutes with codeword shifts.
     """
     code = decoder.code
     if profile.n != code.n or profile.q != code.q:

@@ -5,46 +5,43 @@ profile f, a total deterministic decoder D, and a target dual syndrome u:
 
 1. prepare (1/sqrt(q^k)) sum_s chi_{-u}(s) |psi_s>_A |0>_B |s>_C with
    |psi_s> = sum_e f(e) |sG + e>,
-2. apply the decoder map U: |y>_A |t>_B -> |y>_A |t + D(y)>_B (or its
-   symmetrized form, see below), then subtract B from C,
+2. apply the decoder map U: |y>_A |t>_B -> |y>_A |t + D(y)>_B, then
+   subtract B from C,
 3. measure C, keep the outcome 0 (probability recorded; the retry loop is
    replaced by exact conditioning on the accepting branch),
 4. apply U's adjoint,
 5. Fourier-transform register A and read its outcome distribution.
 
 The success figure p_u is the final A-mass on the dual coset of u
-intersected with the constraint set T.
+intersected with the constraint set T. Every dense index, of registers,
+residuals and dual syndromes, comes from `galois.index_of_vector`.
 
-Symmetrization: when the decoder's per-message success probabilities p_s
-are not all equal (the all-zeros failure sentinel breaks shift covariance),
-U is replaced by U' on (A, B, T): Fourier-superpose a shift t on T, add tG
-to A, run U, subtract t from B. U' has uniform diagonal amplitudes
-sqrt(mean_s p_s), which the success-bound machinery requires. U is U'
-with a one-entry T, so one pair of arrays runs both: the transform on T
-(`_fourier_t`), and the label s = D(a + tG) - t of each (a, t)
-(`_labels`), the B coordinate of the image of (a, 0, t); past the
-transform U' moves B by b, so the labels fix it. Every dense index, of
-registers, residuals and dual syndromes, comes from
-`galois.index_of_vector`.
+The success bound's proof symmetrizes the decoder map when the decoder's
+per-message success probabilities p_s are not all equal (the all-zeros
+failure sentinel breaks shift covariance), so that its diagonal amplitudes
+are a uniform sqrt(mean_s p_s). Symmetrizing changes neither P_acc nor p_u
+(derivation in `run_reduction_sweep`), so both engines run U, and the
+`symmetrized` field of an outcome reports only whether the proof's rule, a
+spread of p_s above `TOL.gamma_spread`, calls for it. The tests build the
+symmetrized map from its definition and check that claim
+(`tests/oracles.py`).
 
 Two engines compute identical outcomes:
 
 - `run_reduction` walks the five steps literally for one syndrome (the
-  reference engine), checking norms at every step. U' never touches the
+  reference engine), checking norms at every step. U never touches the
   message copy C, so each C = s block evolves alone: it is one column,
-  w_s |psi_s> at B = 0 and T = 0, and it keeps only the positions of its
-  B = s slice, which keeping C = 0 keeps. Each (a, t) is kept by one
-  block, so the accepted state is one amplitude per (a, t), stored at its
-  source: O(q^(n+k)) memory symmetrized, O(q^n) plain.
+  w_s |psi_s> at B = 0, and it keeps only the words y with D(y) = s, the
+  ones U sends to its B = s slice, which keeping C = 0 keeps. Each y is
+  kept by one block, so the accepted state is one amplitude per received
+  word: O(q^n) memory.
 - `run_reduction_sweep` evaluates the closed form of the accepted state.
   Step 3 keeps exactly the branch s = D(y) and step 4 returns B to |0>, so
   register A holds F_u(y) = chi_{-u}(D(y)) f(y - D(y)G), normalized. On the
   dual coset of u, where p_u is read, its transform is that of f N, with
   N(e) = #{y : y - D(y)G = e} the residual histogram of the decoder table:
-  one q^n transform serves every syndrome, in O(q^n) memory.
-  Symmetrization changes the diagonal gammas but not P_acc or the A
-  marginal (derivation in `run_reduction_sweep`). Its result for each
-  constraint set is a `SweepResult`: every p_u as one array in
+  one q^n transform serves every syndrome, in O(q^n) memory. Its result
+  for each constraint set is a `SweepResult`: every p_u as one array in
   message-index order, and the values all syndromes share stored once.
   `verify_bound` compares the mean of that array with the bound.
 
@@ -65,7 +62,7 @@ import numpy as np
 from .codes import LinearCode
 from .config import TOL, require_budget
 from .decode import _BaseDecoder, _message_success, per_message_success, residual_index
-from .galois import PrimeField, fourier_transform, index_of_vector, vector_of_index
+from .galois import fourier_transform, index_of_vector, vector_of_index
 from .noise import ConstraintSet, ErrorProfile, tail_mass
 
 __all__ = [
@@ -86,54 +83,23 @@ INDEX_BYTES = 8
 # ---- the decoder map -----------------------------------------------------------
 
 
-def _labels(decoder: _BaseDecoder, symmetrized: bool) -> np.ndarray:
-    """U' as one (q^n, width) array: entry (a, t) is the B label
-    s = D(a + tG) - t of the image of (a, 0, t), the message block that
-    keeps it. width is q^k symmetrized and 1 plain, whose one shift is
-    t = 0. On the (A, T) grid: the index of a + tG, its table entry, then
-    s read off the messages' subtraction table."""
-    code = decoder.code
-    q, n, k = code.q, code.n, code.k
-    table = decoder.table()
-    if table.shape != (q**n,):
-        raise ValueError("decoder table must cover every received word")
-    axes = np.ogrid[(slice(q),) * (n + (k if symmetrized else 0))]
-    a, t = axes[:n], axes[n:]
-    lift = t or (0,) * k
-    a_image = [a_i + sum(t_j * g for t_j, g in zip(lift, column))
-               for a_i, column in zip(a, code.G.T)]
-    messages = code.messages()
-    shifts = np.arange(q**k if symmetrized else 1)  # T holds message t
-    minus = index_of_vector(np.moveaxis(messages[:, None] - messages[shifts], -1, 0), q)
-    return minus[table[index_of_vector(a_image, q).reshape(-1, shifts.size)], shifts]
-
-
-def _fourier_t(field: PrimeField, coords: int) -> np.ndarray:
-    """Unitary transform on T, the Kronecker product over its `coords`
-    coordinates: [[1]] for the plain map's one shift."""
-    return reduce(np.kron, [field.fourier_matrix] * coords, np.ones((1, 1)))
-
-
 def _kept_blocks(code: LinearCode, profile: ErrorProfile, weights: np.ndarray,
-                 labels: np.ndarray, first: np.ndarray):
+                 table: np.ndarray):
     """Yield (s, column, kept, source) for every message s, one block at a
-    time. The block w_s |psi_s>_A |0>_B |0>_T is one column of shape
-    (q^n,), and U' is fed it past the transform on T: column times the
-    transform's first column `first`, on the (A, T) grid. U' sends (a, 0, t)
-    to the B = s slice exactly when its label is s, so each (a, t) is kept
-    by one block: block s keeps the fed amplitudes `kept` at the flat (A, T)
-    positions `source` where the label is s. The amplitude of |psi_s> at y
-    is f(y - sG), the Kronecker product of the profile's rows u_i shifted
-    by the codeword coordinates c_{s,i}."""
-    q, width = profile.q, labels.shape[1]
+    time. The block w_s |psi_s>_A |0>_B is one column of shape (q^n,). U
+    sends (y, 0) to the B = s slice exactly when D(y) = s, so each y is
+    kept by one block: block s keeps its column's amplitudes `kept` at the
+    words `source` where the decoder table is s. The amplitude of |psi_s>
+    at y is f(y - sG), the Kronecker product of the profile's rows u_i
+    shifted by the codeword coordinates c_{s,i}."""
+    q = profile.q
     for s_idx, (weight, codeword) in enumerate(zip(weights, code.codewords())):
         column = reduce(np.multiply.outer, [row[(np.arange(q) - c) % q]
                                             for row, c in zip(profile.u, codeword)],
                         np.ones(())).reshape(-1)
         column *= weight
-        source = np.flatnonzero(labels == s_idx)
-        kept = column[source // width]
-        kept *= first[source % width]
+        source = np.flatnonzero(table == s_idx)
+        kept = column[source]
         yield s_idx, column, kept, source
         del column, source, kept  # before the next block's are built
 
@@ -158,6 +124,8 @@ def success_lower_bound(p_dec: float, eta: float) -> float:
 
 @dataclass
 class ReductionOutcome:
+    """One syndrome's outcome. `symmetrized` reports the success bound's
+    p_s rule (`_decide_symmetrization`); no engine runs another map."""
     q: int
     n: int
     k: int
@@ -198,7 +166,8 @@ class SweepResult:
     success probability of syndrome j, u = vector_of_index(j, q, k), and
     the rest, shared by every syndrome, is stored once. result[j] builds
     syndrome j's `ReductionOutcome`, the form `run_reduction` returns;
-    `simulate` writes its rows from p_u and the shared values instead."""
+    `simulate` writes its rows from p_u and the shared values instead.
+    `symmetrized` reports the success bound's p_s rule."""
     q: int
     n: int
     k: int
@@ -237,60 +206,50 @@ def _check_inputs(code: LinearCode, constraints: list[ConstraintSet]) -> ErrorPr
     return profile
 
 
-def _decide_symmetrization(p_s: np.ndarray, force: bool | None) -> tuple[bool, float]:
-    """(symmetrize?, p_dec) from the per-message success p_s: symmetrize when
-    its spread exceeds TOL.gamma_spread, unless forced. p_dec is mean_s p_s."""
-    spread = float(p_s.max() - p_s.min())
-    needed = spread > TOL.gamma_spread if force is None else force
-    return needed, float(p_s.mean())
+def _decide_symmetrization(p_s: np.ndarray) -> tuple[bool, float]:
+    """(symmetrized?, p_dec) from the per-message success p_s: the success
+    bound's proof symmetrizes the map when the spread of p_s exceeds
+    TOL.gamma_spread, which changes no number the engines compute. p_dec
+    is mean_s p_s."""
+    return float(p_s.max() - p_s.min()) > TOL.gamma_spread, float(p_s.mean())
 
 
 # ---- reference engine: one syndrome, one message-copy block at a time ---------
 
 
-def _reference_peak_bytes(q: int, n: int, k: int, symmetrized: bool) -> int:
-    """Peak bytes of `run_reduction`, the largest of three phases, with the
-    state stored on the (A[, T]) grid. While blocks stream: per entry the
-    complex state, the int64 labels and a block's mask; per received word
-    a block's column and, for its at most one kept (a, t), the position,
-    value and two gathered factors, 64 bytes, which also cover the
-    column's build (its last factor and numpy's two broadcast buffers).
-    The labels are built first, in four int64 arrays at most.
-    Step 5 holds two states and the transform's scratch slice of 1/q,
-    which covers step 4's two states. Beside them 16 bytes per received
-    word (the table), 64 per entry of q^(2k)-entry tables, and 16 KiB."""
-    entries = q**n * (q**k if symmetrized else 1)
-    streaming = entries * (COMPLEX_BYTES + INDEX_BYTES + 1) + q**n * 4 * COMPLEX_BYTES
-    transform = entries * 2 * COMPLEX_BYTES + entries // q * COMPLEX_BYTES
-    return (max(streaming, entries * 4 * INDEX_BYTES, transform)
-            + q**n * 16 + q ** (2 * k) * 64 + 2**14)
+def _reference_peak_bytes(q: int, n: int, k: int) -> int:
+    """Peak bytes of `run_reduction`, set while the blocks stream: per
+    received word the int64 table, the complex state and a block's mask;
+    a block's column and, for its at most one kept word, the position and
+    value, with the column's build (its last factor and numpy's two
+    broadcast buffers), 64 bytes. p_s's residual index (five int64 arrays)
+    and step 5 (two states, the transform's scratch slice of 1/q of one,
+    then the marginal and the dual index) hold less. Beside them, per
+    message, its codeword and message rows and four scalars, and 16 KiB."""
+    return (q**n * (INDEX_BYTES + COMPLEX_BYTES + 1 + 4 * COMPLEX_BYTES)
+            + q**k * (n + k + 4) * INDEX_BYTES + 2**14)
 
 
 def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
-                  constraint: ConstraintSet, *, budget: int | None = None,
-                  force_symmetrize: bool | None = None) -> ReductionOutcome:
+                  constraint: ConstraintSet, *, budget: int | None = None) -> ReductionOutcome:
     """Run the five-step reduction for one dual syndrome u, densely, for
     the decoder's code and the constraint's profile.
 
-    Steps 1-2 stream over the message copy C. U' acts on (A, B[, T]) only,
-    so each C = s block of the prepared state evolves alone; C -= B moves
-    its B = b slice to C = s - b, so keeping C = 0 keeps b = s. Each block
-    is one column, w_s |psi_s> at B = 0 and T = 0: U' is fed it past the
-    transform on T and sends (a, 0, t) to the B = s slice exactly when the
-    label of (a, t) is s, so each (a, t) is kept by one block
-    (`_kept_blocks`). The accepted state is stored at the sources: entry
-    (a, t) of a (q^n, width) array holds the amplitude of the basis state
-    (a, 0, t) is mapped to, the amplitudes of mapping whole blocks bit for
-    bit. The step-1 and step-2 norms are those of the columns and of the
-    slices U' is fed. Step 4's adjoint returns each amplitude to (a, 0, t)
-    and inverts the transform on T, one product by a width x width matrix:
-    q^(n+2k) multiply-adds when symmetrized, against n q^(n+k+1) for step
-    5's transform on A. Every entry off B = 0 is then zero, so steps 4 and
-    5 hold the (A[, T]) state alone.
+    Steps 1-2 stream over the message copy C. U acts on (A, B) only, so
+    each C = s block of the prepared state evolves alone; C -= B moves its
+    B = b slice to C = s - b, so keeping C = 0 keeps b = s. Each block is
+    one column, w_s |psi_s> at B = 0, and U sends (y, 0) to (y, D(y)), so
+    block s keeps its column at the words y with D(y) = s, and each y is
+    kept by one block (`_kept_blocks`). The accepted state is one (q^n,)
+    array: entry y holds the amplitude of (y, D(y)), the amplitudes of
+    mapping whole blocks bit for bit. U permutes basis states, so the
+    step-2 norm is the step-1 norm, that of the columns. Step 4's adjoint
+    returns each amplitude to (y, 0), where the array already holds it, so
+    steps 4 and 5 hold the A state alone.
 
     The budget counts 16-byte amplitudes of the stated peak
-    (`_reference_peak_bytes`, for the symmetrized map unless
-    force_symmetrize is False), checked before the decoder table is built.
+    (`_reference_peak_bytes`), checked before the decoder table is built.
+    `symmetrized` reports the success bound's p_s rule, as the sweep does.
     """
     code = decoder.code
     q, n, k = code.q, code.n, code.k
@@ -298,38 +257,31 @@ def run_reduction(decoder: _BaseDecoder, u: np.ndarray,
     if u.shape != (k,):
         raise ValueError(f"u must have length {k}")
     profile = _check_inputs(code, [constraint])
-    require_peak(q, n, k, budget, reference=True, symmetrized=force_symmetrize is not False)
-    decoder.table(budget)  # built under this budget; the readers below reuse it
-    symmetrized, p_dec = _decide_symmetrization(
-        per_message_success(decoder, profile), force_symmetrize)
-    labels = _labels(decoder, symmetrized)  # before the state is allocated
-    fourier_t = _fourier_t(code.field, k if symmetrized else 0)
+    require_peak(q, n, k, budget, reference=True)
+    table = decoder.table(budget)  # built under this budget; the readers below reuse it
+    symmetrized, p_dec = _decide_symmetrization(per_message_success(decoder, profile))
 
     # steps 1-2: superposed shifted error states, one C = s block at a time
     weights = np.conj(code.field.roots_of_unity[(code.messages() @ u) % q]) / math.sqrt(q**k)
-    accepted = np.zeros(labels.shape, dtype=np.complex128)  # at each source (a, t)
+    accepted = np.zeros(q**n, dtype=np.complex128)  # at each received word y
     norm_sq = 0.0
-    for _, column, kept, source in _kept_blocks(code, profile, weights, labels, fourier_t[:, 0]):
+    for _, column, kept, source in _kept_blocks(code, profile, weights, table):
         norm_sq += float(np.vdot(column, column).real)
-        accepted.reshape(-1)[source] = kept
+        accepted[source] = kept
         del column, kept, source  # before the next block's are built
-    del labels
-    norm = math.sqrt(norm_sq)  # U' is fed each column times the transform's first column
-    norms = [norm, norm * float(np.linalg.norm(fourier_t[:, 0]))]
+    norms = [math.sqrt(norm_sq)]  # of steps 1 and 2 both
 
     # step 3: measure the message copy, keep outcome 0, renormalize
     post_select_prob = float(np.vdot(accepted, accepted).real)
     accepted *= 1 / math.sqrt(post_select_prob)  # numpy's division by a real d, bit for bit
 
-    # step 4: the adjoint returns each amplitude to (a, 0, t), then inverts
-    # the transform on T
-    accepted = accepted @ fourier_t.conj()
+    # step 4: the adjoint returns each amplitude to (y, 0), where it is stored
     norms.append(float(np.linalg.norm(accepted)))
 
     # step 5: Fourier transform register A, read its marginal
     accepted = fourier_transform(code.field, accepted)
     norms.append(float(np.linalg.norm(accepted)))
-    marginal = (np.abs(accepted) ** 2).sum(axis=1)
+    marginal = np.abs(accepted) ** 2
 
     on_coset = _dual_index(code) == index_of_vector(u, q)
     p_u = float(marginal[constraint.membership_mask() & on_coset].sum())
@@ -366,12 +318,11 @@ def _sweep_peak_bytes(q: int, n: int, k: int) -> int:
 
 
 def require_peak(q: int, n: int, k: int, budget: int | None = None, *,
-                 reference: bool = False, symmetrized: bool = True) -> None:
+                 reference: bool = False) -> None:
     """Raise BudgetError unless an engine's stated peak in 16-byte amplitudes
-    fits the budget: `run_reduction`'s (plain or symmetrized) if reference,
-    else `run_reduction_sweep`'s. The CLI calls it before it builds a code."""
-    peak = (_reference_peak_bytes(q, n, k, symmetrized) if reference
-            else _sweep_peak_bytes(q, n, k))
+    fits the budget: `run_reduction`'s if reference, else
+    `run_reduction_sweep`'s. The CLI calls it before it builds a code."""
+    peak = _reference_peak_bytes(q, n, k) if reference else _sweep_peak_bytes(q, n, k)
     require_budget(-(-peak // COMPLEX_BYTES), budget)
 
 
@@ -416,8 +367,7 @@ def run_reduction_sweep(decoder: _BaseDecoder, constraints: list[ConstraintSet],
     require_peak(q, n, k, budget)
     table = decoder.table(budget)
     residual = residual_index(code, table)
-    symmetrized, p_dec = _decide_symmetrization(
-        _message_success(code, profile, table, residual), None)
+    symmetrized, p_dec = _decide_symmetrization(_message_success(code, profile, table, residual))
     histogram = np.bincount(residual, minlength=q**n).astype(np.float64)
     del residual  # each array is freed before the larger ones that follow it
     f = profile.amplitudes()

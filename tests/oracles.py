@@ -15,10 +15,13 @@ scalar `berlekamp_welch`. `dual_code` swaps a code's G and H.
 the sweep's residual histogram. `full_image` builds the decoder map's image
 of every basis state of the whole (A, B[, T]) register grid from its
 definition, with its own place values; `apply_map` runs the map on that
-grid with its own transform on T. On them `diagonal_gammas` reads the
-map's diagonal amplitudes, and `dense_reduction` walks the five steps, the
-oracle for the reference engine, which stores only the amplitudes it
-keeps. None of them reads the engine's labels or blocks.
+grid with its own transform on T. Both build the plain map U and the
+symmetrized map U' of the success bound's proof, which the package no
+longer runs. On them `diagonal_gammas` reads the map's diagonal
+amplitudes, and `dense_reduction` walks the five steps, the oracle for the
+reference engine, which runs U and stores only the amplitudes it keeps;
+run with U', it checks that symmetrizing changes no number. None of them
+reads the engine's blocks.
 
 `MOVED_FROM_PACKAGE` names what left `cosetlab` for the tests under
 another name, or for one test module, so that `test_exports.py` also
@@ -37,6 +40,8 @@ from cosetlab.galois import all_vectors, fourier_transform, index_of_vector, vec
 MOVED_FROM_PACKAGE = (
     "cosetlab.codes.LinearCode.dual",
     "cosetlab.qsim.DecoderMap",  # with its `apply`, which moved here first
+    "cosetlab.qsim._fourier_t",  # the transform on T, built in `apply_map`
+    "cosetlab.qsim._labels",  # the B labels, read off `full_image`
     "cosetlab.decode._BaseDecoder.decode",
     "cosetlab.noise.ConstraintSet.contains",
     "cosetlab.noise.ConstraintSet.count",

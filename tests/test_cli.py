@@ -200,16 +200,16 @@ def test_simulate_sweeps_rs_7_5_within_default_budget(capsys):
     assert doc["report"]["ok"] is True
 
 
-def test_simulate_random_u_runs_symmetrized_rs_7_1_within_default_budget(capsys):
-    # the CLI checks the reference engine's symmetrized peak before it
-    # knows which map the run needs; one amplitude per (received word,
-    # shift), 7^8 of them, fits the default budget
-    code, out = _run(capsys, "simulate", "--q", "7", "--n", "7", "--k", "1",
+def test_simulate_random_u_runs_rs_7_2_within_default_budget(capsys):
+    # BW's p_s differ at rs(7,2), so the p_s rule reports symmetrized, but
+    # the reference engine runs the plain map: one amplitude per received
+    # word, 7^7 of them, within the default budget
+    code, out = _run(capsys, "simulate", "--q", "7", "--n", "7", "--k", "2",
                      "--code", "rs", "--decoder", "bw", "--sets", "interval:2",
-                     "--tau", "0.7", "--ttilde", "0.5", "--u", "random",
-                     "--format", "json")
+                     "--tau", "0.7", "--ttilde", "0.5", "--u", "random")
+    lines = out.splitlines()
     assert code == 0
-    assert json.loads(out)["report"]["ok"] is True
+    assert lines[1].startswith("symmetrized=True ") and lines[-1] == "ok=True"
 
 
 def test_simulate_budget_exceeded_exits_2(capsys):
@@ -242,17 +242,17 @@ def test_oversized_simulate_exits_2_before_building_a_code(capsys, monkeypatch, 
 
 def test_simulate_random_u_too_large_for_reference_exits_2_before_building_a_code(
         capsys, monkeypatch):
-    # at rs(7,2) the sweep fits the default budget but the reference
-    # engine's 7^9 amplitudes do not
+    # at a random [15,5]_3 code (3^15 words) the sweep fits the default
+    # budget but the reference engine's stated peak does not
     _refuse_codes(monkeypatch)
-    stated = -(-qsim._reference_peak_bytes(7, 7, 2, True) // 16)
-    code, err = _exit_status(capsys, "simulate", "--q", "7", "--n", "7", "--k", "2",
-                             "--code", "rs", "--decoder", "bw", "--tau", "0.7",
+    stated = -(-qsim._reference_peak_bytes(3, 15, 5) // 16)
+    code, err = _exit_status(capsys, "simulate", "--q", "3", "--n", "15", "--k", "5",
+                             "--code", "random", "--decoder", "nearest", "--tau", "0.7",
                              "--ttilde", "0.5", "--u", "random")
     assert code == 2
     assert err == (f"error: requested {stated} amplitudes exceeds budget "
                    f"{DEFAULT_AMPLITUDE_BUDGET}\n")
-    qsim.require_peak(7, 7, 2)  # the sweep alone fits
+    qsim.require_peak(3, 15, 5)  # the sweep alone fits
 
 
 def test_oversized_opi_search_exits_2_before_building_a_code(tmp_path, capsys, monkeypatch):

@@ -183,11 +183,15 @@ def test_nearest_table_splits_beyond_the_count_block(code, argmin):
     (BerlekampWelchDecoder, 5, 3), (BerlekampWelchDecoder, 7, 3),
     (BerlekampWelchDecoder, 7, 5), (BruteForceNearestDecoder, 5, 3),
     (BruteForceNearestDecoder, 5, 4), (BruteForceNearestDecoder, 7, 1),
-    (BruteForceNearestDecoder, 7, 4)])
+    (BruteForceNearestDecoder, 7, 4), (BruteForceNearestDecoder, 5, 1),
+    (BruteForceNearestDecoder, 5, 2), (BruteForceNearestDecoder, 7, 2),
+    (BruteForceNearestDecoder, 7, 3)])
 def test_table_build_within_its_stated_peak(decoder_class, q, k):
     # each decoder states its build's peak; one amplitude less is refused
-    # before anything is allocated, and the build traces at most the statement.
-    # Nearest rs(7,1) splits a uint8 key block; rs(7,4) reduces by argmin
+    # before anything is allocated, and the build traces at most the
+    # statement; a nearest build, at least half of it. Nearest rs(5,1..4)
+    # and rs(7,1..3) reduce key blocks, rs(7,4) argmin rows, and the table is
+    # one int64 array
     decoder = decoder_class(rs_code(q, k))
     need = -(-decoder._build_bytes() // 16)
     tracemalloc.start()
@@ -202,6 +206,8 @@ def test_table_build_within_its_stated_peak(decoder_class, q, k):
     finally:
         tracemalloc.stop()
     assert refused < 2**14 and built <= decoder._build_bytes()
+    if decoder_class is BruteForceNearestDecoder:
+        assert decoder._build_bytes() / 2 <= built
     assert decoder._table.shape == (q**q,)
 
 

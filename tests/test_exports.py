@@ -70,6 +70,13 @@ def test_test_oracles_are_not_kept_in_the_package():
     assert names and kept == []
 
 
+def test_reference_engine_has_no_map_switch():
+    # both engines run the plain decoder map; the symmetrized one lives only
+    # in tests/oracles.py, where the tests check that it changes no number
+    assert "force_symmetrize" not in inspect.signature(cosetlab.qsim.run_reduction).parameters
+    assert "symmetrized" not in inspect.signature(cosetlab.qsim.require_peak).parameters
+
+
 def _bench_layers():
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)

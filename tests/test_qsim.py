@@ -14,9 +14,9 @@ from cosetlab.decode import (BerlekampWelchDecoder, BruteForceNearestDecoder,
 from cosetlab.galois import all_vectors, vector_of_index
 from cosetlab.noise import (ConstraintSet, build_profile, interval_profile,
                             random_sets_profile)
-from cosetlab.qsim import (SweepResult, _fourier_t, _kept_blocks, _labels,
-                           _reference_peak_bytes, _sweep_peak_bytes, run_reduction,
-                           run_reduction_sweep, success_lower_bound, verify_bound)
+from cosetlab.qsim import (SweepResult, _kept_blocks, _reference_peak_bytes,
+                           _sweep_peak_bytes, run_reduction, run_reduction_sweep,
+                           success_lower_bound, verify_bound)
 from oracles import (apply_map, dense_reduction, diagonal_gammas, direct_p_u, full_image,
                      grid_shape)
 
@@ -64,8 +64,8 @@ def test_unitary_preserves_norm_and_adjoint_inverts(sym):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_gather_follows_definition_on_basis_states(shape, seed):
     # the oracle's maps, built from the definition, are unitary with adjoint
-    # inverse; the engine's label of (a, t) is the B coordinate of the
-    # oracle's image of (a, 0, t), D(a + tG) - t, plain (t = 0) and symmetrized
+    # inverse, plain and symmetrized; the engine's label of a word, the
+    # decoder table itself, is the B coordinate of the plain image of (a, 0)
     q, n, k = shape
     rng = np.random.default_rng(seed)
     decoder = TableDecoder(random_code(q, n, k, seed=seed), rng.integers(0, q**k, size=q**n))
@@ -77,47 +77,40 @@ def test_gather_follows_definition_on_basis_states(shape, seed):
         assert abs(inner) <= 1e-12
         assert abs(np.linalg.norm(forward) - 1.0) <= TOL.unitarity
         assert np.max(np.abs(apply_map(decoder, sym, forward, adjoint=True) - x)) <= TOL.unitarity
-        image = full_image(decoder, sym).reshape(q**n, q**k, -1)[:, 0]  # of each (a, 0, t)
-        b_of_image = np.unravel_index(image, (q**n, q**k, image.shape[1]))[1]
-        assert np.array_equal(_labels(decoder, sym), b_of_image)
+    image = full_image(decoder, False).reshape(q**n, q**k)[:, 0]  # of each (a, 0)
+    a_of_image, b_of_image = np.unravel_index(image, (q**n, q**k))
+    assert np.array_equal(a_of_image, np.arange(q**n))
+    assert np.array_equal(decoder.table(), b_of_image)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(2, 3, 1), (2, 4, 2), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 3, 2)]),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_kept_slices_equal_mapped_whole_blocks_bit_for_bit(shape, seed):
-    # oracle: the B = s slice of the forward map applied to the whole
-    # prepared block w_s |psi_s>|0>_B[|0>_T], built here from the block's
-    # one nonzero column; the blocks partition the (A[, T]) positions, each
-    # written by one block
+    # oracle: the B = s slice of the plain map applied to the whole prepared
+    # block w_s |psi_s>|0>_B, built here from the block's one nonzero
+    # column; the blocks partition the received words, each written by one
+    # block
     q, n, k = shape
     rng = np.random.default_rng(seed)
     code = random_code(q, n, k, seed=seed)
     decoder = TableDecoder(code, rng.integers(0, q**k, size=q**n))
     profile = random_sets_profile(q, n, int(rng.integers(1, q)), 0.8, seed=seed)
     weights = np.exp(2j * np.pi * rng.random(q**k)) / math.sqrt(q**k)
-    for sym in (False, True):
-        shape = grid_shape(code, sym)
-        labels, fourier_t = _labels(decoder, sym), _fourier_t(code.field, k if sym else 0)
-        width = labels.shape[1]
-        image = full_image(decoder, sym).reshape(q**n, q**k, width)[:, 0].reshape(-1)
-        accepted = np.zeros(shape, dtype=np.complex128)
-        expected = np.zeros(shape, dtype=np.complex128)
-        writes = np.zeros(q**n * width, dtype=np.int64)
-        for s_idx, column, kept, source in _kept_blocks(code, profile, weights, labels,
-                                                        fourier_t[:, 0]):
-            target = image[source]
-            assert np.all(np.unravel_index(target, (q**n, q**k, width))[1] == s_idx)
-            accepted.reshape(-1)[target] = kept
-            np.add.at(writes, source, 1)
-            block = np.zeros(shape, dtype=np.complex128)
-            block.reshape(q**n, q**k, -1)[:, 0, 0] = column
-            mapped = apply_map(decoder, sym, block).reshape(q**n, q**k, -1)
-            expected.reshape(q**n, q**k, -1)[:, s_idx] = mapped[:, s_idx]
-            fed = (block.reshape(-1, width) @ fourier_t.T)[::q**k]
-            assert np.array_equal(kept, fed.reshape(-1)[source])
-        assert np.all(writes == 1)
-        assert np.array_equal(accepted, expected)
+    image = full_image(decoder, False)
+    accepted = np.zeros((q**n, q**k), dtype=np.complex128)
+    expected = np.zeros((q**n, q**k), dtype=np.complex128)
+    writes = np.zeros(q**n, dtype=np.int64)
+    for s_idx, column, kept, source in _kept_blocks(code, profile, weights, decoder.table()):
+        target = image.reshape(q**n, q**k)[source, 0]
+        assert np.all(np.unravel_index(target, (q**n, q**k))[1] == s_idx)
+        accepted.reshape(-1)[target] = kept
+        np.add.at(writes, source, 1)
+        block = np.zeros((q**n, q**k), dtype=np.complex128)
+        block[:, 0] = column
+        expected[:, s_idx] = apply_map(decoder, False, block)[:, s_idx]
+    assert np.all(writes == 1)
+    assert np.array_equal(accepted, expected)
 
 
 def test_gamma_diagonal_matches_success_probability():
@@ -198,8 +191,8 @@ def test_sweep_matches_direct_engine_all_syndromes():
                         (3, 5, 2), (5, 3, 1), (5, 4, 1), (5, 5, 1)]),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_sweep_matches_direct_engine_on_random_table_decoders(shape, seed):
-    # random tables are lopsided, so the reference engine is checked with
-    # and without the symmetrized map against the one closed form
+    # random tables are lopsided, so the p_s rule symmetrizes; the
+    # reference engine's plain map is checked against the one closed form
     q, n, k = shape
     rng = np.random.default_rng(seed)
     code = random_code(q, n, k, seed=seed)
@@ -209,35 +202,31 @@ def test_sweep_matches_direct_engine_on_random_table_decoders(shape, seed):
                                   seed=seed)
     constraint = ConstraintSet(profile, float(rng.uniform(0.0, tau)))
     swept = run_reduction_sweep(decoder, [constraint])[0]
-    drawn = int(rng.integers(0, q**k))
-    runs = [(u_idx, False) for u_idx in range(q**k)] + [(drawn, True)]
-    for u_idx, force in runs:
-        direct = run_reduction(decoder, vector_of_index(u_idx, q, k),
-                               constraint, force_symmetrize=force)
+    for u_idx in range(q**k):
+        direct = run_reduction(decoder, vector_of_index(u_idx, q, k), constraint)
         assert swept[u_idx].u == direct.u
         assert abs(swept[u_idx].p_u - direct.p_u) <= 1e-12
         assert abs(swept[u_idx].post_select_prob
                    - direct.post_select_prob) <= 1e-12
 
 
-@pytest.mark.parametrize("force", [False, True])
-def test_reference_matches_sweep_at_q5_k2(force):
+def test_reference_matches_sweep_at_q5_k2():
     code = random_code(5, 4, 2, seed=11)
     profile = random_sets_profile(5, 4, 2, 0.8, seed=11)
     decoder = BruteForceNearestDecoder(code)
     constraint = ConstraintSet(profile, 0.5)
     swept = run_reduction_sweep(decoder, [constraint])[0]
-    direct = run_reduction(decoder, np.array([2, 3]), constraint,
-                           force_symmetrize=force)
+    direct = run_reduction(decoder, np.array([2, 3]), constraint)
     ref = swept[2 * 5 + 3]
-    assert ref.u == direct.u and direct.symmetrized == force
+    assert ref.u == direct.u and direct.symmetrized == ref.symmetrized
     assert abs(ref.p_u - direct.p_u) <= 1e-12
     assert abs(ref.post_select_prob - direct.post_select_prob) <= 1e-12
     assert direct.max_norm_drift <= TOL.unitarity
 
 
 def test_reference_matches_sweep_on_readme_example():
-    # rs(5,2), BW, interval:1, tau 0.7, ttilde 0.5: symmetrized, 5^9 amplitudes
+    # rs(5,2), BW, interval:1, tau 0.7, ttilde 0.5: BW's p_s differ, so the
+    # rule reports symmetrized; the engine stores 5^5 amplitudes
     decoder = BerlekampWelchDecoder(rs_code(5, 2))
     constraint = ConstraintSet(interval_profile(5, 5, 1, 0.7), 0.5)
     swept = run_reduction_sweep(decoder, [constraint])[0]
@@ -249,19 +238,18 @@ def test_reference_matches_sweep_on_readme_example():
         assert direct.max_norm_drift <= TOL.unitarity
 
 
-@pytest.mark.parametrize("force", [False, True])
-def test_reference_matches_sweep_at_q7(force):
-    # rs(7,1), BW, interval:2, tau 0.7, ttilde 0.5, so the literal engine
-    # checks the sweep's histogram at q = 7: the plain map stores 7^7
-    # amplitudes, one per received word; U', forced (BW's p_s agree here),
-    # stores 7^8, one per (received word, shift), within the default budget
-    decoder = BerlekampWelchDecoder(rs_code(7, 1))
+@pytest.mark.parametrize("k, n_u", [(2, 3), (3, 1)], ids=["rs(7,2)", "rs(7,3)"])
+def test_reference_matches_sweep_at_q7(k, n_u):
+    # BW, interval:2, tau 0.7, ttilde 0.5, so the literal engine checks the
+    # sweep's histogram at q = 7: it stores 7^7 amplitudes, one per received
+    # word, within the default budget; BW's p_s differ, so the rule reports
+    # symmetrized. One u at rs(7,3), whose run takes about 2 s
+    decoder = BerlekampWelchDecoder(rs_code(7, k))
     constraint = ConstraintSet(interval_profile(7, 7, 2, 0.7), 0.5)
     swept = run_reduction_sweep(decoder, [constraint])[0]
-    for u_idx in np.random.default_rng(2026).choice(7, size=3, replace=False):
-        direct = run_reduction(decoder, vector_of_index(int(u_idx), 7, 1), constraint,
-                               force_symmetrize=force)
-        assert direct.symmetrized == force and swept[u_idx].u == direct.u
+    for u_idx in np.random.default_rng(2026).choice(7**k, size=n_u, replace=False):
+        direct = run_reduction(decoder, vector_of_index(int(u_idx), 7, k), constraint)
+        assert direct.symmetrized and swept[u_idx].u == direct.u
         assert abs(swept.p_u[u_idx] - direct.p_u) <= TOL.bound_slack
         assert abs(swept.post_select_prob - direct.post_select_prob) <= TOL.bound_slack
         assert direct.max_norm_drift <= TOL.unitarity
@@ -272,7 +260,9 @@ def test_reference_matches_sweep_at_q7(force):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_reference_matches_dense_walk_on_random_table_decoders(shape, seed):
     # oracle: the five steps on the whole (A, B[, T]) state, every block
-    # mapped in full, against the engine that stores only what it keeps
+    # mapped in full, plain and symmetrized, against the engine that runs
+    # the plain map and stores only what it keeps: symmetrizing changes no
+    # number
     q, n, k = shape
     rng = np.random.default_rng(seed)
     code = random_code(q, n, k, seed=seed)
@@ -281,8 +271,8 @@ def test_reference_matches_dense_walk_on_random_table_decoders(shape, seed):
     profile = random_sets_profile(q, n, int(rng.integers(1, q)), tau, seed=seed)
     constraint = ConstraintSet(profile, float(rng.uniform(0.0, tau)))
     u = vector_of_index(int(rng.integers(0, q**k)), q, k)
+    direct = run_reduction(decoder, u, constraint)
     for sym in (False, True):
-        direct = run_reduction(decoder, u, constraint, force_symmetrize=sym)
         p_u, post_select_prob, marginal_mass = dense_reduction(decoder, u, constraint, sym)
         assert abs(direct.p_u - p_u) <= 1e-12
         assert abs(direct.post_select_prob - post_select_prob) <= 1e-12
@@ -344,9 +334,8 @@ def test_stated_peak_bytes_bound_traced_peak():
     profile = random_sets_profile(5, 4, 2, 0.8, seed=11)
     decoder = BruteForceNearestDecoder(code)
     constraint = ConstraintSet(profile, 0.5)
-    peak = _traced_peak(lambda: run_reduction(decoder, np.array([1, 4]),
-                                              constraint, force_symmetrize=True))
-    stated = _reference_peak_bytes(5, 4, 2, symmetrized=True)
+    peak = _traced_peak(lambda: run_reduction(decoder, np.array([1, 4]), constraint))
+    stated = _reference_peak_bytes(5, 4, 2)
     assert stated / 2 <= peak <= stated
     for q, k, z in ((5, 2, 1), (7, 3, 2), (5, 3, 1), (7, 6, 2)):
         decoder = BerlekampWelchDecoder(rs_code(q, k))
@@ -367,17 +356,15 @@ def test_stated_peak_bytes_bound_traced_peak():
 
 @pytest.mark.parametrize("shape", [(2, 12, 1), (3, 7, 1), (2, 7, 3), (5, 4, 1)])
 def test_reference_stated_peak_bounds_traced_peak_at_other_shapes(shape):
-    # at small q^k the streaming blocks' slices set the peak, not step 4's
-    # two states and gather
+    # the streaming blocks set the peak, not p_s's residual index or
+    # step 5's two states
     q, n, k = shape
     rng = np.random.default_rng(3)
     decoder = TableDecoder(random_code(q, n, k, seed=3), rng.integers(0, q**k, size=q**n))
     constraint = ConstraintSet(random_sets_profile(q, n, 1, 0.8, seed=3), 0.5)
-    for sym in (False, True):
-        peak = _traced_peak(lambda: run_reduction(decoder, np.zeros(k, dtype=np.int64),
-                                                  constraint, force_symmetrize=sym))
-        stated = _reference_peak_bytes(q, n, k, symmetrized=sym)
-        assert stated / 2 <= peak <= stated, sym
+    peak = _traced_peak(lambda: run_reduction(decoder, np.zeros(k, dtype=np.int64), constraint))
+    stated = _reference_peak_bytes(q, n, k)
+    assert stated / 2 <= peak <= stated
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -529,14 +516,3 @@ def test_budget_message_writes_a_huge_count_by_its_bit_length():
     with pytest.raises(BudgetError, match="requested 11 amplitudes exceeds budget 10"):
         require_budget(11, 10)
 
-
-def test_force_symmetrize_override():
-    # nearest on the perfect code needs no symmetrization; force it anyway
-    profile, decoder = _q3_setup()
-    constraint = ConstraintSet(profile, 0.4)
-    plain = run_reduction(decoder, np.array([1]), constraint,
-                          force_symmetrize=False)
-    forced = run_reduction(decoder, np.array([1]), constraint,
-                           force_symmetrize=True)
-    assert forced.symmetrized and not plain.symmetrized
-    assert forced.p_u == pytest.approx(plain.p_u, abs=1e-10)
